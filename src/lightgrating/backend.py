@@ -1,28 +1,72 @@
-"""Selects the compiled kernel module at import time, with a pure fallback.
+"""NumPy implementations of the hot kernels.
 
-The compiled extension (``lightgrating._kernels``, built from Cython) and the
-NumPy module ``lightgrating._kernels_py`` implement the same three functions.
-Whichever is available is re-exported here; setting the environment variable
-``LIGHTGRATING_PURE_PYTHON=1`` forces the fallback.
+Absorption-channel sampling, in-place |psi|^2 accumulation and the direct
+Fresnel quadrature that serves as the oracle for spectral propagation.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("LIGHTGRATING_PURE_PYTHON", "") == "1":
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
-
-sample_channels = _impl.sample_channels
-accumulate_weighted_abs2 = _impl.accumulate_weighted_abs2
-direct_fresnel_sum = _impl.direct_fresnel_sum
+import numpy as np
 
 
 def backend_name() -> str:
-    """Either ``"compiled"`` or ``"python"``."""
-    return _impl.BACKEND_NAME
+    """The kernel implementation in use; always ``"python"`` (NumPy)."""
+    return "python"
+
+
+def sample_channels(
+    phi_re: float, phi_im: float, n_max: int, k_laser: float, x: np.ndarray
+) -> np.ndarray:
+    """Sample the absorption-channel transmission functions on a grid.
+
+    Returns a complex array of shape ``(n_max + 1, len(x))`` whose row ``n``
+    is the amplitude for molecules that absorbed exactly ``n`` photons:
+
+        t_n(x) = exp((2j*phi_re - 2*phi_im) * cos^2(k x))
+                 * (4*phi_im)^(n/2) * cos(k x)^n / sqrt(n!)
+
+    Row 0 is the bare dipole phase imprint with its absorption-loss
+    envelope; each further photon multiplies by ``2*sqrt(phi_im)*cos(k x)``
+    and divides by ``sqrt(n)``, which keeps the recursion stable for any
+    ``phi_im >= 0`` (including 0, where all n >= 1 rows vanish).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    c = np.cos(k_laser * x)
+    c2 = c * c
+    out = np.empty((n_max + 1, x.size), dtype=np.complex128)
+    out[0] = np.exp((2j * phi_re - 2.0 * phi_im) * c2)
+    step = 2.0 * np.sqrt(phi_im) * c
+    for n in range(1, n_max + 1):
+        out[n] = out[n - 1] * (step / np.sqrt(n))
+    return out
+
+
+def accumulate_weighted_abs2(fields: np.ndarray, weight: float, out: np.ndarray) -> None:
+    """Add ``weight * sum_rows |fields|^2`` into ``out`` in place.
+
+    The complex rows are read as interleaved (re, im) float64 pairs, so one
+    einsum sums re^2 and im^2 down the rows without a temporary per row.
+    """
+    flat = np.ascontiguousarray(fields, dtype=np.complex128).view(np.float64)
+    s = np.einsum("ij,ij->j", flat, flat)
+    out += weight * (s[0::2] + s[1::2])
+
+
+def direct_fresnel_sum(
+    field: np.ndarray,
+    x_in: np.ndarray,
+    weights: np.ndarray,
+    x_out: np.ndarray,
+    kfac: float,
+) -> np.ndarray:
+    """Brute-force Fresnel quadrature sum(w * f * exp(1j*kfac*(xo - xi)^2)).
+
+    ``kfac`` is k/(2L).  Output points are processed one at a time so no
+    (len(x_out), len(x_in)) matrix is ever materialised.
+    """
+    wf = weights * field
+    out = np.empty(x_out.size, dtype=np.complex128)
+    for i, xo in enumerate(x_out):
+        d = xo - x_in
+        out[i] = np.sum(wf * np.exp(1j * (kfac * d * d)))
+    return out

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import __version__, backend
+from . import __version__
 from .config import ConfigError, load_config_file
 from .grating import GratingBeam
 from .runner import ConvergenceError, run_compare, run_orders, run_power_scan, run_simulate
@@ -114,7 +114,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(_: argparse.Namespace) -> int:
-    print(f"lightgrating {__version__} (kernel backend: {backend.backend_name()})")
+    print(f"lightgrating {__version__}")
     print(f"hbar = {HBAR:.12e} J s")
     print(f"h    = {H:.12e} J s")
     print(f"c    = {C_LIGHT:.12e} m/s")

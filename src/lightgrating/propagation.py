@@ -87,26 +87,6 @@ def propagate_spectral(
     return x_out, prefactor * phases * transform
 
 
-def spectral_intensity(
-    fields: np.ndarray,
-    spacing: float,
-    wavelength: float,
-    distance: float,
-    n_fft: int,
-) -> np.ndarray:
-    """|psi|^2 on the native spectral grid for a batch of input fields.
-
-    Same mathematics as ``propagate_spectral`` restricted to intensities:
-    the output phase factors are unimodular and drop out of |.|^2, so only
-    the FFT magnitude and the |prefactor|^2 = spacing^2/(lambda L) scale
-    remain.  ``fields`` has shape (n_batch, n_in) and must already carry
-    the input chirp exp(i k x^2/(2 L)); rows are returned fftshifted.
-    """
-    transform = np.fft.fftshift(np.fft.fft(fields, n=n_fft, axis=-1), axes=-1)
-    scale = spacing**2 / (wavelength * distance)
-    return scale * (transform.real**2 + transform.imag**2)
-
-
 def midpoint_weights(n: int, spacing: float) -> np.ndarray:
     return np.full(n, spacing)
 

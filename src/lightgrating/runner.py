@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backend
 from .beamline import (
     DiffractionPattern,
     compare_patterns,
@@ -108,7 +107,6 @@ def summarize(cfg: SimulationConfig, pattern: DiffractionPattern) -> dict:
         visibility = None
     summary = {
         "config_digest": config_digest(cfg),
-        "backend": backend.backend_name(),
         "species": cfg.species.name,
         "mode": cfg.run.mode,
         "normalization": cfg.run.normalization,

@@ -260,7 +260,6 @@ class TestConstants:
         out = capsys.readouterr().out
         assert "hbar = 1.054571817" in out
         assert "C60" in out and "C70" in out
-        assert "kernel backend" in out
         assert "sigma" in out
 
 

@@ -202,6 +202,20 @@ class TestTruncationOrder:
         assert truncation_order(phi, tail_eps=1e-4) <= truncation_order(phi, tail_eps=1e-10)
 
 
+def sqrt_poisson_sign_construction(phi, n_max, k, x):
+    """Independent t_n = exp(2i Re cos^2) sqrt(p_nbar(n)) sign(cos)^n, n = 0..n_max."""
+    cos = np.cos(k * x)
+    nbar = 4.0 * phi.im * cos**2
+    return np.array(
+        [
+            np.exp(2.0j * phi.re * cos**2)
+            * np.sqrt(scipy.stats.poisson.pmf(n, nbar))
+            * np.sign(cos) ** n
+            for n in range(n_max + 1)
+        ]
+    )
+
+
 class TestChannelAmplitudes:
     K = 2.0 * math.pi / 514.5e-9
 
@@ -221,16 +235,16 @@ class TestChannelAmplitudes:
         k = 2.0 * math.pi / HALF_PERIOD_GRID.wavelength
         n_max = 6
         t = channel_amplitudes(phi, n_max, k, x)
-        cos = np.cos(k * x)
-        nbar = 4.0 * phi.im * cos**2
-        for n in range(n_max + 1):
-            pmf = scipy.stats.poisson.pmf(n, nbar)
-            expected = (
-                np.exp(2.0j * phi.re * cos**2)
-                * np.sqrt(pmf)
-                * np.sign(cos) ** n
-            )
-            assert np.allclose(t[n], expected, rtol=1e-12, atol=1e-15)
+        expected = sqrt_poisson_sign_construction(phi, n_max, k, x)
+        assert np.allclose(t, expected, rtol=1e-12, atol=1e-15)
+
+    def test_strided_positions(self):
+        phi = ComplexPhase(1.0, 0.2)
+        x = np.linspace(-2.5e-6, 2.5e-6, 1201)[::3]
+        assert not x.flags.c_contiguous
+        t = channel_amplitudes(phi, 4, self.K, x)
+        expected = sqrt_poisson_sign_construction(phi, 4, self.K, x)
+        assert np.allclose(t, expected, rtol=1e-12, atol=1e-15)
 
     def test_even_in_position(self):
         phi = ComplexPhase(0.9, 0.15)
