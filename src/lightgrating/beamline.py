@@ -1,11 +1,16 @@
 """Source -> collimator -> grating -> detector: the full beamline average.
 
-Wave mode propagates each absorption channel of each point source through
-the Fresnel integral and sums intensities over channels, source points,
-velocities and vertical positions — a triple deterministic quadrature of
-``point_source_pattern``.  Orders mode places the analytic diffraction-order
-weights on the geometric shadow envelope instead; it is orders of magnitude
-faster and serves as the cross-check of the wave pipeline.
+Wave mode sums the absorption channels and the vertical positions in
+closed form: per velocity, the grating is the mixed state of
+``grating.grating_coherence``, compressed by ``grating.effective_channels``
+into the few field rows it needs.  Each row of each point source is
+Fresnel-propagated and the intensities add over rows, source points and
+velocities.  This equals the channel-by-channel quadrature of
+``point_source_pattern`` up to the probability the rows drop (at most
+``tail_eps`` per grating point).  Orders mode places the analytic
+diffraction-order weights of every channel on the geometric shadow
+envelope instead; it is faster and serves as the cross-check of the wave
+pipeline.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from .grating import (
     GratingBeam,
     GridSpec,
     TransmissionChannel,
-    channel_amplitudes,
     compute_phi,
-    truncation_order,
+    effective_channels,
 )
 from .orders import incoherent_order_intensities
 from .propagation import next_pow2, propagate_spectral
@@ -220,56 +224,53 @@ def _wave_velocity_slice(
     scale_weights: np.ndarray,
     src_nodes: np.ndarray,
     src_weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, ComplexPhase, float, float]:
+) -> tuple[np.ndarray, np.ndarray, ComplexPhase, float, float, int, float]:
     """One velocity node of the wave-mode ensemble.
 
     Returns (native positions, native intensity, phi, input power,
-    in-span fraction).  Pure function of its arguments; safe to run on a
-    worker thread.
+    in-span fraction, effective channel count, dropped probability).
+    Pure function of its arguments; safe to run on a worker thread.
     """
     geom = cfg.geometry
     beam = cfg.beam
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
-    k_laser = beam.k_laser
     phi = compute_phi(cfg.species, beam, velocity)
     x = grid.positions()
     spacing = grid.spacing
     n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
 
+    # The photon channels and vertical scales enter only through their
+    # summed grating state, which repeats with the laser period (the window
+    # holds a whole number of them); a few effective rows reproduce it.
+    laser_period = 2 * grid.samples_per_period
+    rows, dropped = effective_channels(
+        phi, beam.k_laser, x[:laser_period], scales, scale_weights, cfg.numerics.tail_eps
+    )
     # Quadratic phases of the incoming cylindrical wave (L12) and of the
     # outgoing Fresnel kernel (L2D) combine into one chirp; each source
     # point then contributes only a linear phase ramp.  Constant phases
     # drop out of |psi|^2.
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
-    ramps = np.exp(-1j * (k / geom.L12) * np.outer(src_nodes, x))
+    fields = np.tile(rows, (1, grid.size // laser_period)) * base
 
     intensity = np.zeros(n_fft)
-    power_in = 0.0
+    # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
+    # that of the slit alone; what the effective rows drop shows as a loss.
+    power_in = spacing * float(np.sum(mask**2))
     # |prefactor|^2 of the Fresnel integral; output phases are unimodular.
     out_scale = spacing**2 / (wavelength * geom.L2D)
-    for scale, scale_weight in zip(scales, scale_weights):
-        phi_local = phi.scaled(float(scale))
-        n_max = truncation_order(phi_local, cfg.numerics.tail_eps)
-        channels = channel_amplitudes(phi_local, n_max, k_laser, x)
-        banked = channels * base  # (n_channels, n_in)
-        power_in += scale_weight * spacing * float(
-            np.sum(banked.real**2 + banked.imag**2)
-        )
-        fields = (ramps[:, None, :] * banked[None, :, :]).reshape(-1, grid.size)
-        transform = np.fft.fft(fields, n=n_fft, axis=-1)
-        for i_src in range(src_nodes.size):
-            rows = transform[i_src * (n_max + 1) : (i_src + 1) * (n_max + 1)]
-            backend.accumulate_weighted_abs2(
-                rows, float(scale_weight * src_weights[i_src] * out_scale), intensity
-            )
+    for source_x, source_weight in zip(src_nodes, src_weights):
+        ramp = np.exp(-1j * (k / geom.L12) * source_x * x)
+        transform = np.fft.fft(fields * ramp, n=n_fft, axis=-1)
+        backend.accumulate_weighted_abs2(transform, float(source_weight * out_scale), intensity)
     intensity = np.fft.fftshift(intensity)
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     total = float(intensity.sum() * out_spacing)
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
     coverage = float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
-    return x_native, intensity, phi, power_in, coverage
+    return x_native, intensity, phi, power_in, coverage, rows.shape[0], dropped
 
 
 def _finalize(
@@ -395,17 +396,22 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
 
     accumulated = np.zeros_like(common_x)
     phi_per_velocity = []
+    channels_per_velocity = []
+    dropped_probability = 0.0
     total_probability = 0.0
     coverage = 0.0
-    for (x_native, intensity, phi, power_in, in_span), velocity, v_weight in zip(
-        slices, v_nodes, v_weights
-    ):
+    for result, velocity, v_weight in zip(slices, v_nodes, v_weights):
+        x_native, intensity, phi, power_in, in_span, n_channels, dropped = result
         spacing_native = float(x_native[1] - x_native[0])
         accumulated += v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0)
         total_probability += v_weight * float(intensity.sum() * spacing_native) / power_in
         coverage += v_weight * in_span
         phi_per_velocity.append([float(velocity), phi.re, phi.im])
+        channels_per_velocity.append(n_channels)
+        dropped_probability = max(dropped_probability, dropped)
     metadata["phi_per_velocity"] = phi_per_velocity
+    metadata["channels_per_velocity"] = channels_per_velocity
+    metadata["dropped_probability"] = dropped_probability
     metadata["total_probability"] = total_probability
     metadata["scan_coverage"] = coverage
     metadata["grating_samples"] = grid.size
@@ -505,13 +511,17 @@ def compare_patterns(a: DiffractionPattern, b: DiffractionPattern) -> tuple[floa
     a_n = a.intensity / a_peak
     b_n = b.intensity / b_peak
     la, lb = a_n.size, b_n.size
+    # scores[i] = sum_j a_n[j + shift] * b_n[j] for shift = i - (lb - 1).
+    # Shifts within 1e-12 of the best are re-scored term by term, in
+    # increasing order, with the tie-break of a scan over every shift: a
+    # later shift wins by more than 1e-15, or within 1e-15 at smaller |shift|.
+    scores = np.correlate(a_n, b_n, mode="full")
+    candidates = np.flatnonzero(scores >= scores.max() - 1e-12) - (lb - 1)
     best_score = -np.inf
     best_shift = 0
-    for shift in range(-lb + 1, la):
+    for shift in candidates.tolist():
         a_lo, b_lo = max(0, shift), max(0, -shift)
         length = min(la - a_lo, lb - b_lo)
-        if length < 1:
-            continue
         score = float(np.dot(a_n[a_lo : a_lo + length], b_n[b_lo : b_lo + length]))
         if score > best_score + 1e-15 or (
             abs(score - best_score) <= 1e-15 and abs(shift) < abs(best_shift)

@@ -23,8 +23,10 @@ import numpy as np
 from . import backend
 from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
 
-# Absorption channels are truncated at this photon number no matter how
-# weak the requested tail is; it bounds the work for extreme configs.
+# Orders mode and the run summary truncate the absorption channels at this
+# photon number no matter how weak the requested tail is; it bounds the
+# work for extreme configs.  Wave mode sums every channel in closed form
+# (``grating_coherence``) and has no cap.
 MAX_PHOTON_ORDER = 12
 DEFAULT_TAIL_EPS = 1e-10
 
@@ -238,6 +240,70 @@ def channel_amplitudes(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return backend.sample_channels(phi.re, phi.im, n_max, k_laser, np.asarray(x, dtype=np.float64))
+
+
+def grating_coherence(
+    phi: ComplexPhase,
+    k_laser: float,
+    x: np.ndarray,
+    x_prime: np.ndarray,
+    scales=(1.0,),
+    weights=(1.0,),
+) -> np.ndarray:
+    """Mixed grating state R(x, x') = sum_n t_n(x) t_n(x')^*, shape (len(x), len(x')).
+
+    With c = cos(k x) the channel sum is exact over every photon number:
+
+        R = exp(2i Re(Phi) (c^2 - c'^2) - 2 Im(Phi) (c - c')^2),
+
+    so R(x, x) = 1.  Phi is scaled by each vertical ``scales`` entry and
+    the states are averaged with ``weights``.
+    """
+    c = np.cos(k_laser * np.asarray(x, dtype=np.float64))[:, None]
+    c_prime = np.cos(k_laser * np.asarray(x_prime, dtype=np.float64))[None, :]
+    exponent = 2j * phi.re * (c * c - c_prime * c_prime) - 2.0 * phi.im * (c - c_prime) ** 2
+    scales = np.asarray(scales, dtype=np.float64)[:, None, None]
+    weights = np.asarray(weights, dtype=np.float64)
+    return np.einsum("s,sij->ij", weights, np.exp(scales * exponent))
+
+
+def effective_channels(
+    phi: ComplexPhase,
+    k_laser: float,
+    x_period: np.ndarray,
+    scales,
+    weights,
+    tail_eps: float = DEFAULT_TAIL_EPS,
+) -> tuple[np.ndarray, float]:
+    """The fewest rows u_j(x) with sum_j u_j(x) u_j(x')^* ~ the averaged grating state.
+
+    Pivoted Cholesky of ``grating_coherence`` over ``x_period`` (one laser
+    period; the state repeats with it), one column per step.  It stops
+    once every residual diagonal is <= ``tail_eps``: the residual is
+    positive semidefinite, so no grating point loses more than that
+    probability.  Returns (rows of shape (rank, len(x_period)), largest
+    residual diagonal).
+    """
+    if not tail_eps > 0.0:
+        raise ValueError("tail_eps must be positive")
+    x = np.asarray(x_period, dtype=np.float64)
+    n = x.size
+    rows = np.empty((min(n, 32), n), dtype=np.complex128)
+    residual = np.full(n, float(np.sum(weights)))
+    rank = 0
+    while rank < n:
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= tail_eps:
+            break
+        if rank == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(rank, n - rank), n), dtype=np.complex128)])
+        column = grating_coherence(phi, k_laser, x, x[pivot : pivot + 1], scales, weights)[:, 0]
+        # einsum, not BLAS: no thread pool to contend with the workers
+        column -= np.einsum("jx,j->x", rows[:rank], rows[:rank, pivot].conj())
+        rows[rank] = column / math.sqrt(residual[pivot])
+        residual -= rows[rank].real ** 2 + rows[rank].imag ** 2
+        rank += 1
+    return rows[:rank], max(float(residual.max()), 0.0)
 
 
 def channel_transmission(phi: ComplexPhase, n: int, grid: GridSpec) -> TransmissionChannel:

@@ -6,7 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lightgrating.beamline
+import lightgrating.grating
+from lightgrating import backend
 from lightgrating.beamline import (
+    _wave_velocity_slice,
     BeamlineGeometry,
     DiffractionPattern,
     aperture_mask,
@@ -22,7 +26,13 @@ from lightgrating.beamline import (
     source_quadrature,
 )
 from lightgrating.config import QuadratureSpec, SimulationConfig
-from lightgrating.distributions import DetectorModel, VelocityDistribution, detector_kernel
+from lightgrating.distributions import (
+    DetectorModel,
+    VelocityDistribution,
+    detector_kernel,
+    velocity_quadrature,
+    vertical_phi_scales,
+)
 from lightgrating.grating import ComplexPhase, GratingBeam, channel_set, compute_phi
 from lightgrating.species import C60, C70, de_broglie_wavelength
 
@@ -252,6 +262,95 @@ class TestEnsembleWaveMode:
         assert peaks_slow[1] == pytest.approx(2.0 * peaks_fast[1], abs=2 * 2e-6)
 
 
+def channel_by_channel_slice(cfg, velocity, scales, scale_weights, src_nodes, src_weights):
+    """Independent oracle: sum of ``point_source_pattern`` over scales, sources and channels."""
+    grid, _ = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+    wavelength = de_broglie_wavelength(cfg.species, velocity)
+    phi = compute_phi(cfg.species, cfg.beam, velocity)
+    total = 0.0
+    for scale, scale_weight in zip(scales, scale_weights):
+        channels = channel_set(phi.scaled(float(scale)), grid, cfg.numerics.tail_eps)
+        for source_x, source_weight in zip(src_nodes, src_weights):
+            x_out, intensity = point_source_pattern(
+                source_x, wavelength, channels, cfg.geometry, cfg.numerics.pad_factor
+            )
+            total = total + scale_weight * source_weight * intensity
+    return x_out, total
+
+
+class TestWaveVelocitySlice:
+    # asymmetric nodes and weights: a sign error in the source ramp shows
+    SOURCES = np.array([-3.1e-6, -0.4e-6, 2.2e-6])
+    SOURCE_WEIGHTS = np.array([0.5, 0.2, 0.3])
+
+    def check_against_oracle(self, cfg, velocity, vertical_nodes):
+        scales, scale_weights = vertical_phi_scales(cfg.vertical, vertical_nodes)
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        x, intensity, phi, power_in, _, n_channels, dropped = _wave_velocity_slice(
+            cfg, velocity, grid, mask, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
+        )
+        x_ref, reference = channel_by_channel_slice(
+            cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
+        )
+        assert np.array_equal(x, x_ref)
+        assert np.max(np.abs(intensity - reference)) <= 1e-9 * reference.max()
+        mirrored = channel_by_channel_slice(
+            cfg, velocity, scales, scale_weights, -self.SOURCES, self.SOURCE_WEIGHTS
+        )[1]
+        assert np.max(np.abs(intensity - mirrored)) > 1e-3 * reference.max()
+        assert power_in == pytest.approx(grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0)
+        assert 1 <= n_channels < 2 * grid.samples_per_period
+        assert dropped <= cfg.numerics.tail_eps
+        return phi
+
+    def test_matches_channel_by_channel_oracle(self):
+        cfg = SimulationConfig()
+        phi = self.check_against_oracle(cfg, 120.0, 3)
+        assert 0.0 < phi.im
+
+    def test_matches_uncapped_oracle_at_high_power(self, monkeypatch):
+        # C70 at 50 W: the antinode absorbs ~14 photons on average, far past
+        # the photon cap of orders mode, which the oracle lifts
+        monkeypatch.setattr(lightgrating.grating, "MAX_PHOTON_ORDER", 60)
+        cfg = replace(SimulationConfig(), species=C70, beam=GratingBeam(power=50.0))
+        slowest = float(velocity_quadrature(cfg.velocity, 4)[0][0])
+        phi = self.check_against_oracle(cfg, slowest, 2)
+        assert lightgrating.grating.truncation_order(phi, cfg.numerics.tail_eps) > 12
+
+    def test_wave_mode_uses_no_photon_channel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wave mode sampled photon channels")
+
+        for module in (backend, lightgrating.grating, lightgrating.beamline):
+            for name in ("sample_channels", "channel_amplitudes", "truncation_order"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        pattern = ensemble_pattern(fast_config())
+        assert pattern.intensity.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-4])
+    def test_total_probability_counts_dropped_mass(self, tail_eps):
+        cfg = replace(
+            SimulationConfig(),
+            species=C70,
+            beam=GratingBeam(power=50.0),
+            quadrature=QuadratureSpec(4, 4, 2),
+        )
+        cfg = replace(cfg, numerics=replace(cfg.numerics, tail_eps=tail_eps))
+        pattern = ensemble_pattern(cfg)
+        total = pattern.metadata["total_probability"]
+        dropped = pattern.metadata["dropped_probability"]
+        assert abs(total - 1.0) <= tail_eps
+        assert 0.0 <= dropped <= tail_eps
+        if tail_eps > 1e-6:
+            # the loss is measured against the untruncated input norm
+            assert dropped / 100 < 1.0 - total <= dropped
+        channels = pattern.metadata["channels_per_velocity"]
+        assert len(channels) == 4 and all(isinstance(n, int) for n in channels)
+        # slower molecules see a stronger grating and need more rows
+        assert channels == sorted(channels, reverse=True)
+
+
 class TestEnsembleOrdersMode:
     def test_laser_off_is_blurred_envelope(self):
         cfg = fast_config(quadrature=QuadratureSpec(1, 1, 1))
@@ -282,6 +381,8 @@ class TestEnsembleOrdersMode:
         pattern = ensemble_pattern(cfg)
         assert pattern.metadata["mode"] == "orders"
         assert abs(pattern.metadata["total_probability"] - 1.0) < 1e-4
+        assert "channels_per_velocity" not in pattern.metadata
+        assert "dropped_probability" not in pattern.metadata
 
     def test_agrees_with_wave_mode_on_window_weights(self):
         cfg = fast_config()
@@ -390,6 +491,26 @@ class TestPeakPositions:
         assert 1 not in peaks and -1 not in peaks
 
 
+def scan_every_shift(a, b):
+    """Reference alignment: score every shift with its own dot product."""
+    a_n = a.intensity / a.intensity.max()
+    b_n = b.intensity / b.intensity.max()
+    la, lb = a_n.size, b_n.size
+    best_score, best_shift = -np.inf, 0
+    for shift in range(-lb + 1, la):
+        a_lo, b_lo = max(0, shift), max(0, -shift)
+        length = min(la - a_lo, lb - b_lo)
+        score = float(np.dot(a_n[a_lo : a_lo + length], b_n[b_lo : b_lo + length]))
+        if score > best_score + 1e-15 or (
+            abs(score - best_score) <= 1e-15 and abs(shift) < abs(best_shift)
+        ):
+            best_score, best_shift = score, shift
+    a_lo, b_lo = max(0, best_shift), max(0, -best_shift)
+    length = min(la - a_lo, lb - b_lo)
+    residual = a_n[a_lo : a_lo + length] - b_n[b_lo : b_lo + length]
+    return -best_shift * a.step, float(np.sqrt(np.mean(residual**2)))
+
+
 class TestComparePatterns:
     def base_pattern(self):
         x = (np.arange(-60, 61)) * 2e-6
@@ -428,3 +549,37 @@ class TestComparePatterns:
         )
         with pytest.raises(ValueError):
             compare_patterns(a, b)
+
+    def on_grid(self, intensity, step=2e-6):
+        intensity = np.asarray(intensity, dtype=float)
+        x = (np.arange(intensity.size) - intensity.size // 2) * step
+        return DiffractionPattern(positions=x, intensity=intensity, metadata={})
+
+    def test_exact_symmetric_tie(self):
+        # b's single peak matches either peak of a equally well at shifts
+        # -1 and +1; the earlier (more negative) shift is kept
+        a = self.on_grid([0.0, 1.0, 0.0, 1.0, 0.0])
+        b = self.on_grid([0.0, 0.0, 1.0, 0.0, 0.0])
+        shift, nrmse = compare_patterns(a, b)
+        assert (shift, nrmse) == scan_every_shift(a, b)
+        assert shift == pytest.approx(2e-6, rel=1e-12)
+
+    def test_tie_prefers_smaller_shift(self):
+        a = self.on_grid([1.0, 0.0, 1.0, 0.0, 1.0])
+        b = self.on_grid([0.0, 0.0, 1.0, 0.0, 0.0])
+        shift, nrmse = compare_patterns(a, b)
+        assert (shift, nrmse) == scan_every_shift(a, b)
+        assert shift == 0.0
+
+    def test_matches_scan_over_every_shift(self):
+        rng = np.random.default_rng(11)
+        base = self.base_pattern()
+        for trial in range(20):
+            la, lb = rng.integers(2, 160, size=2)
+            if trial % 2:
+                a = self.on_grid(rng.random(la))
+                b = self.on_grid(rng.random(lb))
+            else:
+                a = base
+                b = self.on_grid(np.roll(base.intensity, int(rng.integers(-9, 10)))[: int(lb)])
+            assert compare_patterns(a, b) == scan_every_shift(a, b)

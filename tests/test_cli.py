@@ -12,6 +12,7 @@ import pytest
 
 import lightgrating
 from lightgrating.cli import build_parser, main
+from lightgrating.config import config_digest, parse_config
 from lightgrating.grating import GratingBeam, compute_phi
 from lightgrating.runner import read_pattern_csv, write_pattern_csv
 from lightgrating.species import CATALOG
@@ -82,6 +83,26 @@ class TestSimulate:
         )
         assert len(summary["config_digest"]) == 64
         assert summary["total_probability"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_summary_reports_effective_channels(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        channels = summary["channels_per_velocity"]
+        assert len(channels) == 2 and all(isinstance(n, int) and n >= 1 for n in channels)
+        assert 0.0 <= summary["dropped_probability"] <= 1e-10
+        # the diagnostics stay out of the config digest and the pattern CSV
+        assert summary["config_digest"] == config_digest(parse_config(TINY))
+        csv = (tmp_path / "run_pattern.csv").read_text()
+        assert csv.splitlines()[0] == "position_um,intensity"
+        assert "channels" not in csv and "dropped" not in csv
+
+    def test_summary_effective_channels_null_in_orders_mode(self, tmp_path):
+        cfg = write_config(tmp_path, TINY + "\n[run]\nmode = orders\n")
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["channels_per_velocity"] is None
+        assert summary["dropped_probability"] is None
 
     def test_csv_round_trip_precision(self, tmp_path):
         cfg = write_config(tmp_path)

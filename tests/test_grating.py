@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightgrating import backend
 from lightgrating.grating import (
     MAX_PHOTON_ORDER,
     ComplexPhase,
@@ -17,6 +18,8 @@ from lightgrating.grating import (
     channel_set,
     channel_transmission,
     compute_phi,
+    effective_channels,
+    grating_coherence,
     mean_photon_number,
     poisson_weight,
     raman_nath_diagnostic,
@@ -315,6 +318,82 @@ class TestChannelSet:
         channels = channel_set(ComplexPhase(re, im), HALF_PERIOD_GRID)
         for c in channels:
             assert np.allclose(c.samples, c.samples[::-1], rtol=1e-12, atol=1e-15)
+
+
+LASER_PERIOD_X = GridSpec(periods=2, samples_per_period=64).positions()
+K_LASER = 2.0 * math.pi / 514.5e-9
+SCALES = np.array([1.0, 0.8, 0.45, 0.1])
+SCALE_WEIGHTS = np.array([0.4, 0.3, 0.2, 0.1])
+
+
+class TestGratingCoherence:
+    def test_equals_sum_over_photon_channels(self):
+        phi = ComplexPhase(1.3, 0.4)
+        t = backend.sample_channels(phi.re, phi.im, 40, K_LASER, LASER_PERIOD_X)
+        summed = t.T @ t.conj()
+        closed = grating_coherence(phi, K_LASER, LASER_PERIOD_X, LASER_PERIOD_X)
+        assert np.max(np.abs(closed - summed)) < 1e-12
+
+    def test_unit_diagonal_and_hermitian(self):
+        state = grating_coherence(
+            ComplexPhase(2.1, 0.7), K_LASER, LASER_PERIOD_X, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
+        )
+        assert np.allclose(np.diag(state), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(state, state.conj().T, rtol=0, atol=1e-15)
+
+    def test_vertical_average_of_scaled_states(self):
+        phi = ComplexPhase(1.1, 0.3)
+        x, xp = LASER_PERIOD_X[::5], LASER_PERIOD_X[::7]
+        averaged = grating_coherence(phi, K_LASER, x, xp, SCALES, SCALE_WEIGHTS)
+        expected = sum(
+            weight * grating_coherence(phi.scaled(scale), K_LASER, x, xp)
+            for scale, weight in zip(SCALES, SCALE_WEIGHTS)
+        )
+        assert np.allclose(averaged, expected, rtol=0, atol=1e-15)
+
+
+class TestEffectiveChannels:
+    @pytest.mark.parametrize("tail_eps", [1e-4, 1e-10])
+    @pytest.mark.parametrize("phi", [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5)])
+    def test_residual_bounded_by_tail(self, phi, tail_eps):
+        rows, dropped = effective_channels(
+            phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, tail_eps
+        )
+        state = grating_coherence(
+            phi, K_LASER, LASER_PERIOD_X, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
+        )
+        residual = state - rows.T @ rows.conj()
+        assert np.max(np.real(np.diag(residual))) <= tail_eps
+        assert dropped == pytest.approx(np.max(np.real(np.diag(residual))), abs=1e-14)
+        assert np.max(np.abs(residual)) <= tail_eps + 1e-14
+        assert rows.shape[0] < LASER_PERIOD_X.size
+
+    def test_tighter_tail_needs_more_rows(self):
+        phi = ComplexPhase(1.3, 0.4)
+        loose, _ = effective_channels(phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-4)
+        tight, _ = effective_channels(phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-10)
+        assert loose.shape[0] < tight.shape[0]
+
+    def test_pure_phase_single_scale_is_rank_one(self):
+        phi = ComplexPhase(2.4, 0.0)
+        rows, dropped = effective_channels(phi, K_LASER, LASER_PERIOD_X, [1.0], [1.0])
+        assert rows.shape[0] == 1
+        assert dropped <= 1e-15
+        # the one row is the dipole phase imprint up to a global phase
+        imprint = np.exp(2j * phi.re * np.cos(K_LASER * LASER_PERIOD_X) ** 2)
+        overlap = np.vdot(imprint, rows[0]) / LASER_PERIOD_X.size
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-14)
+
+    def test_laser_off_is_one_flat_row(self):
+        rows, dropped = effective_channels(
+            ComplexPhase(0.0, 0.0), K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
+        )
+        assert rows.shape[0] == 1 and dropped == 0.0
+        assert np.allclose(rows[0], 1.0, rtol=0, atol=1e-15)
+
+    def test_rejects_non_positive_tail(self):
+        with pytest.raises(ValueError):
+            effective_channels(ComplexPhase(1.0, 0.1), K_LASER, LASER_PERIOD_X, [1.0], [1.0], 0.0)
 
 
 class TestRamanNathDiagnostic:
