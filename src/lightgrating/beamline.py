@@ -7,10 +7,11 @@ into the few field rows it needs.  Each row of each point source is
 Fresnel-propagated and the intensities add over rows, source points and
 velocities.  This equals the channel-by-channel quadrature of
 ``point_source_pattern`` up to the probability the rows drop (at most
-``tail_eps`` per grating point).  Orders mode places the analytic
-diffraction-order weights of every channel on the geometric shadow
-envelope instead; it is faster and serves as the cross-check of the wave
-pipeline.
+``tail_eps`` per grating point).  Orders mode projects the same effective
+rows onto the diffraction orders (``orders.mixed_order_intensities``, one
+factorization per velocity, no photon cap) and places each order's weight
+on the geometric shadow envelope instead of propagating; it is faster and
+serves as the cross-check of the wave pipeline's propagation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .grating import (
     compute_phi,
     effective_channels,
 )
-from .orders import incoherent_order_intensities
+from .orders import mixed_order_intensities
 from .propagation import next_pow2, propagate_spectral
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
@@ -120,6 +121,25 @@ def geometric_envelope(geom: BeamlineGeometry, x: np.ndarray) -> np.ndarray:
     base = 0.5 * (wide + narrow)
     ramp = (base - ax) / (wide * narrow)
     return np.where(ax <= flat, 1.0 / wide, np.where(ax < base, ramp, 0.0))
+
+
+def _envelope_sum(
+    geom: BeamlineGeometry, x: np.ndarray, centers: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """sum_i weights[i] * geometric_envelope(geom, x - centers[i]) on the uniform grid x.
+
+    Each trapezoid is evaluated only on the grid points it covers, plus one
+    on either side, and the terms add in the order of ``centers``.
+    """
+    r = geom.L2D / geom.L12
+    # half the trapezoid's base: ``geometric_envelope`` is zero beyond it
+    half = 0.5 * (geom.slit2 * (1.0 + r) + geom.slit1 * r)
+    span = np.arange(int(math.ceil(2.0 * half / (x[1] - x[0]))) + 3)
+    index = (np.searchsorted(x, centers - half) - 1)[:, None] + span
+    inside = (index >= 0) & (index < x.size)
+    index = np.clip(index, 0, x.size - 1)
+    values = weights[:, None] * geometric_envelope(geom, x[index] - centers[:, None])
+    return np.bincount(index[inside], weights=values[inside], minlength=x.size)
 
 
 def aperture_mask(x: np.ndarray, spacing: float, width: float) -> np.ndarray:
@@ -354,29 +374,29 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
     }
 
     if cfg.run.mode == "orders":
+        orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
         accumulated = np.zeros_like(common_x)
         phi_per_velocity = []
-        total_weight = 0.0
+        channels_per_velocity = []
+        dropped_probability = 0.0
+        total_probability = 0.0
         for velocity, v_weight in zip(v_nodes, v_weights):
             phi = compute_phi(cfg.species, cfg.beam, velocity)
-            phi_per_velocity.append([float(velocity), phi.re, phi.im])
+            slot_weights, n_channels, dropped = mixed_order_intensities(
+                phi, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
+            )
             slot = order_slot_spacing(cfg.species, float(velocity), cfg.beam, cfg.geometry)
-            slot_weights: np.ndarray | None = None
-            for scale, scale_weight in zip(scales, scale_weights):
-                spectrum = incoherent_order_intensities(
-                    phi.scaled(float(scale)), cfg.numerics.m_max, cfg.numerics.tail_eps
-                )
-                term = scale_weight * spectrum.intensities
-                slot_weights = term if slot_weights is None else slot_weights + term
-            assert slot_weights is not None
-            for m, weight in zip(range(-cfg.numerics.m_max, cfg.numerics.m_max + 1), slot_weights):
-                if weight > 0.0:
-                    accumulated += v_weight * weight * geometric_envelope(
-                        cfg.geometry, common_x - m * slot
-                    )
-            total_weight += v_weight * float(slot_weights.sum())
+            accumulated += _envelope_sum(
+                cfg.geometry, common_x, orders * slot, v_weight * slot_weights
+            )
+            total_probability += v_weight * float(slot_weights.sum())
+            phi_per_velocity.append([float(velocity), phi.re, phi.im])
+            channels_per_velocity.append(n_channels)
+            dropped_probability = max(dropped_probability, dropped)
         metadata["phi_per_velocity"] = phi_per_velocity
-        metadata["total_probability"] = total_weight
+        metadata["channels_per_velocity"] = channels_per_velocity
+        metadata["dropped_probability"] = dropped_probability
+        metadata["total_probability"] = total_probability
         metadata["scan_coverage"] = 1.0
         return _finalize(cfg, common_x, accumulated, metadata)
 

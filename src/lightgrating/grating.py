@@ -23,10 +23,11 @@ import numpy as np
 from . import backend
 from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
 
-# Orders mode and the run summary truncate the absorption channels at this
-# photon number no matter how weak the requested tail is; it bounds the
-# work for extreme configs.  Wave mode sums every channel in closed form
-# (``grating_coherence``) and has no cap.
+# The per-photon-number spectrum (``orders.incoherent_order_intensities``,
+# the orders table) and the run summary truncate the absorption channels at
+# this photon number no matter how weak the requested tail is; it bounds
+# the work for extreme configs.  Wave and orders mode sum every channel in
+# closed form (``grating_coherence``) and have no cap.
 MAX_PHOTON_ORDER = 12
 DEFAULT_TAIL_EPS = 1e-10
 

@@ -3,9 +3,10 @@
 Far-field peaks sit at transverse momenta m*hbar*k_laser.  A coherent phase
 grating only populates even m (the intensity period is half the laser
 wavelength); molecules that absorbed an odd number of photons land on odd m.
-This module turns sampled transmission channels into order intensities,
-provides the analytic Bessel result for the pure phase grating as an oracle,
-and finds the phase that switches off the zero order.
+This module turns sampled transmission channels, or the effective rows of
+the mixed grating state, into order intensities, provides the analytic
+Bessel result for the pure phase grating as an oracle, and finds the phase
+that switches off the zero order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .grating import (
     GridSpec,
     TransmissionChannel,
     channel_set,
+    effective_channels,
     poisson_weight,
 )
 
@@ -128,6 +130,34 @@ def default_m_max(phi: ComplexPhase) -> int:
     return max(DEFAULT_M_MAX, int(math.ceil(2.0 * (abs(phi.re) + 4.0 * phi.im))) + 10)
 
 
+# Strip half-widths sigma over which ``samples_per_laser_period`` minimises
+# its bound on the Fourier tail.
+_STRIP = np.geomspace(1e-3, 4.0, 200)
+
+
+def samples_per_laser_period(
+    phi: ComplexPhase, m_max: int, tail_eps: float = DEFAULT_TAIL_EPS
+) -> int:
+    """Samples per laser period for projecting the grating at ``phi`` onto orders.
+
+    The grating state R(x, x') (``grating.grating_coherence``) is entire in
+    k*x.  Shifting x and x' by -/+ i*sigma/k bounds every order intensity,
+    channels summed or single, by
+    I_m <= exp(2 |Re Phi| sinh(2 sigma) + 8 Im Phi sinh(sigma)^2 - 2 |m| sigma),
+    so the mass beyond |m| = B is below ``tail_eps`` for the B minimised
+    over sigma.  Returns the smallest power of two n >= 4 max(m_max, B): the
+    top half of the bins (|m| >= n/4) holds less than ``tail_eps``, and the
+    slots |m| <= m_max alias only with orders |m| >= 3n/4.  Pass the largest
+    phase the state holds (vertical scales included).
+    """
+    if not tail_eps > 0.0:
+        raise ValueError("tail_eps must be positive")
+    log_tail = 2.0 * abs(phi.re) * np.sinh(2.0 * _STRIP) + 8.0 * phi.im * np.sinh(_STRIP) ** 2
+    log_tail += np.log(2.0 / -np.expm1(-2.0 * _STRIP)) - math.log(tail_eps)
+    band = max(m_max, math.ceil(float(np.min(log_tail / (2.0 * _STRIP)))), 2)
+    return 1 << (4 * band - 1).bit_length()
+
+
 def pure_phase_orders(phi_re: float, m_max: int = DEFAULT_M_MAX) -> OrderSpectrum:
     """Analytic order intensities of the lossless phase grating.
 
@@ -161,7 +191,8 @@ def fourier_order_amplitudes(
     n_wavelengths = grid.periods / 2.0
     if abs(n_wavelengths - round(n_wavelengths)) > 1e-12:
         raise ValueError("grid window must span an integer number of wavelengths")
-    return _phase_matrix(m_max, grid) @ channel.samples / grid.size
+    # einsum, not BLAS: no thread pool left spinning after the product
+    return np.einsum("mx,x->m", _phase_matrix(m_max, grid), channel.samples) / grid.size
 
 
 @lru_cache(maxsize=8)
@@ -189,14 +220,15 @@ def incoherent_order_intensities(
     """Order intensities of the full grating, absorption channels included.
 
     Channels add incoherently: I_m = sum_n |c_m^(n)|^2.  The default grid
-    is one laser wavelength at 1024 samples per grating period; the result
-    is independent of the stored wavelength (everything depends on k*x
-    only).
+    is one laser wavelength sampled by ``samples_per_laser_period``; the
+    result is independent of the stored wavelength (everything depends on
+    k*x only).
     """
     if m_max is None:
         m_max = default_m_max(phi)
     if grid is None:
-        grid = GridSpec(periods=2, samples_per_period=1024)
+        n = samples_per_laser_period(phi, m_max, tail_eps)
+        grid = GridSpec(periods=2, samples_per_period=n // 2)
     channels = channel_set(phi, grid, tail_eps)
     per_channel: dict[int, np.ndarray] = {}
     intensities = np.zeros(2 * m_max + 1)
@@ -206,6 +238,32 @@ def incoherent_order_intensities(
         per_channel[channel.photon_count] = contribution
         intensities += contribution
     return OrderSpectrum(m_max=m_max, intensities=intensities, per_channel=per_channel)
+
+
+def mixed_order_intensities(
+    phi: ComplexPhase,
+    m_max: int,
+    scales=(1.0,),
+    weights=(1.0,),
+    tail_eps: float = DEFAULT_TAIL_EPS,
+) -> tuple[np.ndarray, int, float]:
+    """Order intensities of the mixed grating state, every photon number included.
+
+    The vertically averaged state of ``grating.effective_channels`` over one
+    laser period gives the rows u_j; I_m = sum_j |u_j(m)|^2 with u_j(m) the
+    Fourier coefficient of row j, for m = -m_max .. m_max.  This equals the
+    scale-averaged ``incoherent_order_intensities`` with no photon cap, up
+    to the residual of the rows (at most ``tail_eps`` per grating point).
+    Returns (intensities, row count, largest residual diagonal).
+    """
+    n = samples_per_laser_period(phi.scaled(float(np.max(scales))), m_max, tail_eps)
+    grid = GridSpec(periods=2, samples_per_period=n // 2)
+    k_laser = 2.0 * math.pi / grid.wavelength
+    rows, dropped = effective_channels(phi, k_laser, grid.positions(), scales, weights, tail_eps)
+    # the midpoint offset of the grid only rotates the phases of the bins
+    spectrum = np.fft.fft(rows, axis=-1)[:, np.arange(-m_max, m_max + 1) % n] / n
+    intensities = (spectrum.real**2 + spectrum.imag**2).sum(axis=0)
+    return intensities, rows.shape[0], dropped
 
 
 def zero_order_null() -> float:

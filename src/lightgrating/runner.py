@@ -125,7 +125,7 @@ def summarize(cfg: SimulationConfig, pattern: DiffractionPattern) -> dict:
         "total_probability": pattern.metadata.get("total_probability"),
         "scan_coverage": pattern.metadata.get("scan_coverage"),
         "convergence": pattern.metadata.get("convergence"),
-        # wave mode only: effective grating channels and the largest
+        # effective grating channels per velocity and the largest
         # probability they drop at any grating point
         "channels_per_velocity": pattern.metadata.get("channels_per_velocity"),
         "dropped_probability": pattern.metadata.get("dropped_probability"),

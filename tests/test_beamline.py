@@ -10,6 +10,9 @@ import lightgrating.beamline
 import lightgrating.grating
 from lightgrating import backend
 from lightgrating.beamline import (
+    _envelope_sum,
+    _finalize,
+    _internal_grid,
     _wave_velocity_slice,
     BeamlineGeometry,
     DiffractionPattern,
@@ -34,6 +37,7 @@ from lightgrating.distributions import (
     vertical_phi_scales,
 )
 from lightgrating.grating import ComplexPhase, GratingBeam, channel_set, compute_phi
+from lightgrating.orders import incoherent_order_intensities
 from lightgrating.species import C60, C70, de_broglie_wavelength
 
 GEOM = BeamlineGeometry()
@@ -351,7 +355,126 @@ class TestWaveVelocitySlice:
         assert channels == sorted(channels, reverse=True)
 
 
+def per_channel_slot_weights(cfg):
+    """Slot weights of the per-channel construction, one row per velocity node.
+
+    Kept as the reference for orders mode: one ``incoherent_order_intensities``
+    per (velocity, vertical) node, averaged over the vertical weights.
+    """
+    v_nodes, _ = velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)
+    scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
+    rows = []
+    for velocity in v_nodes:
+        phi = compute_phi(cfg.species, cfg.beam, velocity)
+        rows.append(
+            sum(
+                weight
+                * incoherent_order_intensities(
+                    phi.scaled(float(scale)), cfg.numerics.m_max, cfg.numerics.tail_eps
+                ).intensities
+                for scale, weight in zip(scales, scale_weights)
+            )
+        )
+    return np.array(rows)
+
+
+def full_grid_envelopes(geom, x, centers, weights):
+    """Reference for ``_envelope_sum``: every trapezoid on every grid point."""
+    total = np.zeros_like(x)
+    for center, weight in zip(centers, weights):
+        total += weight * geometric_envelope(geom, x - center)
+    return total
+
+
 class TestEnsembleOrdersMode:
+    @pytest.mark.parametrize("species, power", [(C60, 9.5), (C70, 50.0)])
+    def test_slot_weights_match_per_channel_oracle(self, monkeypatch, species, power):
+        # the oracle needs ~40 photon channels at C70 50 W: lift its cap
+        monkeypatch.setattr(lightgrating.grating, "MAX_PHOTON_ORDER", 60)
+        cfg = replace(
+            SimulationConfig(),
+            species=species,
+            beam=GratingBeam(power=power),
+            quadrature=QuadratureSpec(4, 4, 1),
+        )
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
+        calls = []
+
+        def spy(geom, x, centers, weights):
+            calls.append((x, weights))
+            return _envelope_sum(geom, x, centers, weights)
+
+        monkeypatch.setattr(lightgrating.beamline, "_envelope_sum", spy)
+        pattern = ensemble_pattern(cfg)
+        v_nodes, v_weights = velocity_quadrature(cfg.velocity, 4)
+        reference = per_channel_slot_weights(cfg)
+        slot_weights = np.array([weights for _, weights in calls]) / v_weights[:, None]
+        assert np.max(np.abs(slot_weights - reference)) <= 1e-10
+        # and the pattern is the per-channel one placed on the full grid
+        x = calls[0][0]
+        orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
+        accumulated = sum(
+            full_grid_envelopes(
+                cfg.geometry,
+                x,
+                orders * order_slot_spacing(species, float(v), cfg.beam, cfg.geometry),
+                v_weight * weights,
+            )
+            for v, v_weight, weights in zip(v_nodes, v_weights, reference)
+        )
+        expected = _finalize(cfg, x, accumulated, {}).intensity
+        assert np.max(np.abs(pattern.intensity - expected)) <= 1e-9 * expected.max()
+        if power == 50.0:
+            # far past the former 12-photon cap of this path
+            assert lightgrating.grating.truncation_order(
+                compute_phi(species, cfg.beam, float(v_nodes[0])), cfg.numerics.tail_eps
+            ) > 12
+
+    def test_orders_mode_uses_no_photon_channel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("orders mode used the per-channel spectrum")
+
+        names = (
+            "sample_channels",
+            "channel_amplitudes",
+            "truncation_order",
+            "channel_set",
+            "incoherent_order_intensities",
+        )
+        for module in (backend, lightgrating.grating, lightgrating.orders, lightgrating.beamline):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        cfg = fast_config()
+        pattern = ensemble_pattern(replace(cfg, run=replace(cfg.run, mode="orders")))
+        assert pattern.intensity.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_support_restricted_envelopes_match_full_grid(self):
+        cfg = SimulationConfig()
+        geom = cfg.geometry
+        x = _internal_grid(geom, cfg.detector.width, cfg.numerics.internal_step)
+        r = geom.L2D / geom.L12
+        half = 0.5 * (geom.slit2 * (1.0 + r) + geom.slit1 * r)
+        edge = float(x[-1])
+        rng = np.random.default_rng(11)
+        centers = np.concatenate(
+            [
+                rng.uniform(-edge - 2 * half, edge + 2 * half, 60),
+                # straddling either edge, just outside it, on grid points,
+                # and with a support boundary on a grid point
+                [-edge, edge, edge + 0.5 * half, -edge - 0.9 * half, edge + half, -edge - 3 * half],
+                x[[0, 7, x.size // 2, -1]],
+                x[[3, -9]] + half,
+                x[[3, -9]] - half,
+            ]
+        )
+        weights = rng.uniform(0.0, 1.0, centers.size)
+        reference = full_grid_envelopes(geom, x, centers, weights)
+        result = _envelope_sum(geom, x, centers, weights)
+        assert np.max(np.abs(result - reference)) <= 1e-15 * reference.max()
+        # each trapezoid touches only about 2 * half / step of the grid points
+        assert 2 * half / (x[1] - x[0]) < 0.1 * x.size
+
     def test_laser_off_is_blurred_envelope(self):
         cfg = fast_config(quadrature=QuadratureSpec(1, 1, 1))
         cfg = replace(
@@ -381,8 +504,9 @@ class TestEnsembleOrdersMode:
         pattern = ensemble_pattern(cfg)
         assert pattern.metadata["mode"] == "orders"
         assert abs(pattern.metadata["total_probability"] - 1.0) < 1e-4
-        assert "channels_per_velocity" not in pattern.metadata
-        assert "dropped_probability" not in pattern.metadata
+        channels = pattern.metadata["channels_per_velocity"]
+        assert len(channels) == 4 and all(isinstance(n, int) and n >= 1 for n in channels)
+        assert 0.0 <= pattern.metadata["dropped_probability"] <= cfg.numerics.tail_eps
 
     def test_agrees_with_wave_mode_on_window_weights(self):
         cfg = fast_config()

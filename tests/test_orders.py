@@ -9,6 +9,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lightgrating.grating
+import lightgrating.orders
 from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
@@ -16,6 +18,7 @@ from lightgrating.grating import (
     TransmissionChannel,
     channel_set,
     compute_phi,
+    effective_channels,
     truncation_order,
 )
 from lightgrating.orders import (
@@ -26,7 +29,9 @@ from lightgrating.orders import (
     default_m_max,
     fourier_order_amplitudes,
     incoherent_order_intensities,
+    mixed_order_intensities,
     pure_phase_orders,
+    samples_per_laser_period,
     zero_order_null,
 )
 from lightgrating.distributions import VerticalProfile, vertical_phi_scales
@@ -231,6 +236,15 @@ class TestIncoherentSpectrum:
         assert odd > 0.2  # substantial absorption at this power
         assert even_from_odd_channels < 1e-12
 
+    def test_default_grid_matches_fine_grid(self):
+        fine = GridSpec(periods=2, samples_per_period=1024)
+        for phi in (ComplexPhase(1.5, 0.2), compute_phi(C70, GratingBeam(), 120.0), SLOW_C70_50W):
+            sized = incoherent_order_intensities(phi, 20)
+            reference = incoherent_order_intensities(phi, 20, grid=fine)
+            assert sorted(sized.per_channel) == sorted(reference.per_channel)
+            for n, column in reference.per_channel.items():
+                assert np.max(np.abs(sized.per_channel[n] - column)) <= 1e-13
+
     @settings(max_examples=25, deadline=None)
     @given(
         re=st.floats(min_value=0.0, max_value=3.0),
@@ -239,6 +253,83 @@ class TestIncoherentSpectrum:
     def test_conservation_property(self, re, im):
         spec = incoherent_order_intensities(ComplexPhase(re, im))
         assert abs(1.0 - spec.total) < 1e-10 + 1e-9
+
+
+# C60 at 9.5 W and C70 at 50 W, slowest of 16 velocity nodes (72 m/s)
+SLOW_C60 = ComplexPhase(3.2425948357567873, 0.2568391949114287)
+SLOW_C70_50W = ComplexPhase(19.938832236545124, 3.379463090939851)
+SCALES = np.array([1.0, 0.62, 0.21])
+SCALE_WEIGHTS = np.array([0.45, 0.35, 0.2])
+
+
+class TestSamplesPerLaserPeriod:
+    @pytest.mark.parametrize(
+        "phi",
+        [ComplexPhase(0.0, 0.0), ComplexPhase(2.3, 0.2), SLOW_C60, SLOW_C70_50W,
+         ComplexPhase(-30.0, 0.5), ComplexPhase(40.0, 8.0)],
+    )
+    def test_top_bins_hold_less_than_tail_eps(self, phi):
+        n = samples_per_laser_period(phi, 20)
+        assert n & (n - 1) == 0 and n >= 4 * 20
+        # the state's spectrum on four times finer sampling
+        fine = GridSpec(periods=2, samples_per_period=2 * n)
+        k = 2.0 * math.pi / fine.wavelength
+        rows, _ = effective_channels(phi, k, fine.positions(), (1.0,), (1.0,), 1e-10)
+        power = np.abs(np.fft.fft(rows, axis=-1) / fine.size) ** 2
+        m = np.abs(np.fft.fftfreq(fine.size, 1.0 / fine.size))
+        assert power[:, m >= n // 4].sum() < 1e-10
+
+    def test_grows_with_phase_order_cap_and_precision(self):
+        assert samples_per_laser_period(ComplexPhase(1.0, 0.1), 20) == 128
+        assert samples_per_laser_period(ComplexPhase(1.0, 0.1), 40) == 256
+        assert samples_per_laser_period(SLOW_C70_50W, 20) == 512
+        assert samples_per_laser_period(SLOW_C70_50W, 20, 1e-4) == 256
+
+
+class TestMixedOrderIntensities:
+    @pytest.mark.parametrize("phi", [SLOW_C60, compute_phi(C60, GratingBeam(), 120.0), SLOW_C70_50W])
+    def test_matches_scale_weighted_per_channel_spectra(self, monkeypatch, phi):
+        # the per-channel oracle needs ~40 photon channels at C70 50 W
+        monkeypatch.setattr(lightgrating.grating, "MAX_PHOTON_ORDER", 60)
+        intensities, rank, dropped = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)
+        reference = sum(
+            w * incoherent_order_intensities(phi.scaled(float(s)), 20).intensities
+            for s, w in zip(SCALES, SCALE_WEIGHTS)
+        )
+        assert np.max(np.abs(intensities - reference)) <= 1e-10
+        assert 1 <= rank < 64 and 0.0 <= dropped <= 1e-10
+
+    @pytest.mark.parametrize("phi", [SLOW_C60, SLOW_C70_50W])
+    def test_doubling_the_sampling_changes_nothing(self, monkeypatch, phi):
+        intensities = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)[0]
+        sized = lightgrating.orders.samples_per_laser_period
+        monkeypatch.setattr(
+            lightgrating.orders, "samples_per_laser_period", lambda *args: 2 * sized(*args)
+        )
+        doubled = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)[0]
+        assert np.max(np.abs(doubled - intensities)) <= 1e-12
+
+    def test_uncapped_where_the_per_channel_spectrum_is_capped(self):
+        # the capped spectrum loses the Poisson tail beyond 12 photons
+        capped = incoherent_order_intensities(SLOW_C70_50W, 80).total
+        uncapped = mixed_order_intensities(SLOW_C70_50W, 80)[0].sum()
+        assert capped < 0.99 and abs(uncapped - 1.0) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        re=st.floats(min_value=-25.0, max_value=25.0),
+        im=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+        m_max=st.integers(min_value=1, max_value=40),
+    )
+    def test_conservation_and_parity_property(self, re, im, m_max):
+        tail_eps = 1e-10
+        phi = ComplexPhase(re, im)
+        intensities, _, _ = mixed_order_intensities(phi, m_max, SCALES, SCALE_WEIGHTS, tail_eps)
+        assert intensities.min() >= 0.0
+        assert intensities.sum() <= 1.0 + 1e-12
+        if im == 0.0:
+            # no absorbed photon, no odd momentum transfer
+            assert intensities[(m_max + 1) % 2 :: 2].max(initial=0.0) < tail_eps
 
 
 class TestZeroOrderNull:
