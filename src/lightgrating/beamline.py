@@ -3,15 +3,19 @@
 Wave mode sums the absorption channels and the vertical positions in
 closed form: per velocity, the grating is the mixed state of
 ``grating.grating_coherence``, compressed by ``grating.effective_channels``
-into the few field rows it needs.  Each row of each point source is
-Fresnel-propagated and the intensities add over rows, source points and
-velocities.  This equals the channel-by-channel quadrature of
-``point_source_pattern`` up to the probability the rows drop (at most
-``tail_eps`` per grating point).  Orders mode projects the same effective
-rows onto the diffraction orders (``orders.mixed_order_intensities``, one
-factorization per velocity, no photon cap) and places each order's weight
-on the geometric shadow envelope instead of propagating; it is faster and
-serves as the cross-check of the wave pipeline's propagation.
+into the few field rows it needs.  The rows are Fresnel-propagated in one
+FFT batch per velocity and their intensities add.  A source point only
+adds a linear phase ramp, which multiplies each lag of the field
+autocorrelation by a phase; so the incoherent average over the source
+nodes is one kernel on the lags of that single-source intensity, exact
+for the midpoint source rule.  This equals the channel-by-channel,
+source-by-source quadrature of ``point_source_pattern`` up to the
+probability the rows drop (at most ``tail_eps`` per grating point).
+Orders mode projects the same effective rows onto the diffraction orders
+(``orders.mixed_order_intensities``, one factorization per velocity, no
+photon cap) and places each order's weight on the geometric shadow
+envelope instead of propagating; it is faster and serves as the
+cross-check of the wave pipeline's propagation.
 """
 
 from __future__ import annotations
@@ -274,17 +278,31 @@ def _wave_velocity_slice(
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
     fields = np.tile(rows, (1, grid.size // laser_period)) * base
 
-    intensity = np.zeros(n_fft)
     # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
     # that of the slit alone; what the effective rows drop shows as a loss.
     power_in = spacing * float(np.sum(mask**2))
     # |prefactor|^2 of the Fresnel integral; output phases are unimodular.
     out_scale = spacing**2 / (wavelength * geom.L2D)
-    for source_x, source_weight in zip(src_nodes, src_weights):
-        ramp = np.exp(-1j * (k / geom.L12) * source_x * x)
-        transform = np.fft.fft(fields * ramp, n=n_fft, axis=-1)
-        backend.accumulate_weighted_abs2(transform, float(source_weight * out_scale), intensity)
-    intensity = np.fft.fftshift(intensity)
+
+    # Source point s adds the ramp exp(-i (k/L12) s x), which multiplies lag
+    # d of the field autocorrelation by exp(-i (k/L12) s spacing d).  The
+    # incoherent source average is therefore one kernel on the lags of the
+    # single-source intensity.  The autocorrelation spans |d| < grid.size,
+    # so n_lag >= 2 grid.size - 1 keeps it from wrapping, and every n_fft
+    # bin is a bin of the finer n_lag spectrum.
+    n_lag = max(n_fft, next_pow2(2 * grid.size - 1))
+    single = np.zeros(n_lag)
+    backend.accumulate_weighted_abs2(np.fft.fft(fields, n=n_lag, axis=-1), 1.0, single)
+    lags = np.fft.fftfreq(n_lag, 1.0 / n_lag)
+    live = np.abs(lags) < grid.size
+    kernel = np.zeros(n_lag, dtype=np.complex128)
+    kernel[live] = np.einsum(
+        "s,sd->d",
+        src_weights,
+        np.exp(-1j * (k / geom.L12) * spacing * np.multiply.outer(src_nodes, lags[live])),
+    )
+    averaged = np.fft.fft(np.fft.ifft(single) * kernel)
+    intensity = np.fft.fftshift(averaged.real[:: n_lag // n_fft] * out_scale)
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     total = float(intensity.sum() * out_spacing)
@@ -393,6 +411,15 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
             phi_per_velocity.append([float(velocity), phi.re, phi.im])
             channels_per_velocity.append(n_channels)
             dropped_probability = max(dropped_probability, dropped)
+        # _finalize renormalizes the pattern, so mass in the orders beyond
+        # m_max would otherwise vanish from it without a trace
+        lost = 1.0 - total_probability
+        if lost > 0.01:
+            warnings.warn(
+                f"orders beyond numerics.m_max = {cfg.numerics.m_max} hold {lost:.2%} "
+                "of the molecules; raise numerics.m_max",
+                stacklevel=3,
+            )
         metadata["phi_per_velocity"] = phi_per_velocity
         metadata["channels_per_velocity"] = channels_per_velocity
         metadata["dropped_probability"] = dropped_probability

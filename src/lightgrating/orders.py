@@ -125,14 +125,33 @@ class OrderSpectrum:
         return float(self.intensities[mask].sum())
 
 
-def default_m_max(phi: ComplexPhase) -> int:
-    """Order cutoff that keeps the conservation defect below ~1e-9."""
-    return max(DEFAULT_M_MAX, int(math.ceil(2.0 * (abs(phi.re) + 4.0 * phi.im))) + 10)
-
-
-# Strip half-widths sigma over which ``samples_per_laser_period`` minimises
-# its bound on the Fourier tail.
+# Strip half-widths sigma over which ``tail_order`` minimises its bound.
 _STRIP = np.geomspace(1e-3, 4.0, 200)
+# Order mass that ``default_m_max`` leaves beyond its cutoff.
+DEFAULT_M_MAX_TAIL = 1e-9
+
+
+def tail_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
+    """Order B beyond which the grating state at ``phi`` holds less than ``tail_eps``.
+
+    The grating state R(x, x') (``grating.grating_coherence``) is entire in
+    k*x.  Shifting x and x' by -/+ i*sigma/k bounds every order intensity,
+    channels summed or single, by
+    I_m <= exp(2 |Re Phi| sinh(2 sigma) + 8 Im Phi sinh(sigma)^2 - 2 |m| sigma),
+    so the mass beyond |m| = B is below ``tail_eps`` for the B minimised
+    over sigma.  Pass the largest phase the state holds (vertical scales
+    included).
+    """
+    if not tail_eps > 0.0:
+        raise ValueError("tail_eps must be positive")
+    log_tail = 2.0 * abs(phi.re) * np.sinh(2.0 * _STRIP) + 8.0 * phi.im * np.sinh(_STRIP) ** 2
+    log_tail += np.log(2.0 / -np.expm1(-2.0 * _STRIP)) - math.log(tail_eps)
+    return math.ceil(float(np.min(log_tail / (2.0 * _STRIP))))
+
+
+def default_m_max(phi: ComplexPhase) -> int:
+    """Order cutoff beyond which less than ``DEFAULT_M_MAX_TAIL`` of the state lies."""
+    return max(DEFAULT_M_MAX, tail_order(phi, DEFAULT_M_MAX_TAIL))
 
 
 def samples_per_laser_period(
@@ -140,21 +159,13 @@ def samples_per_laser_period(
 ) -> int:
     """Samples per laser period for projecting the grating at ``phi`` onto orders.
 
-    The grating state R(x, x') (``grating.grating_coherence``) is entire in
-    k*x.  Shifting x and x' by -/+ i*sigma/k bounds every order intensity,
-    channels summed or single, by
-    I_m <= exp(2 |Re Phi| sinh(2 sigma) + 8 Im Phi sinh(sigma)^2 - 2 |m| sigma),
-    so the mass beyond |m| = B is below ``tail_eps`` for the B minimised
-    over sigma.  Returns the smallest power of two n >= 4 max(m_max, B): the
-    top half of the bins (|m| >= n/4) holds less than ``tail_eps``, and the
-    slots |m| <= m_max alias only with orders |m| >= 3n/4.  Pass the largest
-    phase the state holds (vertical scales included).
+    Returns the smallest power of two n >= 4 max(m_max, B), with B the
+    ``tail_order`` of ``phi``: the top half of the bins (|m| >= n/4) holds
+    less than ``tail_eps``, and the slots |m| <= m_max alias only with
+    orders |m| >= 3n/4.  Pass the largest phase the state holds (vertical
+    scales included).
     """
-    if not tail_eps > 0.0:
-        raise ValueError("tail_eps must be positive")
-    log_tail = 2.0 * abs(phi.re) * np.sinh(2.0 * _STRIP) + 8.0 * phi.im * np.sinh(_STRIP) ** 2
-    log_tail += np.log(2.0 / -np.expm1(-2.0 * _STRIP)) - math.log(tail_eps)
-    band = max(m_max, math.ceil(float(np.min(log_tail / (2.0 * _STRIP)))), 2)
+    band = max(m_max, tail_order(phi, tail_eps), 2)
     return 1 << (4 * band - 1).bit_length()
 
 

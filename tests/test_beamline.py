@@ -1,7 +1,10 @@
 """Beamline geometry, single-source patterns, and ensemble averaging."""
 
 import math
+import warnings
+from contextlib import nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,8 +39,15 @@ from lightgrating.distributions import (
     velocity_quadrature,
     vertical_phi_scales,
 )
-from lightgrating.grating import ComplexPhase, GratingBeam, channel_set, compute_phi
+from lightgrating.grating import (
+    ComplexPhase,
+    GratingBeam,
+    channel_set,
+    compute_phi,
+    effective_channels,
+)
 from lightgrating.orders import incoherent_order_intensities
+from lightgrating.propagation import next_pow2
 from lightgrating.species import C60, C70, de_broglie_wavelength
 
 GEOM = BeamlineGeometry()
@@ -282,29 +292,83 @@ def channel_by_channel_slice(cfg, velocity, scales, scale_weights, src_nodes, sr
     return x_out, total
 
 
+def per_source_loop_slice(cfg, velocity, grid, mask, scales, scale_weights, src_nodes, src_weights):
+    """Native intensity of one velocity node with one FFT batch per source point.
+
+    The direct form of the incoherent source average: every source point's
+    linear phase ramp multiplies the effective rows before their own FFT.
+    """
+    geom = cfg.geometry
+    wavelength = de_broglie_wavelength(cfg.species, velocity)
+    k = 2.0 * math.pi / wavelength
+    phi = compute_phi(cfg.species, cfg.beam, velocity)
+    x = grid.positions()
+    n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
+    laser_period = 2 * grid.samples_per_period
+    rows, _ = effective_channels(
+        phi, cfg.beam.k_laser, x[:laser_period], scales, scale_weights, cfg.numerics.tail_eps
+    )
+    base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
+    fields = np.tile(rows, (1, grid.size // laser_period)) * base
+    out_scale = grid.spacing**2 / (wavelength * geom.L2D)
+    intensity = np.zeros(n_fft)
+    for source_x, source_weight in zip(src_nodes, src_weights):
+        ramp = np.exp(-1j * (k / geom.L12) * source_x * x)
+        transform = np.fft.fft(fields * ramp, n=n_fft, axis=-1)
+        intensity += source_weight * out_scale * np.sum(np.abs(transform) ** 2, axis=0)
+    return np.fft.fftshift(intensity)
+
+
+class CountingNumpy:
+    """Stands in for ``np`` inside a module and counts its calls into ``np.fft``."""
+
+    def __init__(self):
+        self.fft_calls = 0
+        self.fft = SimpleNamespace(
+            **{name: self._counted(getattr(np.fft, name)) for name in np.fft.__all__}
+        )
+
+    def _counted(self, func):
+        def counted(*args, **kwargs):
+            self.fft_calls += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestWaveVelocitySlice:
     # asymmetric nodes and weights: a sign error in the source ramp shows
     SOURCES = np.array([-3.1e-6, -0.4e-6, 2.2e-6])
     SOURCE_WEIGHTS = np.array([0.5, 0.2, 0.3])
+    # pad 1 leaves n_fft below the 2 N - 1 lags of the field autocorrelation
+    PAD_FACTORS = (1, 2, 4)
 
     def check_against_oracle(self, cfg, velocity, vertical_nodes):
         scales, scale_weights = vertical_phi_scales(cfg.vertical, vertical_nodes)
         grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
-        x, intensity, phi, power_in, _, n_channels, dropped = _wave_velocity_slice(
-            cfg, velocity, grid, mask, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
-        )
-        x_ref, reference = channel_by_channel_slice(
-            cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
-        )
-        assert np.array_equal(x, x_ref)
-        assert np.max(np.abs(intensity - reference)) <= 1e-9 * reference.max()
-        mirrored = channel_by_channel_slice(
-            cfg, velocity, scales, scale_weights, -self.SOURCES, self.SOURCE_WEIGHTS
-        )[1]
-        assert np.max(np.abs(intensity - mirrored)) > 1e-3 * reference.max()
-        assert power_in == pytest.approx(grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0)
-        assert 1 <= n_channels < 2 * grid.samples_per_period
-        assert dropped <= cfg.numerics.tail_eps
+        for pad_factor in self.PAD_FACTORS:
+            cfg = replace(cfg, numerics=replace(cfg.numerics, pad_factor=pad_factor))
+            x, intensity, phi, power_in, _, n_channels, dropped = _wave_velocity_slice(
+                cfg, velocity, grid, mask, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
+            )
+            x_ref, reference = channel_by_channel_slice(
+                cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
+            )
+            assert x.size == next_pow2(grid.size * pad_factor)
+            assert np.array_equal(x, x_ref)
+            assert np.max(np.abs(intensity - reference)) <= 1e-9 * reference.max()
+            mirrored = channel_by_channel_slice(
+                cfg, velocity, scales, scale_weights, -self.SOURCES, self.SOURCE_WEIGHTS
+            )[1]
+            assert np.max(np.abs(intensity - mirrored)) > 1e-3 * reference.max()
+            assert power_in == pytest.approx(
+                grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0
+            )
+            assert 1 <= n_channels < 2 * grid.samples_per_period
+            assert dropped <= cfg.numerics.tail_eps
         return phi
 
     def test_matches_channel_by_channel_oracle(self):
@@ -320,6 +384,34 @@ class TestWaveVelocitySlice:
         slowest = float(velocity_quadrature(cfg.velocity, 4)[0][0])
         phi = self.check_against_oracle(cfg, slowest, 2)
         assert lightgrating.grating.truncation_order(phi, cfg.numerics.tail_eps) > 12
+
+    @pytest.mark.parametrize(
+        "species, power, source_nodes",
+        [(C60, 9.5, 16), (C70, 50.0, 4)],
+        ids=["c60-default", "c70-50W-4-sources"],
+    )
+    def test_lag_domain_average_matches_per_source_loop(self, species, power, source_nodes):
+        cfg = replace(SimulationConfig(), species=species, beam=GratingBeam(power=power))
+        slowest = float(velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0][0])
+        scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        src_nodes, src_weights = source_quadrature(cfg.geometry, source_nodes)
+        args = (cfg, slowest, grid, mask, scales, scale_weights, src_nodes, src_weights)
+        intensity = _wave_velocity_slice(*args)[1]
+        reference = per_source_loop_slice(*args)
+        assert np.max(np.abs(intensity - reference)) <= 1e-13 * reference.max()
+        # the lag-domain product is real only up to rounding
+        assert intensity.min() >= -1e-14 * intensity.max()
+
+    def test_fft_calls_per_velocity_independent_of_source_nodes(self, monkeypatch):
+        calls_per_velocity = {}
+        for source_nodes in (1, 16):
+            counting = CountingNumpy()
+            monkeypatch.setattr(lightgrating.beamline, "np", counting)
+            ensemble_pattern(fast_config(quadrature=QuadratureSpec(4, 2, source_nodes)))
+            assert counting.fft_calls > 0 and counting.fft_calls % 4 == 0
+            calls_per_velocity[source_nodes] = counting.fft_calls // 4
+        assert calls_per_velocity[1] == calls_per_velocity[16]
 
     def test_wave_mode_uses_no_photon_channel(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -405,7 +497,10 @@ class TestEnsembleOrdersMode:
             return _envelope_sum(geom, x, centers, weights)
 
         monkeypatch.setattr(lightgrating.beamline, "_envelope_sum", spy)
-        pattern = ensemble_pattern(cfg)
+        # at 50 W the orders reach past m_max = 20 and orders mode says so
+        lost_orders = pytest.warns(UserWarning, match="m_max") if power == 50.0 else nullcontext()
+        with lost_orders:
+            pattern = ensemble_pattern(cfg)
         v_nodes, v_weights = velocity_quadrature(cfg.velocity, 4)
         reference = per_channel_slot_weights(cfg)
         slot_weights = np.array([weights for _, weights in calls]) / v_weights[:, None]
@@ -497,6 +592,19 @@ class TestEnsembleOrdersMode:
         resampled = np.maximum(np.interp(pattern.positions, x_fine, reference), 0.0)
         resampled /= resampled.sum()
         assert np.allclose(pattern.intensity, resampled, atol=1e-12)
+
+    def test_warns_when_orders_beyond_m_max_hold_mass(self):
+        cfg = SimulationConfig()
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pattern = ensemble_pattern(cfg)
+        assert 1.0 - pattern.metadata["total_probability"] < 1e-6
+        # C70 at 50 W: about 22% of the molecules land beyond |m| = 20
+        strong = replace(cfg, species=C70, beam=GratingBeam(power=50.0))
+        with pytest.warns(UserWarning, match=r"numerics\.m_max = 20"):
+            pattern = ensemble_pattern(strong)
+        assert 1.0 - pattern.metadata["total_probability"] > 0.2
 
     def test_mode_recorded_and_total_probability(self):
         cfg = fast_config()

@@ -100,6 +100,15 @@ class TestOrderSpectrum:
         big = ComplexPhase(20.0, 2.0)
         assert default_m_max(big) >= math.ceil(2.0 * (20.0 + 4.0 * 2.0)) + 10
 
+    @pytest.mark.parametrize(
+        "phi", [ComplexPhase(-42.4, 0.0022), ComplexPhase(12.3, 0.0054)], ids=["re-42", "re12"]
+    )
+    def test_default_m_max_holds_the_bessel_tail(self, phi):
+        # at large |Re Phi| the orders reach well past 2 |Re Phi| + 10
+        spectrum = incoherent_order_intensities(phi)
+        assert spectrum.m_max == default_m_max(phi) > 2.0 * abs(phi.re) + 10
+        assert 1.0 - spectrum.total <= 1e-9
+
 
 class TestPurePhaseOrders:
     def test_bessel_intensities_on_even_slots(self):
