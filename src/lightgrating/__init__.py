@@ -22,7 +22,6 @@ from .grating import (
     GridSpec,
     TransmissionChannel,
     channel_set,
-    channel_transmission,
     compute_phi,
     mean_photon_number,
     poisson_weight,
@@ -31,9 +30,8 @@ from .grating import (
 )
 from .orders import (
     OrderSpectrum,
-    absorbed_fraction,
+    absorbed_fractions,
     bessel_j,
-    fourier_order_amplitudes,
     incoherent_order_intensities,
     pure_phase_orders,
     zero_order_null,
@@ -75,16 +73,14 @@ __all__ = [
     "GridSpec",
     "TransmissionChannel",
     "channel_set",
-    "channel_transmission",
     "compute_phi",
     "mean_photon_number",
     "poisson_weight",
     "raman_nath_diagnostic",
     "truncation_order",
     "OrderSpectrum",
-    "absorbed_fraction",
+    "absorbed_fractions",
     "bessel_j",
-    "fourier_order_amplitudes",
     "incoherent_order_intensities",
     "pure_phase_orders",
     "zero_order_null",

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Largest 2 Im(Phi) at which exp(-2 Im(Phi)), the antinode value that
+# ``sample_channels`` starts its recursion from, is still a normal float.
+MAX_ANTINODE_LOSS = -float(np.log(np.finfo(np.float64).tiny))
+
 
 def backend_name() -> str:
     """The kernel implementation in use; always ``"python"`` (NumPy)."""
@@ -28,8 +32,16 @@ def sample_channels(
     Row 0 is the bare dipole phase imprint with its absorption-loss
     envelope; each further photon multiplies by ``2*sqrt(phi_im)*cos(k x)``
     and divides by ``sqrt(n)``, which keeps the recursion stable for any
-    ``phi_im >= 0`` (including 0, where all n >= 1 rows vanish).
+    ``phi_im >= 0`` (including 0, where all n >= 1 rows vanish).  Above
+    2*phi_im = ``MAX_ANTINODE_LOSS`` (about 708) row 0 underflows at the
+    antinode and the rows lose the probability there, so that is refused.
     """
+    if 2.0 * phi_im > MAX_ANTINODE_LOSS:
+        raise ValueError(
+            f"2 Im(Phi) = {2.0 * phi_im:.4g} exceeds {MAX_ANTINODE_LOSS:.4g}: "
+            "exp(-2 Im(Phi)) underflows at the antinode, so the photon-number "
+            "channels cannot be sampled"
+        )
     x = np.asarray(x, dtype=np.float64)
     c = np.cos(k_laser * x)
     c2 = c * c

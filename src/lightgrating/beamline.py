@@ -391,26 +391,60 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
         "phi_im": phi_peak.im,
     }
 
+    # Each velocity node gives (phi, its weighted share of the common-grid
+    # intensity, of the probability and of the scan coverage, effective
+    # channel count, dropped probability).
     if cfg.run.mode == "orders":
         orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
-        accumulated = np.zeros_like(common_x)
-        phi_per_velocity = []
-        channels_per_velocity = []
-        dropped_probability = 0.0
-        total_probability = 0.0
-        for velocity, v_weight in zip(v_nodes, v_weights):
+
+        def run_slice(velocity: float, v_weight: float):
             phi = compute_phi(cfg.species, cfg.beam, velocity)
             slot_weights, n_channels, dropped = mixed_order_intensities(
                 phi, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
             )
-            slot = order_slot_spacing(cfg.species, float(velocity), cfg.beam, cfg.geometry)
-            accumulated += _envelope_sum(
-                cfg.geometry, common_x, orders * slot, v_weight * slot_weights
+            slot = order_slot_spacing(cfg.species, velocity, cfg.beam, cfg.geometry)
+            placed = _envelope_sum(cfg.geometry, common_x, orders * slot, v_weight * slot_weights)
+            probability = v_weight * float(slot_weights.sum())
+            return phi, placed, probability, v_weight, n_channels, dropped
+
+    else:
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
+        metadata["grating_samples"] = grid.size
+        metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
+
+        def run_slice(velocity: float, v_weight: float):
+            x_native, intensity, phi, power_in, in_span, n_channels, dropped = _wave_velocity_slice(
+                cfg, velocity, grid, mask, scales, scale_weights, src_nodes, src_weights
             )
-            total_probability += v_weight * float(slot_weights.sum())
-            phi_per_velocity.append([float(velocity), phi.re, phi.im])
-            channels_per_velocity.append(n_channels)
-            dropped_probability = max(dropped_probability, dropped)
+            placed = v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0)
+            spacing_native = float(x_native[1] - x_native[0])
+            probability = v_weight * float(intensity.sum() * spacing_native) / power_in
+            return phi, placed, probability, v_weight * in_span, n_channels, dropped
+
+    velocities = v_nodes.tolist()
+    if cfg.run.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.run.workers) as pool:
+            slices = list(pool.map(run_slice, velocities, v_weights.tolist()))
+    else:
+        slices = list(map(run_slice, velocities, v_weights.tolist()))
+
+    accumulated = np.zeros_like(common_x)
+    phi_per_velocity = []
+    channels_per_velocity = []
+    dropped_probability = 0.0
+    total_probability = 0.0
+    coverage = 0.0
+    for velocity, (phi, placed, probability, in_span, n_channels, dropped) in zip(
+        velocities, slices
+    ):
+        accumulated += placed
+        total_probability += probability
+        coverage += in_span
+        phi_per_velocity.append([velocity, phi.re, phi.im])
+        channels_per_velocity.append(n_channels)
+        dropped_probability = max(dropped_probability, dropped)
+    if cfg.run.mode == "orders":
         # _finalize renormalizes the pattern, so mass in the orders beyond
         # m_max would otherwise vanish from it without a trace
         lost = 1.0 - total_probability
@@ -420,49 +454,11 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
                 "of the molecules; raise numerics.m_max",
                 stacklevel=3,
             )
-        metadata["phi_per_velocity"] = phi_per_velocity
-        metadata["channels_per_velocity"] = channels_per_velocity
-        metadata["dropped_probability"] = dropped_probability
-        metadata["total_probability"] = total_probability
-        metadata["scan_coverage"] = 1.0
-        return _finalize(cfg, common_x, accumulated, metadata)
-
-    grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
-    src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
-
-    def run_slice(velocity: float):
-        return _wave_velocity_slice(
-            cfg, float(velocity), grid, mask, scales, scale_weights, src_nodes, src_weights
-        )
-
-    if cfg.run.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.run.workers) as pool:
-            slices = list(pool.map(run_slice, v_nodes))
-    else:
-        slices = [run_slice(v) for v in v_nodes]
-
-    accumulated = np.zeros_like(common_x)
-    phi_per_velocity = []
-    channels_per_velocity = []
-    dropped_probability = 0.0
-    total_probability = 0.0
-    coverage = 0.0
-    for result, velocity, v_weight in zip(slices, v_nodes, v_weights):
-        x_native, intensity, phi, power_in, in_span, n_channels, dropped = result
-        spacing_native = float(x_native[1] - x_native[0])
-        accumulated += v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0)
-        total_probability += v_weight * float(intensity.sum() * spacing_native) / power_in
-        coverage += v_weight * in_span
-        phi_per_velocity.append([float(velocity), phi.re, phi.im])
-        channels_per_velocity.append(n_channels)
-        dropped_probability = max(dropped_probability, dropped)
     metadata["phi_per_velocity"] = phi_per_velocity
     metadata["channels_per_velocity"] = channels_per_velocity
     metadata["dropped_probability"] = dropped_probability
     metadata["total_probability"] = total_probability
     metadata["scan_coverage"] = coverage
-    metadata["grating_samples"] = grid.size
-    metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
     return _finalize(cfg, common_x, accumulated, metadata)
 
 

@@ -23,12 +23,10 @@ import numpy as np
 from . import backend
 from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
 
-# The per-photon-number spectrum (``orders.incoherent_order_intensities``,
-# the orders table) and the run summary truncate the absorption channels at
-# this photon number no matter how weak the requested tail is; it bounds
-# the work for extreme configs.  Wave and orders mode sum every channel in
-# closed form (``grating_coherence``) and have no cap.
-MAX_PHOTON_ORDER = 12
+# The per-photon-number outputs (``orders.incoherent_order_intensities``,
+# the orders table, the run summary) keep every photon number up to the
+# ``truncation_order`` of the requested tail.  Wave and orders mode sum
+# every channel in closed form (``grating_coherence``).
 DEFAULT_TAIL_EPS = 1e-10
 
 
@@ -211,20 +209,28 @@ def poisson_weight(nbar, n: int):
 def truncation_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest photon number N so the Poisson tail beyond N is < tail_eps.
 
-    Evaluated at the antinode mean ``4*Im(Phi)`` (the worst case over x)
-    and capped at ``MAX_PHOTON_ORDER``.
+    Evaluated at the antinode mean ``4*Im(Phi)`` (the worst case over x).
+    The tail is summed from its far end in log space, so it resolves any
+    ``tail_eps`` > 0; ``1 - sum p_n`` would floor at the rounding of the sum.
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")
     nbar = 4.0 * phi.im
     if nbar == 0.0:
         return 0
-    cumulative = 0.0
-    for n in range(MAX_PHOTON_ORDER + 1):
-        cumulative += poisson_weight(nbar, n)
-        if 1.0 - cumulative < tail_eps:
-            return n
-    return MAX_PHOTON_ORDER
+    log_eps = math.log(tail_eps)
+    size = int(2.0 * nbar) + 32
+    while True:
+        log_p = np.arange(size) * math.log(nbar) - nbar
+        log_p -= [math.lgamma(k + 1) for k in range(size)]
+        # past k = 2 nbar the terms at least halve, so the mass beyond the
+        # last term is below it: 40 e-folds under tail_eps is negligible
+        if log_p[-1] < log_eps - 40.0:
+            break
+        size *= 2
+    # log_tail[j] = log sum_{k >= j} p_k
+    log_tail = np.logaddexp.accumulate(log_p[::-1])[::-1]
+    return int(np.argmax(log_tail[1:] < log_eps))
 
 
 def channel_amplitudes(
@@ -305,15 +311,6 @@ def effective_channels(
         residual -= rows[rank].real ** 2 + rows[rank].imag ** 2
         rank += 1
     return rows[:rank], max(float(residual.max()), 0.0)
-
-
-def channel_transmission(phi: ComplexPhase, n: int, grid: GridSpec) -> TransmissionChannel:
-    """Sampled n-photon transmission function on the given grid."""
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    k_laser = 2.0 * math.pi / grid.wavelength
-    samples = channel_amplitudes(phi, n, k_laser, grid.positions())[n]
-    return TransmissionChannel(n, samples, grid)
 
 
 def channel_set(

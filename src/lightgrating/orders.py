@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,10 +20,10 @@ from .grating import (
     DEFAULT_TAIL_EPS,
     ComplexPhase,
     GridSpec,
-    TransmissionChannel,
-    channel_set,
+    channel_amplitudes,
     effective_channels,
     poisson_weight,
+    truncation_order,
 )
 
 DEFAULT_M_MAX = 20
@@ -125,6 +124,8 @@ class OrderSpectrum:
         return float(self.intensities[mask].sum())
 
 
+# Samples over half a grating period that ``absorbed_fractions`` averages.
+_HALF_PERIOD_SAMPLES = 1024
 # Strip half-widths sigma over which ``tail_order`` minimises its bound.
 _STRIP = np.geomspace(1e-3, 4.0, 200)
 # Order mass that ``default_m_max`` leaves beyond its cutoff.
@@ -184,71 +185,38 @@ def pure_phase_orders(phi_re: float, m_max: int = DEFAULT_M_MAX) -> OrderSpectru
     return OrderSpectrum(m_max=m_max, intensities=intensities)
 
 
-def fourier_order_amplitudes(
-    channel: TransmissionChannel, m_max: int = DEFAULT_M_MAX
-) -> np.ndarray:
-    """Fourier amplitudes c_m of a sampled transmission function.
+def _order_power(rows: np.ndarray, m_max: int) -> np.ndarray:
+    """|u_j(m)|^2 for each row u_j and m = -m_max .. m_max, shape (rows, 2 m_max + 1).
 
-    c_m = (1/L) * integral of t(x) exp(-i m k x) over the window, returned
-    for m = -m_max .. m_max.  The grid construction guarantees the window is
-    an integer number of laser wavelengths and the channels are smooth and
-    periodic, so the plain discrete sum converges spectrally (to machine
-    precision at the default sampling).
+    The rows are sampled at n > 2 m_max points over one laser period; u_j(m)
+    is the Fourier coefficient (1/n) sum_x u_j(x) exp(-i m k x), FFT bin
+    m mod n.  The midpoint offset of the samples only rotates their phases.
     """
-    grid = channel.grid
-    # GridSpec enforces an even number of half-wavelength periods, so the
-    # window is always commensurate with the full laser wavelength; guard
-    # against hand-built grids anyway.
-    n_wavelengths = grid.periods / 2.0
-    if abs(n_wavelengths - round(n_wavelengths)) > 1e-12:
-        raise ValueError("grid window must span an integer number of wavelengths")
-    # einsum, not BLAS: no thread pool left spinning after the product
-    return np.einsum("mx,x->m", _phase_matrix(m_max, grid), channel.samples) / grid.size
-
-
-@lru_cache(maxsize=8)
-def _phase_matrix(m_max: int, grid: GridSpec) -> np.ndarray:
-    """Cached exp(-i m k x) projection matrix for a given order range and grid.
-
-    Ensemble averaging decomposes hundreds of channel sets on the same grid;
-    rebuilding the projection matrix dominates that loop, so it is cached on
-    the (m_max, grid) pair.  The array is marked read-only because it is
-    shared between callers.
-    """
-    k_laser = 2.0 * math.pi / grid.wavelength
-    x = grid.positions()
-    phases = np.exp(-1j * k_laser * np.outer(np.arange(-m_max, m_max + 1), x))
-    phases.setflags(write=False)
-    return phases
+    n = rows.shape[-1]
+    spectrum = np.fft.fft(rows, axis=-1)[:, np.arange(-m_max, m_max + 1) % n] / n
+    return spectrum.real**2 + spectrum.imag**2
 
 
 def incoherent_order_intensities(
     phi: ComplexPhase,
     m_max: int | None = None,
     tail_eps: float = DEFAULT_TAIL_EPS,
-    grid: GridSpec | None = None,
 ) -> OrderSpectrum:
     """Order intensities of the full grating, absorption channels included.
 
-    Channels add incoherently: I_m = sum_n |c_m^(n)|^2.  The default grid
-    is one laser wavelength sampled by ``samples_per_laser_period``; the
-    result is independent of the stored wavelength (everything depends on
-    k*x only).
+    Channels add incoherently: I_m = sum_n |c_m^(n)|^2, over every photon
+    number n up to ``grating.truncation_order``.  The channels are sampled
+    over one laser wavelength by ``samples_per_laser_period``; the result
+    depends on k*x only.
     """
     if m_max is None:
         m_max = default_m_max(phi)
-    if grid is None:
-        n = samples_per_laser_period(phi, m_max, tail_eps)
-        grid = GridSpec(periods=2, samples_per_period=n // 2)
-    channels = channel_set(phi, grid, tail_eps)
-    per_channel: dict[int, np.ndarray] = {}
-    intensities = np.zeros(2 * m_max + 1)
-    for channel in channels:
-        amplitudes = fourier_order_amplitudes(channel, m_max)
-        contribution = np.abs(amplitudes) ** 2
-        per_channel[channel.photon_count] = contribution
-        intensities += contribution
-    return OrderSpectrum(m_max=m_max, intensities=intensities, per_channel=per_channel)
+    n = samples_per_laser_period(phi, m_max, tail_eps)
+    grid = GridSpec(periods=2, samples_per_period=n // 2)
+    k_laser = 2.0 * math.pi / grid.wavelength
+    rows = channel_amplitudes(phi, truncation_order(phi, tail_eps), k_laser, grid.positions())
+    power = _order_power(rows, m_max)
+    return OrderSpectrum(m_max, power.sum(axis=0), per_channel=dict(enumerate(power)))
 
 
 def mixed_order_intensities(
@@ -263,18 +231,16 @@ def mixed_order_intensities(
     The vertically averaged state of ``grating.effective_channels`` over one
     laser period gives the rows u_j; I_m = sum_j |u_j(m)|^2 with u_j(m) the
     Fourier coefficient of row j, for m = -m_max .. m_max.  This equals the
-    scale-averaged ``incoherent_order_intensities`` with no photon cap, up
-    to the residual of the rows (at most ``tail_eps`` per grating point).
-    Returns (intensities, row count, largest residual diagonal).
+    scale-averaged ``incoherent_order_intensities`` up to the residual of
+    the rows (at most ``tail_eps`` per grating point) and the Poisson tail
+    that one leaves out.  Returns (intensities, row count, largest residual
+    diagonal).
     """
     n = samples_per_laser_period(phi.scaled(float(np.max(scales))), m_max, tail_eps)
     grid = GridSpec(periods=2, samples_per_period=n // 2)
     k_laser = 2.0 * math.pi / grid.wavelength
     rows, dropped = effective_channels(phi, k_laser, grid.positions(), scales, weights, tail_eps)
-    # the midpoint offset of the grid only rotates the phases of the bins
-    spectrum = np.fft.fft(rows, axis=-1)[:, np.arange(-m_max, m_max + 1) % n] / n
-    intensities = (spectrum.real**2 + spectrum.imag**2).sum(axis=0)
-    return intensities, rows.shape[0], dropped
+    return _order_power(rows, m_max).sum(axis=0), rows.shape[0], dropped
 
 
 def zero_order_null() -> float:
@@ -294,36 +260,28 @@ def zero_order_null() -> float:
     return 0.5 * (lo + hi)
 
 
-def absorbed_fraction(
-    phi: ComplexPhase,
-    n: int,
-    vertical_scales: np.ndarray | None = None,
-    vertical_weights: np.ndarray | None = None,
-    x_samples: int = 2048,
-) -> float:
-    """Fraction of transmitted molecules that absorbed exactly n photons.
+def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.0,)) -> np.ndarray:
+    """Fractions of transmitted molecules that absorbed n = 0 .. n_max photons.
 
     Averages the Poisson weight at the local mean photon number over one
-    grating period (uniform illumination) and, when given, over vertical
-    intensity scale factors with their quadrature weights.
+    grating period (uniform illumination, midpoint samples over the half
+    period; the other half mirrors it) and over the vertical intensity
+    ``scales`` with their ``weights``, normalised to unit sum.  Each Poisson
+    weight is evaluated in log space (``grating.poisson_weight``), so none
+    under- or overflows at any mean photon number.
     """
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    if vertical_scales is None:
-        scales = np.array([1.0])
-        weights = np.array([1.0])
-    else:
-        scales = np.asarray(vertical_scales, dtype=np.float64)
-        if vertical_weights is None:
-            raise ValueError("vertical_weights required with vertical_scales")
-        weights = np.asarray(vertical_weights, dtype=np.float64)
-        if scales.shape != weights.shape:
-            raise ValueError("scales and weights must have matching shapes")
-        weights = weights / weights.sum()
-    theta = (np.arange(x_samples) + 0.5) * (math.pi / x_samples)
-    cos2 = np.cos(theta) ** 2
-    total = 0.0
-    for scale, weight in zip(scales, weights):
-        nbar = 4.0 * phi.im * scale * cos2
-        total += weight * float(np.mean(poisson_weight(nbar, n)))
-    return total
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    scales = np.asarray(scales, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if scales.shape != weights.shape:
+        raise ValueError("scales and weights must have matching shapes")
+    weights = weights / weights.sum()
+    theta = (np.arange(_HALF_PERIOD_SAMPLES) + 0.5) * (0.5 * math.pi / _HALF_PERIOD_SAMPLES)
+    nbar = 4.0 * phi.im * np.multiply.outer(scales, np.cos(theta) ** 2)
+    # row n: the period average at each scale
+    means = np.array([np.mean(poisson_weight(nbar, n), axis=-1) for n in range(n_max + 1)])
+    fractions = np.zeros(n_max + 1)
+    for weight, column in zip(weights, means.T):
+        fractions += weight * column
+    return fractions

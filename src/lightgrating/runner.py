@@ -25,7 +25,7 @@ from .beamline import (
 from .config import SimulationConfig, config_digest
 from .distributions import vertical_phi_scales
 from .grating import compute_phi, raman_nath_diagnostic, truncation_order
-from .orders import absorbed_fraction, incoherent_order_intensities
+from .orders import absorbed_fractions, incoherent_order_intensities
 
 PATTERN_HEADER = "position_um,intensity"
 
@@ -86,9 +86,7 @@ def summarize(cfg: SimulationConfig, pattern: DiffractionPattern) -> dict:
     phi = compute_phi(cfg.species, cfg.beam, cfg.velocity.v_peak)
     scales, weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
     n_max = truncation_order(phi, cfg.numerics.tail_eps)
-    fractions = [
-        absorbed_fraction(phi, n, scales, weights) for n in range(n_max + 1)
-    ]
+    fractions = absorbed_fractions(phi, n_max, scales, weights).tolist()
     total_fraction = float(sum(fractions))
     if not all(0.0 <= f <= 1.0 for f in fractions) or total_fraction > 1.0 + 1e-9:
         raise AssertionError("absorbed fractions violate probability bounds")

@@ -376,10 +376,9 @@ class TestWaveVelocitySlice:
         phi = self.check_against_oracle(cfg, 120.0, 3)
         assert 0.0 < phi.im
 
-    def test_matches_uncapped_oracle_at_high_power(self, monkeypatch):
-        # C70 at 50 W: the antinode absorbs ~14 photons on average, far past
-        # the photon cap of orders mode, which the oracle lifts
-        monkeypatch.setattr(lightgrating.grating, "MAX_PHOTON_ORDER", 60)
+    def test_matches_uncapped_oracle_at_high_power(self):
+        # C70 at 50 W: the antinode absorbs ~14 photons on average and the
+        # oracle keeps every photon number up to the truncation order
         cfg = replace(SimulationConfig(), species=C70, beam=GratingBeam(power=50.0))
         slowest = float(velocity_quadrature(cfg.velocity, 4)[0][0])
         phi = self.check_against_oracle(cfg, slowest, 2)
@@ -481,8 +480,7 @@ def full_grid_envelopes(geom, x, centers, weights):
 class TestEnsembleOrdersMode:
     @pytest.mark.parametrize("species, power", [(C60, 9.5), (C70, 50.0)])
     def test_slot_weights_match_per_channel_oracle(self, monkeypatch, species, power):
-        # the oracle needs ~40 photon channels at C70 50 W: lift its cap
-        monkeypatch.setattr(lightgrating.grating, "MAX_PHOTON_ORDER", 60)
+        # the oracle needs ~40 photon channels at C70 50 W
         cfg = replace(
             SimulationConfig(),
             species=species,

@@ -198,6 +198,16 @@ class TestOrders:
             assert float(row[1]) == pytest.approx(
                 sum(float(cell) for cell in row[2:]), abs=1e-15
             )
+        # C70 at 20 W: one column per photon number up to the truncation order
+        text = TINY + "[species]\nname = C70\n[beam]\npower_w = 20\n"
+        strong = write_config(tmp_path, text, "c70.cfg")
+        assert main(["orders", str(strong), "--out-dir", str(tmp_path / "c70")]) == 0
+        header = (tmp_path / "c70" / "run_orders.csv").read_text().splitlines()[0].split(",")
+        cfg = parse_config(text)
+        n_max = lightgrating.truncation_order(
+            compute_phi(cfg.species, cfg.beam, cfg.velocity.v_peak), cfg.numerics.tail_eps
+        )
+        assert n_max > 12 and header[2:] == [f"n{n}" for n in range(n_max + 1)]
 
     def test_orders_respects_env_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Standing-wave grating: dipole phase, absorption channels, transmission."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ from hypothesis import strategies as st
 
 from lightgrating import backend
 from lightgrating.grating import (
-    MAX_PHOTON_ORDER,
     ComplexPhase,
     GratingBeam,
     GridSpec,
     channel_amplitudes,
     channel_set,
-    channel_transmission,
     compute_phi,
     effective_channels,
     grating_coherence,
@@ -189,16 +188,23 @@ class TestTruncationOrder:
         phi = ComplexPhase(1.0, 0.2)
         n_max = truncation_order(phi, tail_eps=1e-10)
         # the worst-case mean photon number is at the antinode
-        assert n_max < MAX_PHOTON_ORDER
         assert scipy.stats.poisson.sf(n_max, 4.0 * phi.im) < 1e-10
 
-    def test_hard_cap(self):
-        assert truncation_order(ComplexPhase(1.0, 50.0)) == MAX_PHOTON_ORDER
+    @pytest.mark.parametrize("im", [0.2, 0.8, 50.0])
+    @pytest.mark.parametrize("tail_eps", [0.5, 1e-3, 1e-10, 1e-14, 1e-100])
+    def test_smallest_order_below_tail_eps(self, im, tail_eps):
+        # no cap (nbar = 200 needs hundreds of photon numbers), and the tail
+        # is resolved well below the 2e-16 floor of 1 - sum p_n
+        n_max = truncation_order(ComplexPhase(1.0, im), tail_eps)
+        sf = scipy.stats.poisson.sf
+        assert sf(n_max, 4.0 * im) < tail_eps <= sf(n_max - 1, 4.0 * im)
 
-    def test_cap_binds_at_tight_tolerance(self):
-        # nbar = 1.2 needs 13 channels for a 1e-10 tail; the cap trades the
-        # last ~6e-10 of probability for bounded work
-        assert truncation_order(ComplexPhase(1.0, 0.3), tail_eps=1e-10) == MAX_PHOTON_ORDER
+    @pytest.mark.parametrize("im", [0.2, 50.0])
+    def test_returns_quickly_at_tiny_tail_eps(self, im):
+        start = time.perf_counter()
+        n_max = truncation_order(ComplexPhase(1.0, im), tail_eps=1e-300)
+        assert time.perf_counter() - start < 1.0
+        assert n_max > truncation_order(ComplexPhase(1.0, im), tail_eps=1e-100)
 
     def test_looser_tolerance_needs_fewer_channels(self):
         phi = ComplexPhase(1.0, 0.4)
@@ -269,6 +275,24 @@ class TestChannelAmplitudes:
         t = channel_amplitudes(ComplexPhase(0.0, 0.0), 0, self.K, np.array([0.0, 1e-7]))
         assert np.allclose(t[0], 1.0, rtol=1e-15)
 
+    def test_conserves_probability_just_below_the_underflow_limit(self):
+        phi = ComplexPhase(1.0, 0.49 * backend.MAX_ANTINODE_LOSS)
+        t = channel_amplitudes(phi, truncation_order(phi), self.K, np.array([0.0, 1e-7]))
+        assert np.max(np.abs(np.sum(np.abs(t) ** 2, axis=0) - 1.0)) < 1e-9
+
+    def test_refuses_where_the_antinode_underflows(self, monkeypatch):
+        # C70 at 10 kW and 120 m/s: exp(-2 Im Phi) underflows at the antinode
+        phi = compute_phi(C70, GratingBeam(power=10e3), 120.0)
+        assert 2.0 * phi.im > backend.MAX_ANTINODE_LOSS
+        n_max = truncation_order(phi)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated the channel rows")
+
+        monkeypatch.setattr(backend.np, "empty", forbidden)
+        with pytest.raises(ValueError, match="underflows at the antinode"):
+            channel_amplitudes(phi, n_max, self.K, np.array([0.0]))
+
 
 class TestChannelSet:
     def test_returns_consecutive_channels(self):
@@ -282,12 +306,6 @@ class TestChannelSet:
         channels = channel_set(ComplexPhase(1.7, 0.0), HALF_PERIOD_GRID)
         assert len(channels) == 1
         assert np.allclose(np.abs(channels[0].samples), 1.0, rtol=1e-13)
-
-    def test_channel_transmission_matches_set(self):
-        phi = ComplexPhase(1.0, 0.2)
-        channels = channel_set(phi, HALF_PERIOD_GRID)
-        single = channel_transmission(phi, 2, HALF_PERIOD_GRID)
-        assert np.allclose(single.samples, channels[2].samples, rtol=1e-14)
 
     def test_pointwise_conservation_default_grid(self):
         # sum_n |t_n(x)|^2 = 1 up to the truncated Poisson tail

@@ -9,25 +9,24 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lightgrating.grating
 import lightgrating.orders
 from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
     GridSpec,
-    TransmissionChannel,
     channel_set,
     compute_phi,
     effective_channels,
+    poisson_weight,
     truncation_order,
 )
 from lightgrating.orders import (
     DEFAULT_M_MAX,
     OrderSpectrum,
-    absorbed_fraction,
+    _order_power,
+    absorbed_fractions,
     bessel_j,
     default_m_max,
-    fourier_order_amplitudes,
     incoherent_order_intensities,
     mixed_order_intensities,
     pure_phase_orders,
@@ -141,59 +140,67 @@ class TestPurePhaseOrders:
         assert 0.25 < spec.intensity(2) < 0.28
 
 
+def direct_order_power(rows, m_max):
+    """|(1/n) sum_x u(x) exp(-i m k x)|^2 over one laser period, summed term by term."""
+    n = rows.shape[-1]
+    kx = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    power = np.empty((len(rows), 2 * m_max + 1))
+    for j, u in enumerate(rows):
+        for m in range(-m_max, m_max + 1):
+            terms = (u[i] * complex(math.cos(m * kx[i]), -math.sin(m * kx[i])) for i in range(n))
+            power[j, m + m_max] = abs(sum(terms) / n) ** 2
+    return power
+
+
 class TestFourierAmplitudes:
     GRID = GridSpec(periods=2, samples_per_period=1024)
 
+    def test_matches_direct_sum_on_random_rows(self):
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+        assert np.max(np.abs(_order_power(rows, 12) - direct_order_power(rows, 12))) < 1e-13
+
     def test_uniform_transmission(self):
-        samples = np.ones(self.GRID.size, dtype=complex)
-        c = fourier_order_amplitudes(TransmissionChannel(0, samples, self.GRID), m_max=5)
-        assert c[5] == pytest.approx(1.0, rel=1e-14)
-        others = np.delete(c, 5)
-        assert np.max(np.abs(others)) < 1e-14
+        power = _order_power(np.ones((1, self.GRID.size), dtype=complex), 5)[0]
+        assert power[5] == pytest.approx(1.0, rel=1e-14)
+        assert np.max(np.delete(power, 5)) < 1e-28
 
     def test_single_harmonic(self):
         k = 2.0 * math.pi / self.GRID.wavelength
-        x = self.GRID.positions()
-        samples = np.exp(2.0j * k * x)
-        c = fourier_order_amplitudes(TransmissionChannel(0, samples, self.GRID), m_max=4)
-        assert c[4 + 2] == pytest.approx(1.0, rel=1e-13)
-        assert abs(c[4 - 2]) < 1e-14
+        power = _order_power(np.exp(2.0j * k * self.GRID.positions())[None, :], 4)[0]
+        assert power[4 + 2] == pytest.approx(1.0, rel=1e-13)
+        assert power[4 - 2] < 1e-28
 
     def test_square_wave_amplitudes(self):
         # sign(cos kx) has |c_m| = 2/(pi |m|) for odd m, 0 for even m
         k = 2.0 * math.pi / self.GRID.wavelength
-        x = self.GRID.positions()
-        samples = np.sign(np.cos(k * x)).astype(complex)
-        c = fourier_order_amplitudes(TransmissionChannel(0, samples, self.GRID), m_max=5)
+        samples = np.sign(np.cos(k * self.GRID.positions())).astype(complex)
+        power = _order_power(samples[None, :], 5)[0]
         for m in (-1, 1):
-            assert abs(c[5 + m]) == pytest.approx(2.0 / math.pi, abs=1e-5)
+            assert power[5 + m] == pytest.approx((2.0 / math.pi) ** 2, abs=1e-5)
         for m in (-3, 3):
-            assert abs(c[5 + m]) == pytest.approx(2.0 / (3.0 * math.pi), abs=1e-5)
+            assert power[5 + m] == pytest.approx((2.0 / (3.0 * math.pi)) ** 2, abs=1e-5)
         for m in (-2, 0, 2):
-            assert abs(c[5 + m]) < 1e-6
+            assert power[5 + m] < 1e-12
 
     def test_pure_phase_channel_matches_bessel(self):
         # exp(2i phi cos^2) decomposes with |c_2j| = |J_j(phi)| exactly
         phi = ComplexPhase(1.7, 0.0)
         channels = channel_set(phi, self.GRID)
-        c = fourier_order_amplitudes(channels[0], m_max=12)
+        power = _order_power(channels[0].samples[None, :], 12)[0]
         for j in range(-6, 7):
-            assert abs(c[12 + 2 * j]) == pytest.approx(
-                abs(scipy.special.jv(j, phi.re)), abs=1e-12
-            )
+            assert power[12 + 2 * j] == pytest.approx(scipy.special.jv(j, phi.re) ** 2, abs=1e-12)
 
     def test_coherent_channel_selection_rule(self):
         # the zero-photon channel is half-period periodic: odd slots vanish
         channels = channel_set(ComplexPhase(2.28, 0.386), self.GRID)
-        c = fourier_order_amplitudes(channels[0], m_max=9)
-        odd = [abs(c[9 + m]) ** 2 for m in range(-9, 10) if m % 2 != 0]
-        assert max(odd) < 1e-12
+        power = _order_power(channels[0].samples[None, :], 9)[0]
+        assert max(power[9 + m] for m in range(-9, 10) if m % 2 != 0) < 1e-12
 
     def test_odd_channel_populates_odd_slots_only(self):
         channels = channel_set(ComplexPhase(2.28, 0.386), self.GRID)
-        c = fourier_order_amplitudes(channels[1], m_max=9)
-        even = [abs(c[9 + m]) ** 2 for m in range(-9, 10) if m % 2 == 0]
-        assert max(even) < 1e-12
+        power = _order_power(channels[1].samples[None, :], 9)[0]
+        assert max(power[9 + m] for m in range(-9, 10) if m % 2 == 0) < 1e-12
 
     def test_incommensurate_window_rejected(self):
         with pytest.raises(ValueError):
@@ -206,11 +213,9 @@ class TestIncoherentSpectrum:
         assert abs(1.0 - spec.total) < 1e-10 + 1e-9
 
     def test_total_unity_c70_default(self):
-        # the 12-photon cap leaves ~2e-9 of the Poisson tail uncovered at
-        # Im(phi) = 0.386, slightly above the uncapped tail_eps + 1e-9 bound
         phi = compute_phi(C70, GratingBeam(), 120.0)
         spec = incoherent_order_intensities(phi)
-        assert abs(1.0 - spec.total) < 5e-9
+        assert abs(1.0 - spec.total) < 1e-10 + 1e-9
 
     def test_mirror_symmetry(self):
         spec = incoherent_order_intensities(ComplexPhase(2.28, 0.386))
@@ -245,11 +250,12 @@ class TestIncoherentSpectrum:
         assert odd > 0.2  # substantial absorption at this power
         assert even_from_odd_channels < 1e-12
 
-    def test_default_grid_matches_fine_grid(self):
-        fine = GridSpec(periods=2, samples_per_period=1024)
-        for phi in (ComplexPhase(1.5, 0.2), compute_phi(C70, GratingBeam(), 120.0), SLOW_C70_50W):
-            sized = incoherent_order_intensities(phi, 20)
-            reference = incoherent_order_intensities(phi, 20, grid=fine)
+    def test_default_grid_matches_fine_grid(self, monkeypatch):
+        phis = (ComplexPhase(1.5, 0.2), compute_phi(C70, GratingBeam(), 120.0), SLOW_C70_50W)
+        sized = [incoherent_order_intensities(phi, 20) for phi in phis]
+        monkeypatch.setattr(lightgrating.orders, "samples_per_laser_period", lambda *args: 2048)
+        for phi, sized in zip(phis, sized):
+            reference = incoherent_order_intensities(phi, 20)
             assert sorted(sized.per_channel) == sorted(reference.per_channel)
             for n, column in reference.per_channel.items():
                 assert np.max(np.abs(sized.per_channel[n] - column)) <= 1e-13
@@ -297,9 +303,8 @@ class TestSamplesPerLaserPeriod:
 
 class TestMixedOrderIntensities:
     @pytest.mark.parametrize("phi", [SLOW_C60, compute_phi(C60, GratingBeam(), 120.0), SLOW_C70_50W])
-    def test_matches_scale_weighted_per_channel_spectra(self, monkeypatch, phi):
+    def test_matches_scale_weighted_per_channel_spectra(self, phi):
         # the per-channel oracle needs ~40 photon channels at C70 50 W
-        monkeypatch.setattr(lightgrating.grating, "MAX_PHOTON_ORDER", 60)
         intensities, rank, dropped = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)
         reference = sum(
             w * incoherent_order_intensities(phi.scaled(float(s)), 20).intensities
@@ -318,11 +323,12 @@ class TestMixedOrderIntensities:
         doubled = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)[0]
         assert np.max(np.abs(doubled - intensities)) <= 1e-12
 
-    def test_uncapped_where_the_per_channel_spectrum_is_capped(self):
-        # the capped spectrum loses the Poisson tail beyond 12 photons
-        capped = incoherent_order_intensities(SLOW_C70_50W, 80).total
-        uncapped = mixed_order_intensities(SLOW_C70_50W, 80)[0].sum()
-        assert capped < 0.99 and abs(uncapped - 1.0) < 1e-9
+    def test_per_channel_and_mixed_totals_agree(self):
+        # ~40 photon numbers at the antinode; both keep every one of them
+        per_channel = incoherent_order_intensities(SLOW_C70_50W, 80)
+        mixed = mixed_order_intensities(SLOW_C70_50W, 80)[0].sum()
+        assert len(per_channel.per_channel) > 13
+        assert abs(per_channel.total - mixed) < 1e-9 and abs(mixed - 1.0) < 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -358,40 +364,59 @@ class TestZeroOrderNull:
 
 class TestAbsorbedFraction:
     def test_no_absorption(self):
-        assert absorbed_fraction(ComplexPhase(1.0, 0.0), 0) == pytest.approx(1.0)
-        assert absorbed_fraction(ComplexPhase(1.0, 0.0), 2) == 0.0
+        assert absorbed_fractions(ComplexPhase(1.0, 0.0), 2).tolist() == [1.0, 0.0, 0.0]
 
     def test_matches_poisson_average_oracle(self):
         # independent oracle: average scipy pmf over one standing-wave period
         phi = ComplexPhase(1.0, 0.25)
         x = (np.arange(4096) + 0.5) / 4096.0  # phase fraction of one period
         nbar = 4.0 * phi.im * np.cos(math.pi * x) ** 2
+        fractions = absorbed_fractions(phi, 3)
         for n in (0, 1, 2, 3):
             oracle = float(np.mean(scipy.stats.poisson.pmf(n, nbar)))
-            assert absorbed_fraction(phi, n) == pytest.approx(oracle, abs=1e-9)
+            assert fractions[n] == pytest.approx(oracle, abs=1e-9)
+
+    def test_matches_the_weighted_sum_of_period_averages(self):
+        # the per-n average of the summary before the one-pass table
+        phi = compute_phi(C70, GratingBeam(power=20.0), 120.0)
+        scales, weights = vertical_phi_scales(VerticalProfile(), 16)
+        n_max = truncation_order(phi)
+        theta = (np.arange(2048) + 0.5) * (math.pi / 2048)
+        expected = [
+            sum(w * float(np.mean(poisson_weight(4.0 * phi.im * s * np.cos(theta) ** 2, n)))
+                for s, w in zip(scales, weights))
+            for n in range(n_max + 1)
+        ]
+        assert np.max(np.abs(absorbed_fractions(phi, n_max, scales, weights) - expected)) < 1e-14
 
     def test_c70_two_photon_fraction(self):
         phi = compute_phi(C70, GratingBeam(), 120.0)
-        frac = absorbed_fraction(phi, 2)
-        assert frac == pytest.approx(0.13, abs=0.01)
+        assert absorbed_fractions(phi, 2)[2] == pytest.approx(0.13, abs=0.01)
 
     def test_c60_two_photon_with_vertical_averaging(self):
         phi = compute_phi(C60, GratingBeam(), 120.0)
         scales, weights = vertical_phi_scales(VerticalProfile(), 16)
-        frac = absorbed_fraction(phi, 2, vertical_scales=scales, vertical_weights=weights)
-        assert frac == pytest.approx(0.04, abs=0.02)
+        assert absorbed_fractions(phi, 2, scales, weights)[2] == pytest.approx(0.04, abs=0.02)
 
     def test_fractions_sum_to_one(self):
         phi = ComplexPhase(1.5, 0.3)
-        total = sum(absorbed_fraction(phi, n) for n in range(0, 14))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        assert absorbed_fractions(phi, 13).sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("im", [3.38, 50.0, 400.0])
+    def test_sum_within_tail_eps_at_strong_absorption(self, im):
+        # every n up to the truncation order, at and past the mean photon
+        # numbers where exp(-nbar) underflows
+        phi = ComplexPhase(1.0, im)
+        scales, weights = vertical_phi_scales(VerticalProfile(), 16)
+        fractions = absorbed_fractions(phi, truncation_order(phi), scales, weights)
+        assert np.all(np.isfinite(fractions)) and fractions.min() >= 0.0
+        assert abs(fractions.sum() - 1.0) < 1e-10
 
     def test_vertical_averaging_reduces_absorption(self):
         phi = compute_phi(C70, GratingBeam(), 120.0)
         scales, weights = vertical_phi_scales(VerticalProfile(), 16)
-        averaged = absorbed_fraction(phi, 2, vertical_scales=scales, vertical_weights=weights)
-        assert averaged < absorbed_fraction(phi, 2)
+        assert absorbed_fractions(phi, 2, scales, weights)[2] < absorbed_fractions(phi, 2)[2]
 
     def test_negative_photon_count_rejected(self):
         with pytest.raises(ValueError):
-            absorbed_fraction(ComplexPhase(1.0, 0.1), -1)
+            absorbed_fractions(ComplexPhase(1.0, 0.1), -1)
