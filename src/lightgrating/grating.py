@@ -201,9 +201,13 @@ def poisson_weight(nbar, n: int):
         out = np.exp(-nbar_arr)
     else:
         with np.errstate(divide="ignore"):
-            logp = n * np.log(nbar_arr) - nbar_arr - math.lgamma(n + 1)
-        out = np.where(nbar_arr > 0.0, np.exp(logp), 0.0)
+            out = np.where(nbar_arr > 0.0, np.exp(_log_poisson(nbar_arr, n)), 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _log_poisson(nbar, n):
+    """log(exp(-nbar) nbar^n / n!) for nbar >= 0; n an integer or integer array."""
+    return n * np.log(nbar) - nbar - np.vectorize(math.lgamma, otypes=[float])(np.add(n, 1))
 
 
 def truncation_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
@@ -221,8 +225,7 @@ def truncation_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> i
     log_eps = math.log(tail_eps)
     size = int(2.0 * nbar) + 32
     while True:
-        log_p = np.arange(size) * math.log(nbar) - nbar
-        log_p -= [math.lgamma(k + 1) for k in range(size)]
+        log_p = _log_poisson(nbar, np.arange(size))
         # past k = 2 nbar the terms at least halve, so the mass beyond the
         # last term is below it: 40 e-folds under tail_eps is negligible
         if log_p[-1] < log_eps - 40.0:

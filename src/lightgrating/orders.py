@@ -281,7 +281,5 @@ def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.
     nbar = 4.0 * phi.im * np.multiply.outer(scales, np.cos(theta) ** 2)
     # row n: the period average at each scale
     means = np.array([np.mean(poisson_weight(nbar, n), axis=-1) for n in range(n_max + 1)])
-    fractions = np.zeros(n_max + 1)
-    for weight, column in zip(weights, means.T):
-        fractions += weight * column
-    return fractions
+    # a running sum over the scales, in order
+    return sum(weight * column for weight, column in zip(weights, means.T))
