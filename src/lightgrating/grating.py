@@ -252,6 +252,18 @@ def channel_amplitudes(
     return backend.sample_channels(phi.re, phi.im, n_max, k_laser, np.asarray(x, dtype=np.float64))
 
 
+def scale_weight_arrays(scales, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The vertical ``scales`` and their ``weights`` as float arrays.
+
+    Raises ValueError unless both are 1-D, non-empty and of equal length.
+    """
+    scales = np.asarray(scales, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if scales.ndim != 1 or scales.size == 0 or scales.shape != weights.shape:
+        raise ValueError("scales and weights must be non-empty 1-D arrays of equal length")
+    return scales, weights
+
+
 def grating_coherence(
     phi: ComplexPhase,
     k_laser: float,
@@ -267,14 +279,15 @@ def grating_coherence(
         R = exp(2i Re(Phi) (c^2 - c'^2) - 2 Im(Phi) (c - c')^2),
 
     so R(x, x) = 1.  Phi is scaled by each vertical ``scales`` entry and
-    the states are averaged with ``weights``.
+    the states are averaged with ``weights``.  This is the closed form
+    that ``effective_channels`` factorizes, and the oracle its columns are
+    tested against; nothing on the run path calls it.
     """
+    scales, weights = scale_weight_arrays(scales, weights)
     c = np.cos(k_laser * np.asarray(x, dtype=np.float64))[:, None]
     c_prime = np.cos(k_laser * np.asarray(x_prime, dtype=np.float64))[None, :]
     exponent = 2j * phi.re * (c * c - c_prime * c_prime) - 2.0 * phi.im * (c - c_prime) ** 2
-    scales = np.asarray(scales, dtype=np.float64)[:, None, None]
-    weights = np.asarray(weights, dtype=np.float64)
-    return np.einsum("s,sij->ij", weights, np.exp(scales * exponent))
+    return np.einsum("s,sij->ij", weights, np.exp(scales[:, None, None] * exponent))
 
 
 def effective_channels(
@@ -288,16 +301,26 @@ def effective_channels(
     """The fewest rows u_j(x) with sum_j u_j(x) u_j(x')^* ~ the averaged grating state.
 
     Pivoted Cholesky of ``grating_coherence`` over ``x_period`` (one laser
-    period; the state repeats with it), one column per step.  It stops
-    once every residual diagonal is <= ``tail_eps``: the residual is
-    positive semidefinite, so no grating point loses more than that
-    probability.  Returns (rows of shape (rank, len(x_period)), largest
-    residual diagonal).
+    period; the state repeats with it), one column per step.  The phase
+    table P[s, x] = exp(2i s Re(Phi) c^2), c = cos(k x), is computed once;
+    the column at pivot p is then
+
+        sum_s w_s P[s, p]^* P[s, x] exp(-2 s Im(Phi) (c - c_p)^2),
+
+    one real exp per (scale, point) whose argument is <= 0, so it cannot
+    overflow at any Phi.  It stops once every residual diagonal is <=
+    ``tail_eps``: the residual is positive semidefinite, so no grating
+    point loses more than that probability.  Returns (rows of shape
+    (rank, len(x_period)), largest residual diagonal).
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")
+    scales, weights = scale_weight_arrays(scales, weights)
     x = np.asarray(x_period, dtype=np.float64)
     n = x.size
+    c = np.cos(k_laser * x)
+    phase = np.exp(2j * phi.re * np.multiply.outer(scales, c * c))
+    damping = -2.0 * phi.im * scales[:, None]
     rows = np.empty((min(n, 32), n), dtype=np.complex128)
     residual = np.full(n, float(np.sum(weights)))
     rank = 0
@@ -307,8 +330,9 @@ def effective_channels(
             break
         if rank == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(rank, n - rank), n), dtype=np.complex128)])
-        column = grating_coherence(phi, k_laser, x, x[pivot : pivot + 1], scales, weights)[:, 0]
+        damped = np.exp(damping * (c - c[pivot]) ** 2)
         # einsum, not BLAS: no thread pool to contend with the workers
+        column = np.einsum("s,sx,sx->x", weights * phase[:, pivot].conj(), phase, damped)
         column -= np.einsum("jx,j->x", rows[:rank], rows[:rank, pivot].conj())
         rows[rank] = column / math.sqrt(residual[pivot])
         residual -= rows[rank].real ** 2 + rows[rank].imag ** 2

@@ -23,6 +23,7 @@ from .grating import (
     channel_amplitudes,
     effective_channels,
     poisson_weight,
+    scale_weight_arrays,
     truncation_order,
 )
 
@@ -272,10 +273,7 @@ def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    scales = np.asarray(scales, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if scales.shape != weights.shape:
-        raise ValueError("scales and weights must have matching shapes")
+    scales, weights = scale_weight_arrays(scales, weights)
     weights = weights / weights.sum()
     theta = (np.arange(_HALF_PERIOD_SAMPLES) + 0.5) * (0.5 * math.pi / _HALF_PERIOD_SAMPLES)
     nbar = 4.0 * phi.im * np.multiply.outer(scales, np.cos(theta) ** 2)

@@ -369,14 +369,79 @@ class TestGratingCoherence:
         )
         assert np.allclose(averaged, expected, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n_scales, n_weights", [(3, 1), (1, 2), (2, 3)])
+    def test_rejects_mismatched_scales_and_weights(self, n_scales, n_weights):
+        with pytest.raises(ValueError):
+            grating_coherence(
+                ComplexPhase(1.3, 0.4),
+                K_LASER,
+                LASER_PERIOD_X,
+                LASER_PERIOD_X,
+                SCALES[:n_scales],
+                SCALE_WEIGHTS[:n_weights],
+            )
+
+
+def reference_channels(phi, x, scales, weights, tail_eps):
+    """Pivoted Cholesky with every column taken from ``grating_coherence``.
+
+    Returns (rows, pivots, largest residual diagonal).
+    """
+    n = x.size
+    rows = np.zeros((n, n), dtype=np.complex128)
+    residual = np.full(n, float(np.sum(weights)))
+    pivots = []
+    while len(pivots) < n:
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= tail_eps:
+            break
+        rank = len(pivots)
+        column = grating_coherence(phi, K_LASER, x, x[pivot : pivot + 1], scales, weights)[:, 0]
+        column -= np.einsum("jx,j->x", rows[:rank], rows[:rank, pivot].conj())
+        rows[rank] = column / math.sqrt(residual[pivot])
+        residual -= rows[rank].real ** 2 + rows[rank].imag ** 2
+        pivots.append(pivot)
+    return rows[: len(pivots)], pivots, max(float(residual.max()), 0.0)
+
+
+def replayed_pivots(rows, total_weight):
+    """The pivot each row of ``effective_channels`` was taken at: the residual argmax."""
+    residual = np.full(rows.shape[1], total_weight)
+    pivots = []
+    for row in rows:
+        pivots.append(int(np.argmax(residual)))
+        residual -= row.real ** 2 + row.imag ** 2
+    return pivots
+
+
+def unmirrored(pivots, n):
+    """Pivot indices up to the mirror x -> -x of the grid.
+
+    R depends on x only through cos(k x), so a point and its mirror image
+    have the same column and the same residual: either may be the pivot,
+    as rounding decides, and the rows do not change.
+    """
+    return [min(p, n - 1 - p) for p in pivots]
+
 
 class TestEffectiveChannels:
     @pytest.mark.parametrize("tail_eps", [1e-4, 1e-10])
-    @pytest.mark.parametrize("phi", [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5)])
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            ComplexPhase(1.3, 0.4),
+            ComplexPhase(12.0, 3.5),
+            ComplexPhase(5.0, 150.0),
+            ComplexPhase(5.0, 250.0),
+            ComplexPhase(60.0, 40.0),
+        ],
+    )
     def test_residual_bounded_by_tail(self, phi, tail_eps):
-        rows, dropped = effective_channels(
-            phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, tail_eps
-        )
+        # a damping factor underflowing to 0 is exact; an overflow or a nan is not
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            rows, dropped = effective_channels(
+                phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, tail_eps
+            )
         state = grating_coherence(
             phi, K_LASER, LASER_PERIOD_X, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
         )
@@ -412,6 +477,40 @@ class TestEffectiveChannels:
     def test_rejects_non_positive_tail(self):
         with pytest.raises(ValueError):
             effective_channels(ComplexPhase(1.0, 0.1), K_LASER, LASER_PERIOD_X, [1.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("n_scales, n_weights", [(3, 1), (1, 2), (2, 3)])
+    def test_rejects_mismatched_scales_and_weights(self, n_scales, n_weights):
+        with pytest.raises(ValueError):
+            effective_channels(
+                ComplexPhase(1.3, 0.4),
+                K_LASER,
+                LASER_PERIOD_X,
+                SCALES[:n_scales],
+                SCALE_WEIGHTS[:n_weights],
+            )
+
+    @pytest.mark.parametrize(
+        "phi", [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5), ComplexPhase(60.0, 40.0)]
+    )
+    def test_matches_cholesky_of_closed_form_columns(self, phi):
+        rows, dropped = effective_channels(phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS)
+        expected, pivots, expected_dropped = reference_channels(
+            phi, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-10
+        )
+        assert rows.shape == expected.shape
+        assert dropped == pytest.approx(expected_dropped, abs=1e-14)
+        state = rows.T @ rows.conj()
+        assert np.max(np.abs(state - expected.T @ expected.conj())) < 1e-13
+        # Row j is divided by the square root of its pivot residual d_j, so it
+        # carries the rounding of its column over sqrt(d_j): compare rows and
+        # pivots while d_j > 1e-5.  Past that, rounding may break a tie of
+        # two pivots the other way, which changes the rows but not the state.
+        n = LASER_PERIOD_X.size
+        pivot_residual = np.array([expected[j, p].real ** 2 for j, p in enumerate(pivots)])
+        steps = int(np.sum(pivot_residual > 1e-5))
+        pivots_found = replayed_pivots(rows, float(np.sum(SCALE_WEIGHTS)))
+        assert unmirrored(pivots_found[:steps], n) == unmirrored(pivots[:steps], n)
+        assert np.max(np.abs(rows[:steps] - expected[:steps])) < 1e-12
 
 
 class TestRamanNathDiagnostic:
