@@ -10,7 +10,12 @@ autocorrelation by a phase; so the incoherent average over the source
 nodes is one kernel on the lags of that single-source intensity, exact
 for the midpoint source rule.  This equals the channel-by-channel,
 source-by-source quadrature of ``point_source_pattern`` up to the
-probability the rows drop (at most ``tail_eps`` per grating point).
+probability the rows drop (at most ``tail_eps`` per grating point).  The
+autocorrelation of N grating samples has 2N - 1 lags, so the row batch
+runs at next_pow2(2N - 1) points whatever ``numerics.pad_factor`` is; the
+padding sets only the output bins, one transform of the folded lags per
+velocity.  The grid resolves the orders |m| < ``numerics.samples_per_period``,
+and a run warns when the grating state may put more than 1% beyond them.
 Orders mode projects the same effective rows onto the diffraction orders
 (``orders.mixed_order_intensities``, one factorization per velocity, no
 photon cap) and places each order's weight on the geometric shadow
@@ -38,7 +43,7 @@ from .grating import (
     compute_phi,
     effective_channels,
 )
-from .orders import mixed_order_intensities
+from .orders import mixed_order_intensities, tail_order
 from .propagation import next_pow2, propagate_spectral
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
@@ -276,7 +281,9 @@ def _wave_velocity_slice(
     # point then contributes only a linear phase ramp.  Constant phases
     # drop out of |psi|^2.
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
-    fields = np.tile(rows, (1, grid.size // laser_period)) * base
+    # each row repeats over the laser periods of the window
+    fields = rows[:, None, :] * base.reshape(-1, laser_period)
+    fields = fields.reshape(rows.shape[0], grid.size)
 
     # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
     # that of the slit alone; what the effective rows drop shows as a loss.
@@ -287,22 +294,25 @@ def _wave_velocity_slice(
     # Source point s adds the ramp exp(-i (k/L12) s x), which multiplies lag
     # d of the field autocorrelation by exp(-i (k/L12) s spacing d).  The
     # incoherent source average is therefore one kernel on the lags of the
-    # single-source intensity.  The autocorrelation spans |d| < grid.size,
-    # so n_lag >= 2 grid.size - 1 keeps it from wrapping, and every n_fft
-    # bin is a bin of the finer n_lag spectrum.
-    n_lag = max(n_fft, next_pow2(2 * grid.size - 1))
+    # single-source intensity.  The autocorrelation A(d) spans |d| < grid.size,
+    # so the rows are transformed at n_lag = next_pow2(2 grid.size - 1), where
+    # A does not wrap, whatever pad_factor is.  The averaged lags then fold
+    # onto the output grid at d mod n_fft (terms add only when n_fft <
+    # 2 grid.size - 1), and one n_fft transform gives the output bins: the
+    # same sum_d A(d) c[d] exp(-2 pi i f d / n_fft) at any n_fft.
+    n_lag = next_pow2(2 * grid.size - 1)
     single = np.zeros(n_lag)
     backend.accumulate_weighted_abs2(np.fft.fft(fields, n=n_lag, axis=-1), 1.0, single)
-    lags = np.fft.fftfreq(n_lag, 1.0 / n_lag)
-    live = np.abs(lags) < grid.size
-    kernel = np.zeros(n_lag, dtype=np.complex128)
-    kernel[live] = np.einsum(
-        "s,sd->d",
-        src_weights,
-        np.exp(-1j * (k / geom.L12) * spacing * np.multiply.outer(src_nodes, lags[live])),
+    # c[d] for d >= 0; the weights are real, so c[-d] = conj(c[d])
+    ramp = -1j * (k / geom.L12) * spacing
+    kernel = np.einsum(
+        "s,sd->d", src_weights, np.exp(ramp * np.multiply.outer(src_nodes, np.arange(grid.size)))
     )
-    averaged = np.fft.fft(np.fft.ifft(single) * kernel)
-    intensity = np.fft.fftshift(averaged.real[:: n_lag // n_fft] * out_scale)
+    kernel = np.concatenate([kernel[:0:-1].conj(), kernel])
+    lags = np.arange(1 - grid.size, grid.size)
+    folded = np.zeros(n_fft, dtype=np.complex128)
+    np.add.at(folded, lags % n_fft, np.fft.ifft(single)[lags] * kernel)
+    intensity = np.fft.fftshift(np.fft.fft(folded).real * out_scale)
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     total = float(intensity.sum() * out_spacing)
@@ -408,7 +418,22 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
             return phi, placed, probability, v_weight, n_channels, dropped
 
     else:
-        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        spp = cfg.numerics.samples_per_period
+        # The grid holds 2 spp samples per laser period, so orders |m| >= spp
+        # fold back into the pattern; the slowest node at the largest
+        # vertical scale carries the strongest grating.
+        slowest = float(v_nodes.min())
+        strongest = compute_phi(cfg.species, cfg.beam, slowest).scaled(float(scales.max()))
+        bound = tail_order(strongest, 0.01)
+        if bound >= spp:
+            warnings.warn(
+                f"the wave grid resolves orders |m| < numerics.samples_per_period = {spp}, "
+                f"but at {slowest:.1f} m/s the grating state is bounded below 1% only beyond "
+                f"|m| = {bound}; more than 1% may alias into the pattern, raise "
+                "numerics.samples_per_period",
+                stacklevel=3,
+            )
+        grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
         src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
         metadata["grating_samples"] = grid.size
         metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)

@@ -256,6 +256,26 @@ class TestEnsembleWaveMode:
         rms = math.sqrt(float(np.mean((coarse.intensity - fine.intensity) ** 2)))
         assert rms / scale < 0.005
 
+    def test_warns_when_grid_aliases_grating_orders(self):
+        # C60 at 100 W: the 1% tail bound at the slowest node is |m| = 86,
+        # beyond the orders |m| < 64 that 64 samples per period resolve
+        strong = replace(SimulationConfig(), beam=GratingBeam(power=100.0))
+        with pytest.warns(UserWarning, match=r"numerics\.samples_per_period = 64"):
+            ensemble_pattern(strong)
+        finer = replace(strong, numerics=replace(strong.numerics, samples_per_period=128))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ensemble_pattern(finer)
+
+    @pytest.mark.parametrize(
+        "species, power", [(C60, 9.5), (C70, 50.0)], ids=["c60-default", "c70-50W"]
+    )
+    def test_no_aliasing_warning_at_paper_powers(self, species, power):
+        cfg = replace(SimulationConfig(), species=species, beam=GratingBeam(power=power))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ensemble_pattern(cfg)
+
     def test_scaling_law_half_velocity(self):
         # halving the velocity doubles both the phase and the peak spacing
         slow_beam = VelocityDistribution(v_peak=60.0)
@@ -320,17 +340,29 @@ def per_source_loop_slice(cfg, velocity, grid, mask, scales, scale_weights, src_
 
 
 class CountingNumpy:
-    """Stands in for ``np`` inside a module and counts its calls into ``np.fft``."""
+    """Stands in for ``np`` inside a module and counts its calls into ``np.fft``.
+
+    ``transforms`` lists (name, length) of every one-dimensional transform
+    in call order: the ``n`` it was asked for, else the length of its axis.
+    """
+
+    TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
 
     def __init__(self):
         self.fft_calls = 0
+        self.transforms = []
         self.fft = SimpleNamespace(
-            **{name: self._counted(getattr(np.fft, name)) for name in np.fft.__all__}
+            **{name: self._counted(name, getattr(np.fft, name)) for name in np.fft.__all__}
         )
 
-    def _counted(self, func):
+    def _counted(self, name, func):
         def counted(*args, **kwargs):
             self.fft_calls += 1
+            if name in self.TRANSFORMS:
+                length = kwargs.get("n", args[1] if len(args) > 1 else None)
+                if length is None:
+                    length = np.shape(args[0])[kwargs.get("axis", -1)]
+                self.transforms.append((name, length))
             return func(*args, **kwargs)
 
         return counted
@@ -343,8 +375,9 @@ class TestWaveVelocitySlice:
     # asymmetric nodes and weights: a sign error in the source ramp shows
     SOURCES = np.array([-3.1e-6, -0.4e-6, 2.2e-6])
     SOURCE_WEIGHTS = np.array([0.5, 0.2, 0.3])
-    # pad 1 leaves n_fft below the 2 N - 1 lags of the field autocorrelation
-    PAD_FACTORS = (1, 2, 4)
+    # pad 1 leaves n_fft below the 2 N - 1 lags of the field autocorrelation,
+    # pad 2 makes it the lag length, pad 8 puts it above
+    PAD_FACTORS = (1, 2, 4, 8)
 
     def check_against_oracle(self, cfg, velocity, vertical_nodes):
         scales, scale_weights = vertical_phi_scales(cfg.vertical, vertical_nodes)
@@ -385,12 +418,21 @@ class TestWaveVelocitySlice:
         assert lightgrating.grating.truncation_order(phi, cfg.numerics.tail_eps) > 12
 
     @pytest.mark.parametrize(
-        "species, power, source_nodes",
-        [(C60, 9.5, 16), (C70, 50.0, 4)],
-        ids=["c60-default", "c70-50W-4-sources"],
+        "species, power, source_nodes, pad_factor",
+        [
+            pytest.param(species, power, nodes, pad, id=name if pad == 4 else f"{name}-pad{pad}")
+            for pad in PAD_FACTORS
+            for name, species, power, nodes in (
+                ("c60-default", C60, 9.5, 16),
+                ("c70-50W-4-sources", C70, 50.0, 4),
+            )
+        ],
     )
-    def test_lag_domain_average_matches_per_source_loop(self, species, power, source_nodes):
+    def test_lag_domain_average_matches_per_source_loop(
+        self, species, power, source_nodes, pad_factor
+    ):
         cfg = replace(SimulationConfig(), species=species, beam=GratingBeam(power=power))
+        cfg = replace(cfg, numerics=replace(cfg.numerics, pad_factor=pad_factor))
         slowest = float(velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0][0])
         scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
         grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
@@ -411,6 +453,21 @@ class TestWaveVelocitySlice:
             assert counting.fft_calls > 0 and counting.fft_calls % 4 == 0
             calls_per_velocity[source_nodes] = counting.fft_calls // 4
         assert calls_per_velocity[1] == calls_per_velocity[16]
+
+    @pytest.mark.parametrize("pad_factor", PAD_FACTORS)
+    def test_rows_transformed_at_lag_length(self, monkeypatch, pad_factor):
+        # the row batch and the ifft run at the autocorrelation length
+        # whatever pad_factor is; only the last transform is n_fft long
+        cfg = fast_config()
+        cfg = replace(cfg, numerics=replace(cfg.numerics, pad_factor=pad_factor))
+        grid, _ = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        n_lag = next_pow2(2 * grid.size - 1)
+        n_fft = next_pow2(grid.size * pad_factor)
+        counting = CountingNumpy()
+        monkeypatch.setattr(lightgrating.beamline, "np", counting)
+        ensemble_pattern(cfg)
+        per_velocity = [("fft", n_lag), ("ifft", n_lag), ("fft", n_fft)]
+        assert counting.transforms == per_velocity * cfg.quadrature.velocity_nodes
 
     def test_wave_mode_uses_no_photon_channel(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -623,6 +680,15 @@ class TestEnsembleOrdersMode:
         mo = pattern_metrics(orders, slot).efficiencies
         for m in set(mw) & set(mo):
             assert abs(mw[m] - mo[m]) < 0.05
+
+    def test_agrees_with_wave_mode_on_total_probability(self):
+        # C70 at 50 W with every order up to |m| = 80 kept: both modes lose
+        # only what the effective rows drop
+        cfg = replace(SimulationConfig(), species=C70, beam=GratingBeam(power=50.0))
+        cfg = replace(cfg, numerics=replace(cfg.numerics, m_max=80))
+        wave = ensemble_pattern(cfg).metadata["total_probability"]
+        orders = ensemble_pattern(replace(cfg, run=replace(cfg.run, mode="orders")))
+        assert abs(wave - orders.metadata["total_probability"]) <= 1e-9
 
 
 class TestConvergenceCheck:
