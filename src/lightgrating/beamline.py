@@ -3,24 +3,27 @@
 Wave mode sums the absorption channels and the vertical positions in
 closed form: per velocity, the grating is the mixed state of
 ``grating.grating_coherence``, compressed by ``grating.effective_channels``
-into the few field rows it needs.  The rows are Fresnel-propagated in one
-FFT batch per velocity and their intensities add.  A source point only
-adds a linear phase ramp, which multiplies each lag of the field
-autocorrelation by a phase; so the incoherent average over the source
-nodes is one kernel on the lags of that single-source intensity, exact
-for the midpoint source rule.  This equals the channel-by-channel,
-source-by-source quadrature of ``point_source_pattern`` up to the
-probability the rows drop (at most ``tail_eps`` per grating point).  The
-autocorrelation of N grating samples has 2N - 1 lags, so the row batch
-runs at next_pow2(2N - 1) points whatever ``numerics.pad_factor`` is; the
-padding sets only the output bins, one transform of the folded lags per
-velocity.  The grid resolves the orders |m| < ``numerics.samples_per_period``,
-and a run warns when the grating state may put more than 1% beyond them.
-Orders mode projects the same effective rows onto the diffraction orders
-(``orders.mixed_order_intensities``, one factorization per velocity, no
-photon cap) and places each order's weight on the geometric shadow
-envelope instead of propagating; it is faster and serves as the
-cross-check of the wave pipeline's propagation.
+into the few field rows it needs.  One call factorizes the states of all
+velocity nodes of a run, before the worker threads start; the workers
+only propagate.  The rows of each velocity are Fresnel-propagated in one
+FFT batch and their intensities add.  A source point only adds a linear
+phase ramp, which multiplies each lag of the field autocorrelation by a
+phase; so the incoherent average over the source nodes is one kernel on
+the lags of that single-source intensity, exact for the midpoint source
+rule.  This equals the channel-by-channel, source-by-source quadrature of
+``point_source_pattern`` up to the probability the rows drop (at most
+``tail_eps`` per grating point).  The autocorrelation of N grating samples
+has 2N - 1 lags, so the row batch runs at next_pow2(2N - 1) points
+whatever ``numerics.pad_factor`` is; the padding sets only the output
+bins, one transform of the folded lags per velocity.  The grid resolves
+the orders |m| < ``numerics.samples_per_period``, and a run warns when the
+grating state may put more than 1% beyond them.  Orders mode projects the
+same effective rows onto the diffraction orders
+(``orders.mixed_order_spectra``: one factorization of all velocity nodes
+on one grid, sized by the slowest node; no photon cap) and places each
+order's weight on the geometric shadow envelope instead of propagating;
+it is faster and serves as the cross-check of the wave pipeline's
+propagation.
 """
 
 from __future__ import annotations
@@ -36,14 +39,13 @@ import numpy as np
 from . import backend
 from .distributions import detector_kernel, velocity_quadrature, vertical_phi_scales
 from .grating import (
-    ComplexPhase,
     GratingBeam,
     GridSpec,
     TransmissionChannel,
     compute_phi,
     effective_channels,
 )
-from .orders import mixed_order_intensities, tail_order
+from .orders import mixed_order_spectra, tail_order
 from .propagation import next_pow2, propagate_spectral
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
@@ -249,33 +251,28 @@ def _wave_velocity_slice(
     velocity: float,
     grid: GridSpec,
     mask: np.ndarray,
-    scales: np.ndarray,
-    scale_weights: np.ndarray,
+    rows: np.ndarray,
     src_nodes: np.ndarray,
     src_weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, ComplexPhase, float, float, int, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One velocity node of the wave-mode ensemble.
 
-    Returns (native positions, native intensity, phi, input power,
-    in-span fraction, effective channel count, dropped probability).
-    Pure function of its arguments; safe to run on a worker thread.
+    ``rows`` are the node's effective grating rows over one laser period
+    (``grating.effective_channels``).  The photon channels and vertical
+    scales enter only through their summed grating state, which repeats
+    with the laser period (the window holds a whole number of them); the
+    rows reproduce it on every period.  Returns (native positions, native
+    intensity, input power, in-span fraction).  Pure function of its
+    arguments; safe to run on a worker thread.
     """
     geom = cfg.geometry
-    beam = cfg.beam
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
-    phi = compute_phi(cfg.species, beam, velocity)
     x = grid.positions()
     spacing = grid.spacing
     n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
-
-    # The photon channels and vertical scales enter only through their
-    # summed grating state, which repeats with the laser period (the window
-    # holds a whole number of them); a few effective rows reproduce it.
     laser_period = 2 * grid.samples_per_period
-    rows, dropped = effective_channels(
-        phi, beam.k_laser, x[:laser_period], scales, scale_weights, cfg.numerics.tail_eps
-    )
+
     # Quadratic phases of the incoming cylindrical wave (L12) and of the
     # outgoing Fresnel kernel (L2D) combine into one chirp; each source
     # point then contributes only a linear phase ramp.  Constant phases
@@ -318,7 +315,7 @@ def _wave_velocity_slice(
     total = float(intensity.sum() * out_spacing)
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
     coverage = float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
-    return x_native, intensity, phi, power_in, coverage, rows.shape[0], dropped
+    return x_native, intensity, power_in, coverage
 
 
 def _finalize(
@@ -401,21 +398,22 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
         "phi_im": phi_peak.im,
     }
 
-    # Each velocity node gives (phi, its weighted share of the common-grid
-    # intensity, of the probability and of the scan coverage, effective
-    # channel count, dropped probability).
+    # Every velocity node's grating state is factorized in one batch here,
+    # before the workers start.  Each node then gives its weighted share of
+    # the common-grid intensity, of the probability and of the scan coverage.
+    velocities = v_nodes.tolist()
+    phis = [compute_phi(cfg.species, cfg.beam, velocity) for velocity in velocities]
     if cfg.run.mode == "orders":
         orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
+        per_node, n_channels, dropped = mixed_order_spectra(
+            phis, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
+        )
 
-        def run_slice(velocity: float, v_weight: float):
-            phi = compute_phi(cfg.species, cfg.beam, velocity)
-            slot_weights, n_channels, dropped = mixed_order_intensities(
-                phi, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
-            )
+        def run_slice(velocity: float, v_weight: float, slot_weights: np.ndarray):
             slot = order_slot_spacing(cfg.species, velocity, cfg.beam, cfg.geometry)
             placed = _envelope_sum(cfg.geometry, common_x, orders * slot, v_weight * slot_weights)
             probability = v_weight * float(slot_weights.sum())
-            return phi, placed, probability, v_weight, n_channels, dropped
+            return placed, probability, v_weight
 
     else:
         spp = cfg.numerics.samples_per_period
@@ -437,38 +435,33 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
         src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
         metadata["grating_samples"] = grid.size
         metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
+        per_node, dropped = effective_channels(
+            phis, spp, scales, scale_weights, cfg.numerics.tail_eps
+        )
+        n_channels = [rows.shape[0] for rows in per_node]
 
-        def run_slice(velocity: float, v_weight: float):
-            x_native, intensity, phi, power_in, in_span, n_channels, dropped = _wave_velocity_slice(
-                cfg, velocity, grid, mask, scales, scale_weights, src_nodes, src_weights
+        def run_slice(velocity: float, v_weight: float, rows: np.ndarray):
+            x_native, intensity, power_in, in_span = _wave_velocity_slice(
+                cfg, velocity, grid, mask, rows, src_nodes, src_weights
             )
             placed = v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0)
             spacing_native = float(x_native[1] - x_native[0])
             probability = v_weight * float(intensity.sum() * spacing_native) / power_in
-            return phi, placed, probability, v_weight * in_span, n_channels, dropped
+            return placed, probability, v_weight * in_span
 
-    velocities = v_nodes.tolist()
     if cfg.run.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.run.workers) as pool:
-            slices = list(pool.map(run_slice, velocities, v_weights.tolist()))
+            slices = list(pool.map(run_slice, velocities, v_weights.tolist(), per_node))
     else:
-        slices = list(map(run_slice, velocities, v_weights.tolist()))
+        slices = list(map(run_slice, velocities, v_weights.tolist(), per_node))
 
     accumulated = np.zeros_like(common_x)
-    phi_per_velocity = []
-    channels_per_velocity = []
-    dropped_probability = 0.0
     total_probability = 0.0
     coverage = 0.0
-    for velocity, (phi, placed, probability, in_span, n_channels, dropped) in zip(
-        velocities, slices
-    ):
+    for placed, probability, in_span in slices:
         accumulated += placed
         total_probability += probability
         coverage += in_span
-        phi_per_velocity.append([velocity, phi.re, phi.im])
-        channels_per_velocity.append(n_channels)
-        dropped_probability = max(dropped_probability, dropped)
     if cfg.run.mode == "orders":
         # _finalize renormalizes the pattern, so mass in the orders beyond
         # m_max would otherwise vanish from it without a trace
@@ -479,9 +472,9 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
                 "of the molecules; raise numerics.m_max",
                 stacklevel=3,
             )
-    metadata["phi_per_velocity"] = phi_per_velocity
-    metadata["channels_per_velocity"] = channels_per_velocity
-    metadata["dropped_probability"] = dropped_probability
+    metadata["phi_per_velocity"] = [[v, phi.re, phi.im] for v, phi in zip(velocities, phis)]
+    metadata["channels_per_velocity"] = n_channels
+    metadata["dropped_probability"] = float(dropped.max())
     metadata["total_probability"] = total_probability
     metadata["scan_coverage"] = coverage
     return _finalize(cfg, common_x, accumulated, metadata)

@@ -7,6 +7,7 @@ Monte Carlo — so downstream ensemble averages are bit-reproducible.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import numpy as np
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Quadrature windows span this many FWHM either side of the centre.
 SPAN_FWHM = 2.5
+# The Gaussian velocity rule starts no lower than this share of v_peak.
+VELOCITY_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,10 @@ def velocity_quadrature(
     """Deterministic nodes and unit-sum weights over the velocity spread.
 
     Gaussian shape: midpoint cells spanning +-2.5 FWHM around v_peak,
-    truncated at v > 0, weighted by the distribution value.  Histogram
+    weighted by the distribution value.  The span starts no lower than
+    ``VELOCITY_FLOOR`` * v_peak, and a warning says so when that floor cuts
+    it (``fwhm_ratio`` >= 0.4): the grating phase grows as 1/v, so the
+    slowest nodes then carry the strongest gratings of the run.  Histogram
     shape: the tabulated rows are the rule and ``n_nodes`` is ignored.
     """
     if n_nodes < 1:
@@ -95,7 +101,16 @@ def velocity_quadrature(
         weights = np.asarray(dist.histogram[1], dtype=np.float64)
         return nodes, weights / weights.sum()
     half_span = SPAN_FWHM * dist.fwhm_ratio * dist.v_peak
-    lo = max(dist.v_peak - half_span, 1e-3 * dist.v_peak)
+    floor = VELOCITY_FLOOR * dist.v_peak
+    if dist.v_peak - half_span < floor:
+        warnings.warn(
+            f"velocity.fwhm_ratio = {dist.fwhm_ratio:g}: the quadrature spans "
+            f"+-{SPAN_FWHM:g} FWHM down to {dist.v_peak - half_span:.3g} m/s, but starts at "
+            f"the floor {floor:.3g} m/s; its slowest nodes see a grating up to "
+            f"{1.0 / VELOCITY_FLOOR:.0f} times stronger than at v_peak",
+            stacklevel=2,
+        )
+    lo = max(dist.v_peak - half_span, floor)
     hi = dist.v_peak + half_span
     nodes = _midpoint_cells(lo, hi, n_nodes)
     sigma = dist.fwhm_ratio * dist.v_peak / FWHM_TO_SIGMA

@@ -16,6 +16,7 @@ holds for a given configuration.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,53 +292,109 @@ def grating_coherence(
 
 
 def effective_channels(
-    phi: ComplexPhase,
-    k_laser: float,
-    x_period: np.ndarray,
+    phis: Sequence[ComplexPhase],
+    samples_per_period: int,
     scales,
     weights,
     tail_eps: float = DEFAULT_TAIL_EPS,
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The fewest rows u_j(x) with sum_j u_j(x) u_j(x')^* ~ the averaged grating state.
 
-    Pivoted Cholesky of ``grating_coherence`` over ``x_period`` (one laser
-    period; the state repeats with it), one column per step.  The phase
-    table P[s, x] = exp(2i s Re(Phi) c^2), c = cos(k x), is computed once;
-    the column at pivot p is then
+    Factorizes ``grating_coherence`` for every phase in ``phis`` at once,
+    by one pivoted Cholesky with a leading phase axis.  The rows live on
+    the canonical laser period ``GridSpec(2, samples_per_period)``: 2 spp
+    midpoints x_i with c_i = cos(k x_i); the state repeats with that period.
 
-        sum_s w_s P[s, p]^* P[s, x] exp(-2 s Im(Phi) (c - c_p)^2),
+    R depends on x only through c, and R(-c, -c') = R(c, c').  The 2 spp
+    points take only spp/2 values a = |c|, so the state splits into an even
+    block E(a, a') = [R(a, a') + R(a, -a')]/2 and an odd block O(a, a') =
+    [R(a, a') - R(a, -a')]/2, with R(s a, s' a') = E + s s' O for signs s,
+    s'.  The phase table P[s, a] = exp(2i s Re(Phi) a^2) is computed once;
+    the column of a block at pivot a_p is then
 
-    one real exp per (scale, point) whose argument is <= 0, so it cannot
-    overflow at any Phi.  It stops once every residual diagonal is <=
-    ``tail_eps``: the residual is positive semidefinite, so no grating
-    point loses more than that probability.  Returns (rows of shape
-    (rank, len(x_period)), largest residual diagonal).
+        sum_s w_s P[s, a_p]^* P[s, a] [exp(-2 s Im(Phi) (a - a_p)^2)
+                                        +- exp(-2 s Im(Phi) (a + a_p)^2)] / 2,
+
+    two real exps per (scale, point) whose arguments are <= 0, so they
+    cannot overflow at any Phi.  Each step pivots at the point of largest
+    full residual diagonal (even plus odd), in the block that holds the
+    larger share of it, and a phase stops once every full residual diagonal
+    is <= ``tail_eps``: the residual is positive semidefinite, so no grating
+    point loses more than that probability.  An even row is v(|c|) and an
+    odd one sign(c) v(|c|) over the period; negating every c flips the sign
+    of odd rows only, which leaves the state unchanged, so the rows serve
+    any whole laser period of a midpoint grid.
+
+    Returns (rows of shape (rank, 2 spp) for each phase, in the order of
+    ``phis``; the largest residual diagonal of each phase).
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")
     scales, weights = scale_weight_arrays(scales, weights)
-    x = np.asarray(x_period, dtype=np.float64)
-    n = x.size
-    c = np.cos(k_laser * x)
-    phase = np.exp(2j * phi.re * np.multiply.outer(scales, c * c))
-    damping = -2.0 * phi.im * scales[:, None]
-    rows = np.empty((min(n, 32), n), dtype=np.complex128)
-    residual = np.full(n, float(np.sum(weights)))
+    spp = GridSpec(samples_per_period=samples_per_period).samples_per_period  # validated
+    n_points = spp // 2
+    # the canonical period has k x_i = pi (i + 1/2)/spp - pi; point i has
+    # |c_i| = a[fold[i]] and c_i = sign[i] |c_i|
+    a = np.cos(np.pi * (np.arange(n_points) + 0.5) / spp)
+    within_half = np.arange(2 * spp) % spp
+    fold = np.minimum(within_half, spp - 1 - within_half)
+    sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
+
+    re = np.array([phi.re for phi in phis], dtype=np.float64)
+    im = np.array([phi.im for phi in phis], dtype=np.float64)
+    phase = np.exp(2j * np.multiply.outer(np.multiply.outer(re, scales), a * a))
+    damping = -2.0 * np.multiply.outer(im, scales)[:, :, None]
+    # the full residual diagonal and its odd share O(a, a); the even share
+    # is their difference
+    full = np.full((len(phis), n_points), float(np.sum(weights)))
+    odd = np.einsum("s,vsj->vj", -0.5 * weights, np.expm1(4.0 * damping * a * a))
+
+    out_rows = [np.empty((0, 2 * spp), dtype=np.complex128)] * len(phis)
+    dropped = np.zeros(len(phis))
+    live = np.arange(len(phis))  # the phases still factorizing
+    rows = np.empty((len(phis), min(2 * n_points, 32), n_points), dtype=np.complex128)
+    odd_row = np.empty(rows.shape[:2], dtype=bool)
     rank = 0
-    while rank < n:
-        pivot = int(np.argmax(residual))
-        if residual[pivot] <= tail_eps:
+    while True:
+        pivot = np.argmax(full, axis=1)
+        at = np.arange(live.size)
+        done = (full[at, pivot] <= tail_eps) | (rank == 2 * n_points)
+        for v in np.flatnonzero(done):
+            # even rows v(|c|), odd rows sign(c) v(|c|)
+            signs = np.where(odd_row[v, :rank, None], sign, 1.0)
+            out_rows[live[v]] = rows[v, :rank][:, fold] * signs
+            dropped[live[v]] = max(float(full[v].max()), 0.0)
+        if done.all():
             break
-        if rank == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty((min(rank, n - rank), n), dtype=np.complex128)])
-        damped = np.exp(damping * (c - c[pivot]) ** 2)
-        # einsum, not BLAS: no thread pool to contend with the workers
-        column = np.einsum("s,sx,sx->x", weights * phase[:, pivot].conj(), phase, damped)
-        column -= np.einsum("jx,j->x", rows[:rank], rows[:rank, pivot].conj())
-        rows[rank] = column / math.sqrt(residual[pivot])
-        residual -= rows[rank].real ** 2 + rows[rank].imag ** 2
+        if done.any():
+            keep = ~done
+            live, phase, damping, full = live[keep], phase[keep], damping[keep], full[keep]
+            odd, rows, odd_row, pivot = odd[keep], rows[keep], odd_row[keep], pivot[keep]
+            at = np.arange(live.size)
+        if rank == rows.shape[1]:
+            grow = min(rank, 2 * n_points - rank)
+            rows = np.concatenate([rows, np.empty((live.size, grow, n_points), rows.dtype)], axis=1)
+            odd_row = np.concatenate([odd_row, np.empty((live.size, grow), bool)], axis=1)
+        pivot_full, pivot_odd = full[at, pivot], odd[at, pivot]
+        block = pivot_odd > pivot_full - pivot_odd
+        pivot_residual = np.where(block, pivot_odd, pivot_full - pivot_odd)
+        a_pivot = a[pivot][:, None, None]
+        kernel = np.exp(damping * (a + a_pivot) ** 2)
+        kernel *= (1.0 - 2.0 * block)[:, None, None]
+        kernel += np.exp(damping * (a - a_pivot) ** 2)
+        kernel = kernel * phase
+        # a BLAS product: callers factorize before their worker threads start
+        column = (0.5 * weights * phase[at, :, pivot].conj())[:, None, :] @ kernel
+        earlier = np.where(odd_row[:, :rank] == block[:, None], rows[at, :rank, pivot].conj(), 0.0)
+        column -= earlier[:, None, :] @ rows[:, :rank]
+        row = column[:, 0] / np.sqrt(pivot_residual)[:, None]
+        rows[:, rank] = row
+        odd_row[:, rank] = block
+        power = row.real**2 + row.imag**2
+        full -= power
+        odd -= power * block[:, None]
         rank += 1
-    return rows[:rank], max(float(residual.max()), 0.0)
+    return out_rows, dropped
 
 
 def channel_set(

@@ -12,6 +12,7 @@ that switches off the zero order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +221,34 @@ def incoherent_order_intensities(
     return OrderSpectrum(m_max, power.sum(axis=0), per_channel=dict(enumerate(power)))
 
 
+def mixed_order_spectra(
+    phis: Sequence[ComplexPhase],
+    m_max: int,
+    scales=(1.0,),
+    weights=(1.0,),
+    tail_eps: float = DEFAULT_TAIL_EPS,
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Order intensities of the mixed grating state at each phase of ``phis``.
+
+    One ``grating.effective_channels`` call factorizes the vertically
+    averaged states of all phases on one laser-period grid, sized by
+    ``samples_per_laser_period`` at the largest |Re Phi| and Im Phi of the
+    batch times the largest scale, so it resolves every phase.  For each
+    phase I_m = sum_j |u_j(m)|^2 over its rows u_j, for m = -m_max ..
+    m_max.  This equals the scale-averaged ``incoherent_order_intensities``
+    up to the residual of the rows (at most ``tail_eps`` per grating point)
+    and the Poisson tail that one leaves out.  Returns (intensities of shape
+    (len(phis), 2 m_max + 1), row count of each phase, largest residual
+    diagonal of each phase).
+    """
+    scales, weights = scale_weight_arrays(scales, weights)
+    strongest = ComplexPhase(max(abs(phi.re) for phi in phis), max(phi.im for phi in phis))
+    n = samples_per_laser_period(strongest.scaled(float(np.max(scales))), m_max, tail_eps)
+    rows, dropped = effective_channels(phis, n // 2, scales, weights, tail_eps)
+    intensities = np.array([_order_power(block, m_max).sum(axis=0) for block in rows])
+    return intensities, [block.shape[0] for block in rows], dropped
+
+
 def mixed_order_intensities(
     phi: ComplexPhase,
     m_max: int,
@@ -227,21 +256,12 @@ def mixed_order_intensities(
     weights=(1.0,),
     tail_eps: float = DEFAULT_TAIL_EPS,
 ) -> tuple[np.ndarray, int, float]:
-    """Order intensities of the mixed grating state, every photon number included.
+    """``mixed_order_spectra`` of the one phase ``phi``.
 
-    The vertically averaged state of ``grating.effective_channels`` over one
-    laser period gives the rows u_j; I_m = sum_j |u_j(m)|^2 with u_j(m) the
-    Fourier coefficient of row j, for m = -m_max .. m_max.  This equals the
-    scale-averaged ``incoherent_order_intensities`` up to the residual of
-    the rows (at most ``tail_eps`` per grating point) and the Poisson tail
-    that one leaves out.  Returns (intensities, row count, largest residual
-    diagonal).
+    Returns (intensities, row count, largest residual diagonal).
     """
-    n = samples_per_laser_period(phi.scaled(float(np.max(scales))), m_max, tail_eps)
-    grid = GridSpec(periods=2, samples_per_period=n // 2)
-    k_laser = 2.0 * math.pi / grid.wavelength
-    rows, dropped = effective_channels(phi, k_laser, grid.positions(), scales, weights, tail_eps)
-    return _order_power(rows, m_max).sum(axis=0), rows.shape[0], dropped
+    intensities, ranks, dropped = mixed_order_spectra([phi], m_max, scales, weights, tail_eps)
+    return intensities[0], ranks[0], float(dropped[0])
 
 
 def zero_order_null() -> float:

@@ -11,6 +11,7 @@ import pytest
 
 import lightgrating.beamline
 import lightgrating.grating
+import lightgrating.orders
 from lightgrating import backend
 from lightgrating.beamline import (
     _envelope_sum,
@@ -312,7 +313,7 @@ def channel_by_channel_slice(cfg, velocity, scales, scale_weights, src_nodes, sr
     return x_out, total
 
 
-def per_source_loop_slice(cfg, velocity, grid, mask, scales, scale_weights, src_nodes, src_weights):
+def per_source_loop_slice(cfg, velocity, grid, mask, rows, src_nodes, src_weights):
     """Native intensity of one velocity node with one FFT batch per source point.
 
     The direct form of the incoherent source average: every source point's
@@ -321,13 +322,9 @@ def per_source_loop_slice(cfg, velocity, grid, mask, scales, scale_weights, src_
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
-    phi = compute_phi(cfg.species, cfg.beam, velocity)
     x = grid.positions()
     n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
     laser_period = 2 * grid.samples_per_period
-    rows, _ = effective_channels(
-        phi, cfg.beam.k_laser, x[:laser_period], scales, scale_weights, cfg.numerics.tail_eps
-    )
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
     fields = np.tile(rows, (1, grid.size // laser_period)) * base
     out_scale = grid.spacing**2 / (wavelength * geom.L2D)
@@ -384,8 +381,12 @@ class TestWaveVelocitySlice:
         grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         for pad_factor in self.PAD_FACTORS:
             cfg = replace(cfg, numerics=replace(cfg.numerics, pad_factor=pad_factor))
-            x, intensity, phi, power_in, _, n_channels, dropped = _wave_velocity_slice(
-                cfg, velocity, grid, mask, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
+            phi = compute_phi(cfg.species, cfg.beam, velocity)
+            (rows,), (dropped,) = effective_channels(
+                [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
+            )
+            x, intensity, power_in, _ = _wave_velocity_slice(
+                cfg, velocity, grid, mask, rows, self.SOURCES, self.SOURCE_WEIGHTS
             )
             x_ref, reference = channel_by_channel_slice(
                 cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
@@ -400,7 +401,7 @@ class TestWaveVelocitySlice:
             assert power_in == pytest.approx(
                 grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0
             )
-            assert 1 <= n_channels < 2 * grid.samples_per_period
+            assert 1 <= rows.shape[0] < 2 * grid.samples_per_period
             assert dropped <= cfg.numerics.tail_eps
         return phi
 
@@ -437,7 +438,11 @@ class TestWaveVelocitySlice:
         scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
         grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         src_nodes, src_weights = source_quadrature(cfg.geometry, source_nodes)
-        args = (cfg, slowest, grid, mask, scales, scale_weights, src_nodes, src_weights)
+        phi = compute_phi(cfg.species, cfg.beam, slowest)
+        (rows,), _ = effective_channels(
+            [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
+        )
+        args = (cfg, slowest, grid, mask, rows, src_nodes, src_weights)
         intensity = _wave_velocity_slice(*args)[1]
         reference = per_source_loop_slice(*args)
         assert np.max(np.abs(intensity - reference)) <= 1e-13 * reference.max()
@@ -579,6 +584,47 @@ class TestEnsembleOrdersMode:
             assert lightgrating.grating.truncation_order(
                 compute_phi(species, cfg.beam, float(v_nodes[0])), cfg.numerics.tail_eps
             ) > 12
+
+    def test_run_wide_grid_matches_per_node_grids(self, monkeypatch):
+        # C70 at 50 W: the slowest node needs twice the samples of the fastest
+        cfg = replace(
+            SimulationConfig(),
+            species=C70,
+            beam=GratingBeam(power=50.0),
+            quadrature=QuadratureSpec(6, 4, 1),
+        )
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
+        cfg = replace(cfg, numerics=replace(cfg.numerics, m_max=40))
+        pattern = ensemble_pattern(cfg)
+
+        def per_node_grids(phis, *args):
+            spectra = [lightgrating.orders.mixed_order_intensities(phi, *args) for phi in phis]
+            intensities, ranks, dropped = zip(*spectra)
+            return np.array(intensities), list(ranks), np.array(dropped)
+
+        monkeypatch.setattr(lightgrating.beamline, "mixed_order_spectra", per_node_grids)
+        reference = ensemble_pattern(cfg)
+        # Each grid's rows leave at most tail_eps per point, and may stop at
+        # another rank (here 19 against 20 rows at one node): the patterns
+        # agree to that tail, not to rounding (they differ by 1.2e-11 of the
+        # peak and 5.6e-12 in total probability).
+        tail_eps = cfg.numerics.tail_eps
+        assert np.max(np.abs(pattern.intensity - reference.intensity)) <= (
+            tail_eps * reference.intensity.max()
+        )
+        assert pattern.metadata["total_probability"] == pytest.approx(
+            reference.metadata["total_probability"], abs=2.0 * tail_eps
+        )
+
+    def test_deterministic_across_worker_counts(self):
+        cfg = fast_config()
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
+        serial = ensemble_pattern(cfg)
+        for workers in (2, 4):
+            threaded = ensemble_pattern(replace(cfg, run=replace(cfg.run, workers=workers)))
+            assert np.array_equal(serial.intensity, threaded.intensity)
+            channels = threaded.metadata["channels_per_velocity"]
+            assert channels == serial.metadata["channels_per_velocity"]
 
     def test_orders_mode_uses_no_photon_channel(self, monkeypatch):
         def forbidden(*args, **kwargs):

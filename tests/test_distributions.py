@@ -1,10 +1,12 @@
 """Velocity spread, vertical beam overlap, and detector resolution models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from lightgrating.config import parse_config
 from lightgrating.distributions import (
     FWHM_TO_SIGMA,
     DetectorModel,
@@ -76,9 +78,32 @@ class TestVelocityQuadrature:
 
     def test_slow_beam_truncated_at_positive_velocity(self):
         dist = VelocityDistribution(v_peak=1.0, fwhm_ratio=0.9)
-        nodes, weights = velocity_quadrature(dist, 32)
+        with pytest.warns(UserWarning, match="floor"):
+            nodes, weights = velocity_quadrature(dist, 32)
         assert np.all(nodes > 0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fwhm_ratio, cut", [(0.17, False), (0.39, False), (0.4, True), (0.6, True)]
+    )
+    def test_warns_when_the_floor_cuts_the_span(self, fwhm_ratio, cut):
+        dist = VelocityDistribution(fwhm_ratio=fwhm_ratio)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nodes, _ = velocity_quadrature(dist, 16)
+        floor_warnings = [w for w in caught if "floor" in str(w.message)]
+        assert len(floor_warnings) == (1 if cut else 0)
+        if cut:
+            # the first cell starts at the floor, not at v_peak - 2.5 FWHM
+            width = nodes[1] - nodes[0]
+            assert nodes[0] - 0.5 * width == pytest.approx(1e-3 * dist.v_peak, rel=1e-9)
+
+    def test_default_configs_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ("", "[species]\nname = C70\n[beam]\npower_w = 50\n"):
+                cfg = parse_config(text)
+                velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)
 
     def test_histogram_passthrough(self):
         rows = ((100.0, 130.0, 160.0), (1.0, 2.0, 1.0))

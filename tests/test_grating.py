@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightgrating import backend
+from lightgrating.beamline import BeamlineGeometry, grating_window
 from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
@@ -338,7 +339,8 @@ class TestChannelSet:
             assert np.allclose(c.samples, c.samples[::-1], rtol=1e-12, atol=1e-15)
 
 
-LASER_PERIOD_X = GridSpec(periods=2, samples_per_period=64).positions()
+SPP = 64
+LASER_PERIOD_X = GridSpec(periods=2, samples_per_period=SPP).positions()
 K_LASER = 2.0 * math.pi / 514.5e-9
 SCALES = np.array([1.0, 0.8, 0.45, 0.1])
 SCALE_WEIGHTS = np.array([0.4, 0.3, 0.2, 0.1])
@@ -383,45 +385,85 @@ class TestGratingCoherence:
 
 
 def reference_channels(phi, x, scales, weights, tail_eps):
-    """Pivoted Cholesky with every column taken from ``grating_coherence``.
+    """Pivoted Cholesky of the parity blocks, every column taken from ``grating_coherence``.
 
-    Returns (rows, pivots, largest residual diagonal).
+    ``x`` is one laser period of a midpoint grid.  The half-laser-period
+    shift x -> x + lambda/2 negates c = cos(k x) and leaves R unchanged
+    under a joint shift, so the state splits into an even and an odd block
+    with columns [R(x, x_p) +- R(x, x_p + lambda/2)]/2 at pivot x_p.  Each
+    step pivots at the largest full residual diagonal (even plus odd), in
+    the block that holds the larger share of it.
+
+    Returns (rows, pivots as (point, block) pairs, largest full residual diagonal).
     """
     n = x.size
+    half_laser_period = math.pi / K_LASER
     rows = np.zeros((n, n), dtype=np.complex128)
-    residual = np.full(n, float(np.sum(weights)))
+    full = np.full(n, float(np.sum(weights)))
+    odd = odd_diagonal(phi, x, scales, weights)
     pivots = []
     while len(pivots) < n:
-        pivot = int(np.argmax(residual))
-        if residual[pivot] <= tail_eps:
+        pivot = int(np.argmax(full))
+        if full[pivot] <= tail_eps:
             break
+        block = int(odd[pivot] > full[pivot] - odd[pivot])
         rank = len(pivots)
-        column = grating_coherence(phi, K_LASER, x, x[pivot : pivot + 1], scales, weights)[:, 0]
-        column -= np.einsum("jx,j->x", rows[:rank], rows[:rank, pivot].conj())
-        rows[rank] = column / math.sqrt(residual[pivot])
-        residual -= rows[rank].real ** 2 + rows[rank].imag ** 2
-        pivots.append(pivot)
-    return rows[: len(pivots)], pivots, max(float(residual.max()), 0.0)
+        pair = grating_coherence(
+            phi, K_LASER, x, [x[pivot], x[pivot] + half_laser_period], scales, weights
+        )
+        column = 0.5 * (pair[:, 0] + (-1) ** block * pair[:, 1])
+        same = [j for j, (_, b) in enumerate(pivots) if b == block]
+        column -= np.einsum("jx,j->x", rows[same], rows[same, pivot].conj())
+        rows[rank] = column / math.sqrt(odd[pivot] if block else full[pivot] - odd[pivot])
+        power = rows[rank].real ** 2 + rows[rank].imag ** 2
+        full -= power
+        if block:
+            odd -= power
+        pivots.append((pivot, block))
+    return rows[: len(pivots)], pivots, max(float(full.max()), 0.0)
 
 
-def replayed_pivots(rows, total_weight):
-    """The pivot each row of ``effective_channels`` was taken at: the residual argmax."""
-    residual = np.full(rows.shape[1], total_weight)
+def odd_diagonal(phi, x, scales, weights):
+    """The odd block's diagonal [R(x, x) - R(x, x + lambda/2)]/2 on one laser period."""
+    shifted = grating_coherence(phi, K_LASER, x, x + math.pi / K_LASER, scales, weights)
+    return 0.5 * (float(np.sum(weights)) - np.real(np.diag(shifted)))
+
+
+def row_parity(rows):
+    """1 for each row that changes sign over half a laser period (odd), else 0."""
+    half = rows.shape[1] // 2
+    return [int(np.array_equal(row[half:], -row[:half])) for row in rows]
+
+
+def replayed_pivots(rows, total_weight, odd):
+    """The (point, block) each row of ``effective_channels`` was taken at.
+
+    Replays the pivot rule on the full residual diagonal, which starts at
+    ``total_weight``, and its odd share, which starts at ``odd``.
+    """
+    full = np.full(rows.shape[1], total_weight)
+    odd = np.array(odd, dtype=np.float64)
+    parity = row_parity(rows)
     pivots = []
-    for row in rows:
-        pivots.append(int(np.argmax(residual)))
-        residual -= row.real ** 2 + row.imag ** 2
-    return pivots
+    for row, block in zip(rows, parity):
+        pivot = int(np.argmax(full))
+        pivots.append((pivot, int(odd[pivot] > full[pivot] - odd[pivot])))
+        full -= row.real ** 2 + row.imag ** 2
+        if block:
+            odd -= row.real ** 2 + row.imag ** 2
+    return pivots, parity
 
 
 def unmirrored(pivots, n):
-    """Pivot indices up to the mirror x -> -x of the grid.
+    """(|c| class, block) of each (point, block) pivot on a laser period of n points.
 
-    R depends on x only through cos(k x), so a point and its mirror image
-    have the same column and the same residual: either may be the pivot,
-    as rounding decides, and the rows do not change.
+    R depends on x only through |c| = |cos(k x)| within each block, so the
+    four points of one laser period that share |c| have the same residual:
+    any of them may be the pivot, as rounding decides, and the rows change
+    at most by a sign.
     """
-    return [min(p, n - 1 - p) for p in pivots]
+    half = n // 2
+    return [(min(p % half, half - 1 - p % half), b) for p, b in pivots]
 
 
 class TestEffectiveChannels:
@@ -439,9 +481,7 @@ class TestEffectiveChannels:
     def test_residual_bounded_by_tail(self, phi, tail_eps):
         # a damping factor underflowing to 0 is exact; an overflow or a nan is not
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            rows, dropped = effective_channels(
-                phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, tail_eps
-            )
+            (rows,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
         state = grating_coherence(
             phi, K_LASER, LASER_PERIOD_X, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
         )
@@ -453,13 +493,13 @@ class TestEffectiveChannels:
 
     def test_tighter_tail_needs_more_rows(self):
         phi = ComplexPhase(1.3, 0.4)
-        loose, _ = effective_channels(phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-4)
-        tight, _ = effective_channels(phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-10)
+        (loose,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, 1e-4)
+        (tight,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, 1e-10)
         assert loose.shape[0] < tight.shape[0]
 
     def test_pure_phase_single_scale_is_rank_one(self):
         phi = ComplexPhase(2.4, 0.0)
-        rows, dropped = effective_channels(phi, K_LASER, LASER_PERIOD_X, [1.0], [1.0])
+        (rows,), (dropped,) = effective_channels([phi], SPP, [1.0], [1.0])
         assert rows.shape[0] == 1
         assert dropped <= 1e-15
         # the one row is the dipole phase imprint up to a global phase
@@ -468,23 +508,66 @@ class TestEffectiveChannels:
         assert abs(overlap) == pytest.approx(1.0, abs=1e-14)
 
     def test_laser_off_is_one_flat_row(self):
-        rows, dropped = effective_channels(
-            ComplexPhase(0.0, 0.0), K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
+        (rows,), (dropped,) = effective_channels(
+            [ComplexPhase(0.0, 0.0)], SPP, SCALES, SCALE_WEIGHTS
         )
         assert rows.shape[0] == 1 and dropped == 0.0
         assert np.allclose(rows[0], 1.0, rtol=0, atol=1e-15)
 
+    def test_no_odd_rows_without_absorption(self):
+        # a coherent phase grating fills only the even orders
+        phis = [ComplexPhase(2.4, 0.0), ComplexPhase(-17.0, 0.0), ComplexPhase(40.0, 0.0)]
+        rows, dropped = effective_channels(phis, SPP, SCALES, SCALE_WEIGHTS)
+        for block in rows:
+            assert block.shape[0] > 1
+            assert np.array_equal(block[:, SPP:], block[:, :SPP])
+        assert np.all(dropped <= 1e-10)
+
+    def test_batch_matches_one_phase_calls(self):
+        phis = [
+            ComplexPhase(60.0, 40.0),
+            ComplexPhase(0.0, 0.0),
+            ComplexPhase(1.3, 0.4),
+            ComplexPhase(12.0, 3.5),
+            ComplexPhase(2.4, 0.0),
+        ]
+        rows, dropped = effective_channels(phis, SPP, SCALES, SCALE_WEIGHTS)
+        assert len(rows) == len(phis) and dropped.shape == (len(phis),)
+        for phi, block, drop in zip(phis, rows, dropped):
+            (single,), (single_drop,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS)
+            assert block.shape == single.shape
+            assert np.max(np.abs(block - single), initial=0.0) <= 1e-15
+            assert drop == pytest.approx(single_drop, abs=1e-15)
+
+    @pytest.mark.parametrize("slit2, flipped", [(5e-6, True), (5.4e-6, False)])
+    @pytest.mark.parametrize("phi", [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5)])
+    def test_rows_serve_the_first_period_of_the_window(self, phi, slit2, flipped):
+        # rows of the canonical period against the closed form on the first
+        # laser period of a beamline window; with periods/2 even its c is the
+        # canonical c times -1, with periods/2 odd it is the canonical c
+        beam = GratingBeam()
+        grid, _ = grating_window(beam, BeamlineGeometry(slit2=slit2), SPP)
+        assert (grid.periods // 2) % 2 == (0 if flipped else 1)
+        x = grid.positions()[: 2 * SPP]
+        c = np.cos(beam.k_laser * x)
+        canonical = np.cos(K_LASER * LASER_PERIOD_X)
+        assert np.allclose(c, -canonical if flipped else canonical, rtol=0, atol=1e-9)
+        tail_eps = 1e-10
+        (rows,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
+        assert 1 in row_parity(rows)
+        state = grating_coherence(phi, beam.k_laser, x, x, SCALES, SCALE_WEIGHTS)
+        assert np.max(np.abs(state - rows.T @ rows.conj())) <= tail_eps + 1e-14
+
     def test_rejects_non_positive_tail(self):
         with pytest.raises(ValueError):
-            effective_channels(ComplexPhase(1.0, 0.1), K_LASER, LASER_PERIOD_X, [1.0], [1.0], 0.0)
+            effective_channels([ComplexPhase(1.0, 0.1)], SPP, [1.0], [1.0], 0.0)
 
     @pytest.mark.parametrize("n_scales, n_weights", [(3, 1), (1, 2), (2, 3)])
     def test_rejects_mismatched_scales_and_weights(self, n_scales, n_weights):
         with pytest.raises(ValueError):
             effective_channels(
-                ComplexPhase(1.3, 0.4),
-                K_LASER,
-                LASER_PERIOD_X,
+                [ComplexPhase(1.3, 0.4)],
+                SPP,
                 SCALES[:n_scales],
                 SCALE_WEIGHTS[:n_weights],
             )
@@ -493,7 +576,7 @@ class TestEffectiveChannels:
         "phi", [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5), ComplexPhase(60.0, 40.0)]
     )
     def test_matches_cholesky_of_closed_form_columns(self, phi):
-        rows, dropped = effective_channels(phi, K_LASER, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS)
+        (rows,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS)
         expected, pivots, expected_dropped = reference_channels(
             phi, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-10
         )
@@ -502,15 +585,27 @@ class TestEffectiveChannels:
         state = rows.T @ rows.conj()
         assert np.max(np.abs(state - expected.T @ expected.conj())) < 1e-13
         # Row j is divided by the square root of its pivot residual d_j, so it
-        # carries the rounding of its column over sqrt(d_j): compare rows and
-        # pivots while d_j > 1e-5.  Past that, rounding may break a tie of
-        # two pivots the other way, which changes the rows but not the state.
+        # carries the rounding of its column over sqrt(d_j).  Compare pivots
+        # while d_j > 1e-5: past that, rounding may break a tie of two pivots
+        # the other way, which changes the rows but not the state.  The
+        # reference's columns and those of the even/odd kernels round
+        # independently, by up to 1e-14 at Phi = 60 + 40i, so compare rows
+        # while d_j > 1e-4, where that stays below 1e-12.
         n = LASER_PERIOD_X.size
-        pivot_residual = np.array([expected[j, p].real ** 2 for j, p in enumerate(pivots)])
+        pivot_residual = np.array([expected[j, p].real ** 2 for j, (p, _) in enumerate(pivots)])
         steps = int(np.sum(pivot_residual > 1e-5))
-        pivots_found = replayed_pivots(rows, float(np.sum(SCALE_WEIGHTS)))
+        row_steps = int(np.sum(pivot_residual > 1e-4))
+        pivots_found, parity = replayed_pivots(
+            rows, float(np.sum(SCALE_WEIGHTS)),
+            odd_diagonal(phi, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS),
+        )
+        # the pivot rule picked each row's block, and the row has that parity
+        assert [b for _, b in pivots_found] == parity
         assert unmirrored(pivots_found[:steps], n) == unmirrored(pivots[:steps], n)
-        assert np.max(np.abs(rows[:steps] - expected[:steps])) < 1e-12
+        # an odd row taken at a point of the other sign of c is the negative
+        # of the reference's: align each row's sign at the reference pivot
+        signs = np.array([np.sign(rows[j, p].real) for j, (p, _) in enumerate(pivots[:row_steps])])
+        assert np.max(np.abs(signs[:, None] * rows[:row_steps] - expected[:row_steps])) < 1e-12
 
 
 class TestRamanNathDiagnostic:

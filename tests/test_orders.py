@@ -290,8 +290,7 @@ class TestSamplesPerLaserPeriod:
         assert n & (n - 1) == 0 and n >= 4 * 20
         # the state's spectrum on four times finer sampling
         fine = GridSpec(periods=2, samples_per_period=2 * n)
-        k = 2.0 * math.pi / fine.wavelength
-        rows, _ = effective_channels(phi, k, fine.positions(), (1.0,), (1.0,), 1e-10)
+        (rows,), _ = effective_channels([phi], 2 * n, (1.0,), (1.0,), 1e-10)
         power = np.abs(np.fft.fft(rows, axis=-1) / fine.size) ** 2
         m = np.abs(np.fft.fftfreq(fine.size, 1.0 / fine.size))
         assert power[:, m >= n // 4].sum() < 1e-10
@@ -347,6 +346,24 @@ class TestMixedOrderIntensities:
         if im == 0.0:
             # no absorbed photon, no odd momentum transfer
             assert intensities[(m_max + 1) % 2 :: 2].max(initial=0.0) < tail_eps
+
+
+class TestMixedOrderSpectra:
+    @pytest.mark.parametrize("species, power", [(C60, 30.0), (C70, 50.0)])
+    def test_run_wide_grid_matches_per_node_grids(self, species, power):
+        # one grid sized by the slowest node against one grid per node; at
+        # C70 a grid sized by the fastest node is off by 2.4e-4
+        beam = GratingBeam(power=power)
+        phis = [compute_phi(species, beam, v) for v in (30.0, 72.0, 400.0)]
+        intensities, ranks, dropped = lightgrating.orders.mixed_order_spectra(
+            phis, 20, SCALES, SCALE_WEIGHTS
+        )
+        assert intensities.shape == (len(phis), 41)
+        assert len({samples_per_laser_period(phi, 20) for phi in phis}) == 3
+        for phi, row, rank, drop in zip(phis, intensities, ranks, dropped):
+            single, _, single_drop = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)
+            assert np.max(np.abs(row - single)) <= 1e-12
+            assert rank >= 1 and 0.0 <= drop <= 1e-10 and 0.0 <= single_drop <= 1e-10
 
 
 class TestZeroOrderNull:
