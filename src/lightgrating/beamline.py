@@ -41,6 +41,7 @@ from .distributions import detector_kernel, velocity_quadrature, vertical_phi_sc
 from .grating import (
     GratingBeam,
     GridSpec,
+    ParityRows,
     TransmissionChannel,
     compute_phi,
     effective_channels,
@@ -251,19 +252,20 @@ def _wave_velocity_slice(
     velocity: float,
     grid: GridSpec,
     mask: np.ndarray,
-    rows: np.ndarray,
+    rows: ParityRows,
     src_nodes: np.ndarray,
     src_weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One velocity node of the wave-mode ensemble.
 
-    ``rows`` are the node's effective grating rows over one laser period
-    (``grating.effective_channels``).  The photon channels and vertical
-    scales enter only through their summed grating state, which repeats
-    with the laser period (the window holds a whole number of them); the
-    rows reproduce it on every period.  Returns (native positions, native
-    intensity, input power, in-span fraction).  Pure function of its
-    arguments; safe to run on a worker thread.
+    ``rows`` are the node's effective grating rows
+    (``grating.effective_channels``), spread over one laser period here.
+    The photon channels and vertical scales enter only through their
+    summed grating state, which repeats with the laser period (the window
+    holds a whole number of them); the rows reproduce it on every period.
+    Returns (native positions, native intensity, input power, in-span
+    fraction).  Pure function of its arguments; safe to run on a worker
+    thread.
     """
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
@@ -279,8 +281,8 @@ def _wave_velocity_slice(
     # drop out of |psi|^2.
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
     # each row repeats over the laser periods of the window
-    fields = rows[:, None, :] * base.reshape(-1, laser_period)
-    fields = fields.reshape(rows.shape[0], grid.size)
+    fields = rows.period()[:, None, :] * base.reshape(-1, laser_period)
+    fields = fields.reshape(rows.rank, grid.size)
 
     # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
     # that of the slit alone; what the effective rows drop shows as a loss.
@@ -438,9 +440,9 @@ def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
         per_node, dropped = effective_channels(
             phis, spp, scales, scale_weights, cfg.numerics.tail_eps
         )
-        n_channels = [rows.shape[0] for rows in per_node]
+        n_channels = [rows.rank for rows in per_node]
 
-        def run_slice(velocity: float, v_weight: float, rows: np.ndarray):
+        def run_slice(velocity: float, v_weight: float, rows: ParityRows):
             x_native, intensity, power_in, in_span = _wave_velocity_slice(
                 cfg, velocity, grid, mask, rows, src_nodes, src_weights
             )

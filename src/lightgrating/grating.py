@@ -291,13 +291,40 @@ def grating_coherence(
     return np.einsum("s,sij->ij", weights, np.exp(scales[:, None, None] * exponent))
 
 
+@dataclass(frozen=True)
+class ParityRows:
+    """The effective rows of one grating state, stored once per value of |c|.
+
+    ``values[j]`` holds row j at the spp/2 values a = |cos(k x)| of the
+    canonical laser period ``GridSpec(2, spp)``; ``odd[j]`` is True for a
+    row of the odd block.  Over the period an even row is v(|c|) and an odd
+    row sign(c) v(|c|).
+    """
+
+    values: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.values.shape[0]
+
+    def period(self) -> np.ndarray:
+        """The rows over the canonical laser period, shape (rank, 2 spp)."""
+        spp = 2 * self.values.shape[1]
+        # point i has k x_i = pi (i + 1/2)/spp - pi, |c_i| = a[fold[i]]
+        within_half = np.arange(2 * spp) % spp
+        fold = np.minimum(within_half, spp - 1 - within_half)
+        sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
+        return self.values[:, fold] * np.where(self.odd[:, None], sign, 1.0)
+
+
 def effective_channels(
     phis: Sequence[ComplexPhase],
     samples_per_period: int,
     scales,
     weights,
     tail_eps: float = DEFAULT_TAIL_EPS,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[ParityRows], np.ndarray]:
     """The fewest rows u_j(x) with sum_j u_j(x) u_j(x')^* ~ the averaged grating state.
 
     Factorizes ``grating_coherence`` for every phase in ``phis`` at once,
@@ -320,25 +347,21 @@ def effective_channels(
     full residual diagonal (even plus odd), in the block that holds the
     larger share of it, and a phase stops once every full residual diagonal
     is <= ``tail_eps``: the residual is positive semidefinite, so no grating
-    point loses more than that probability.  An even row is v(|c|) and an
-    odd one sign(c) v(|c|) over the period; negating every c flips the sign
-    of odd rows only, which leaves the state unchanged, so the rows serve
-    any whole laser period of a midpoint grid.
+    point loses more than that probability.  Negating every c flips the
+    sign of odd rows only, which leaves the state unchanged, so the rows
+    serve any whole laser period of a midpoint grid.
 
-    Returns (rows of shape (rank, 2 spp) for each phase, in the order of
-    ``phis``; the largest residual diagonal of each phase).
+    Returns (the rows of each phase, in the order of ``phis``, stored per
+    |c| (``ParityRows.period`` spreads them over the period); the largest
+    residual diagonal of each phase).
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")
     scales, weights = scale_weight_arrays(scales, weights)
     spp = GridSpec(samples_per_period=samples_per_period).samples_per_period  # validated
     n_points = spp // 2
-    # the canonical period has k x_i = pi (i + 1/2)/spp - pi; point i has
-    # |c_i| = a[fold[i]] and c_i = sign[i] |c_i|
+    # the spp/2 values of |c| on the canonical period
     a = np.cos(np.pi * (np.arange(n_points) + 0.5) / spp)
-    within_half = np.arange(2 * spp) % spp
-    fold = np.minimum(within_half, spp - 1 - within_half)
-    sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
 
     re = np.array([phi.re for phi in phis], dtype=np.float64)
     im = np.array([phi.im for phi in phis], dtype=np.float64)
@@ -349,10 +372,10 @@ def effective_channels(
     full = np.full((len(phis), n_points), float(np.sum(weights)))
     odd = np.einsum("s,vsj->vj", -0.5 * weights, np.expm1(4.0 * damping * a * a))
 
-    out_rows = [np.empty((0, 2 * spp), dtype=np.complex128)] * len(phis)
+    out = [ParityRows(np.empty((0, n_points), np.complex128), np.empty(0, bool))] * len(phis)
     dropped = np.zeros(len(phis))
     live = np.arange(len(phis))  # the phases still factorizing
-    rows = np.empty((len(phis), min(2 * n_points, 32), n_points), dtype=np.complex128)
+    rows = np.empty((len(phis), min(2 * n_points, 8), n_points), dtype=np.complex128)
     odd_row = np.empty(rows.shape[:2], dtype=bool)
     rank = 0
     while True:
@@ -360,9 +383,7 @@ def effective_channels(
         at = np.arange(live.size)
         done = (full[at, pivot] <= tail_eps) | (rank == 2 * n_points)
         for v in np.flatnonzero(done):
-            # even rows v(|c|), odd rows sign(c) v(|c|)
-            signs = np.where(odd_row[v, :rank, None], sign, 1.0)
-            out_rows[live[v]] = rows[v, :rank][:, fold] * signs
+            out[live[v]] = ParityRows(rows[v, :rank].copy(), odd_row[v, :rank].copy())
             dropped[live[v]] = max(float(full[v].max()), 0.0)
         if done.all():
             break
@@ -382,9 +403,8 @@ def effective_channels(
         kernel = np.exp(damping * (a + a_pivot) ** 2)
         kernel *= (1.0 - 2.0 * block)[:, None, None]
         kernel += np.exp(damping * (a - a_pivot) ** 2)
-        kernel = kernel * phase
         # a BLAS product: callers factorize before their worker threads start
-        column = (0.5 * weights * phase[at, :, pivot].conj())[:, None, :] @ kernel
+        column = (0.5 * weights * phase[at, :, pivot].conj())[:, None, :] @ (kernel * phase)
         earlier = np.where(odd_row[:, :rank] == block[:, None], rows[at, :rank, pivot].conj(), 0.0)
         column -= earlier[:, None, :] @ rows[:, :rank]
         row = column[:, 0] / np.sqrt(pivot_residual)[:, None]
@@ -394,7 +414,7 @@ def effective_channels(
         full -= power
         odd -= power * block[:, None]
         rank += 1
-    return out_rows, dropped
+    return out, dropped
 
 
 def channel_set(

@@ -234,8 +234,8 @@ def mixed_order_spectra(
     averaged states of all phases on one laser-period grid, sized by
     ``samples_per_laser_period`` at the largest |Re Phi| and Im Phi of the
     batch times the largest scale, so it resolves every phase.  For each
-    phase I_m = sum_j |u_j(m)|^2 over its rows u_j, for m = -m_max ..
-    m_max.  This equals the scale-averaged ``incoherent_order_intensities``
+    phase in turn, its rows u_j are spread over the period and I_m = sum_j
+    |u_j(m)|^2, for m = -m_max .. m_max.  This equals the scale-averaged ``incoherent_order_intensities``
     up to the residual of the rows (at most ``tail_eps`` per grating point)
     and the Poisson tail that one leaves out.  Returns (intensities of shape
     (len(phis), 2 m_max + 1), row count of each phase, largest residual
@@ -245,8 +245,8 @@ def mixed_order_spectra(
     strongest = ComplexPhase(max(abs(phi.re) for phi in phis), max(phi.im for phi in phis))
     n = samples_per_laser_period(strongest.scaled(float(np.max(scales))), m_max, tail_eps)
     rows, dropped = effective_channels(phis, n // 2, scales, weights, tail_eps)
-    intensities = np.array([_order_power(block, m_max).sum(axis=0) for block in rows])
-    return intensities, [block.shape[0] for block in rows], dropped
+    intensities = np.array([_order_power(block.period(), m_max).sum(axis=0) for block in rows])
+    return intensities, [block.rank for block in rows], dropped
 
 
 def mixed_order_intensities(

@@ -326,7 +326,7 @@ def per_source_loop_slice(cfg, velocity, grid, mask, rows, src_nodes, src_weight
     n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
     laser_period = 2 * grid.samples_per_period
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
-    fields = np.tile(rows, (1, grid.size // laser_period)) * base
+    fields = np.tile(rows.period(), (1, grid.size // laser_period)) * base
     out_scale = grid.spacing**2 / (wavelength * geom.L2D)
     intensity = np.zeros(n_fft)
     for source_x, source_weight in zip(src_nodes, src_weights):
@@ -401,7 +401,7 @@ class TestWaveVelocitySlice:
             assert power_in == pytest.approx(
                 grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0
             )
-            assert 1 <= rows.shape[0] < 2 * grid.samples_per_period
+            assert 1 <= rows.rank < 2 * grid.samples_per_period
             assert dropped <= cfg.numerics.tail_eps
         return phi
 

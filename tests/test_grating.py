@@ -384,23 +384,25 @@ class TestGratingCoherence:
             )
 
 
-def reference_channels(phi, x, scales, weights, tail_eps):
-    """Pivoted Cholesky of the parity blocks, every column taken from ``grating_coherence``.
+def reference_channels(phi, scales, weights, tail_eps):
+    """Pivoted Cholesky of the parity blocks on the canonical laser period, in extended precision.
 
-    ``x`` is one laser period of a midpoint grid.  The half-laser-period
-    shift x -> x + lambda/2 negates c = cos(k x) and leaves R unchanged
-    under a joint shift, so the state splits into an even and an odd block
-    with columns [R(x, x_p) +- R(x, x_p + lambda/2)]/2 at pivot x_p.  Each
-    step pivots at the largest full residual diagonal (even plus odd), in
-    the block that holds the larger share of it.
+    The half-laser-period shift x -> x + lambda/2 negates c = cos(k x) and
+    leaves R unchanged under a joint shift, so the state splits into an
+    even and an odd block with columns [R(x, x_p) +- R(x, x_p + lambda/2)]/2
+    at pivot x_p.  Each step pivots at the largest full residual diagonal
+    (even plus odd), in the block that holds the larger share of it.  The
+    columns, from the closed form of ``grating_coherence``, and the
+    recurrence run in np.longdouble, so the reference's own rounding is far
+    below that of the float64 implementation.
 
     Returns (rows, pivots as (point, block) pairs, largest full residual diagonal).
     """
-    n = x.size
-    half_laser_period = math.pi / K_LASER
-    rows = np.zeros((n, n), dtype=np.complex128)
-    full = np.full(n, float(np.sum(weights)))
-    odd = odd_diagonal(phi, x, scales, weights)
+    kx = canonical_kx()
+    n = kx.size
+    rows = np.zeros((n, n), dtype=np.clongdouble)
+    full = np.full(n, np.sum(weights, dtype=np.longdouble))
+    odd = 0.5 * (full - np.real(np.diag(coherence_longdouble(phi, kx, kx + PI_LONG, scales, weights))))
     pivots = []
     while len(pivots) < n:
         pivot = int(np.argmax(full))
@@ -408,19 +410,37 @@ def reference_channels(phi, x, scales, weights, tail_eps):
             break
         block = int(odd[pivot] > full[pivot] - odd[pivot])
         rank = len(pivots)
-        pair = grating_coherence(
-            phi, K_LASER, x, [x[pivot], x[pivot] + half_laser_period], scales, weights
+        pair = coherence_longdouble(
+            phi, kx, np.array([kx[pivot], kx[pivot] + PI_LONG]), scales, weights
         )
         column = 0.5 * (pair[:, 0] + (-1) ** block * pair[:, 1])
         same = [j for j, (_, b) in enumerate(pivots) if b == block]
-        column -= np.einsum("jx,j->x", rows[same], rows[same, pivot].conj())
-        rows[rank] = column / math.sqrt(odd[pivot] if block else full[pivot] - odd[pivot])
+        column -= rows[same].T @ rows[same, pivot].conj()
+        rows[rank] = column / np.sqrt(odd[pivot] if block else full[pivot] - odd[pivot])
         power = rows[rank].real ** 2 + rows[rank].imag ** 2
         full -= power
         if block:
             odd -= power
         pivots.append((pivot, block))
     return rows[: len(pivots)], pivots, max(float(full.max()), 0.0)
+
+
+PI_LONG = 4 * np.arctan(np.longdouble(1))
+
+
+def canonical_kx():
+    """k x at the 2 SPP midpoints of the canonical laser period, in np.longdouble."""
+    return PI_LONG * ((np.arange(2 * SPP, dtype=np.longdouble) + 0.5) / SPP - 1)
+
+
+def coherence_longdouble(phi, kx, kx_prime, scales, weights):
+    """The closed form of ``grating_coherence`` at phases k x, k x', in np.longdouble."""
+    c = np.cos(kx)[:, None]
+    c_prime = np.cos(kx_prime)[None, :]
+    re, im = np.longdouble(phi.re), np.longdouble(phi.im)
+    exponent = 2j * re * (c * c - c_prime * c_prime) - 2 * im * (c - c_prime) ** 2
+    terms = np.exp(np.asarray(scales, np.longdouble)[:, None, None] * exponent)
+    return np.tensordot(np.asarray(weights, np.longdouble), terms, axes=1)
 
 
 def odd_diagonal(phi, x, scales, weights):
@@ -481,7 +501,8 @@ class TestEffectiveChannels:
     def test_residual_bounded_by_tail(self, phi, tail_eps):
         # a damping factor underflowing to 0 is exact; an overflow or a nan is not
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            (rows,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
+            (block,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
+            rows = block.period()
         state = grating_coherence(
             phi, K_LASER, LASER_PERIOD_X, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
         )
@@ -495,32 +516,33 @@ class TestEffectiveChannels:
         phi = ComplexPhase(1.3, 0.4)
         (loose,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, 1e-4)
         (tight,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, 1e-10)
-        assert loose.shape[0] < tight.shape[0]
+        assert loose.rank < tight.rank
 
     def test_pure_phase_single_scale_is_rank_one(self):
         phi = ComplexPhase(2.4, 0.0)
         (rows,), (dropped,) = effective_channels([phi], SPP, [1.0], [1.0])
-        assert rows.shape[0] == 1
+        assert rows.rank == 1
         assert dropped <= 1e-15
         # the one row is the dipole phase imprint up to a global phase
         imprint = np.exp(2j * phi.re * np.cos(K_LASER * LASER_PERIOD_X) ** 2)
-        overlap = np.vdot(imprint, rows[0]) / LASER_PERIOD_X.size
+        overlap = np.vdot(imprint, rows.period()[0]) / LASER_PERIOD_X.size
         assert abs(overlap) == pytest.approx(1.0, abs=1e-14)
 
     def test_laser_off_is_one_flat_row(self):
         (rows,), (dropped,) = effective_channels(
             [ComplexPhase(0.0, 0.0)], SPP, SCALES, SCALE_WEIGHTS
         )
-        assert rows.shape[0] == 1 and dropped == 0.0
-        assert np.allclose(rows[0], 1.0, rtol=0, atol=1e-15)
+        assert rows.rank == 1 and dropped == 0.0
+        assert np.allclose(rows.period()[0], 1.0, rtol=0, atol=1e-15)
 
     def test_no_odd_rows_without_absorption(self):
         # a coherent phase grating fills only the even orders
         phis = [ComplexPhase(2.4, 0.0), ComplexPhase(-17.0, 0.0), ComplexPhase(40.0, 0.0)]
         rows, dropped = effective_channels(phis, SPP, SCALES, SCALE_WEIGHTS)
         for block in rows:
-            assert block.shape[0] > 1
-            assert np.array_equal(block[:, SPP:], block[:, :SPP])
+            assert block.rank > 1 and not block.odd.any()
+            period = block.period()
+            assert np.array_equal(period[:, SPP:], period[:, :SPP])
         assert np.all(dropped <= 1e-10)
 
     def test_batch_matches_one_phase_calls(self):
@@ -535,8 +557,9 @@ class TestEffectiveChannels:
         assert len(rows) == len(phis) and dropped.shape == (len(phis),)
         for phi, block, drop in zip(phis, rows, dropped):
             (single,), (single_drop,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS)
-            assert block.shape == single.shape
-            assert np.max(np.abs(block - single), initial=0.0) <= 1e-15
+            assert block.values.shape == single.values.shape
+            assert np.array_equal(block.odd, single.odd)
+            assert np.max(np.abs(block.values - single.values), initial=0.0) <= 1e-15
             assert drop == pytest.approx(single_drop, abs=1e-15)
 
     @pytest.mark.parametrize("slit2, flipped", [(5e-6, True), (5.4e-6, False)])
@@ -553,7 +576,8 @@ class TestEffectiveChannels:
         canonical = np.cos(K_LASER * LASER_PERIOD_X)
         assert np.allclose(c, -canonical if flipped else canonical, rtol=0, atol=1e-9)
         tail_eps = 1e-10
-        (rows,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
+        (block,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
+        rows = block.period()
         assert 1 in row_parity(rows)
         state = grating_coherence(phi, beam.k_laser, x, x, SCALES, SCALE_WEIGHTS)
         assert np.max(np.abs(state - rows.T @ rows.conj())) <= tail_eps + 1e-14
@@ -576,36 +600,33 @@ class TestEffectiveChannels:
         "phi", [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5), ComplexPhase(60.0, 40.0)]
     )
     def test_matches_cholesky_of_closed_form_columns(self, phi):
-        (rows,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS)
+        (block,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS)
+        rows = block.period()
         expected, pivots, expected_dropped = reference_channels(
-            phi, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS, 1e-10
+            phi, SCALES, SCALE_WEIGHTS, 1e-10
         )
         assert rows.shape == expected.shape
         assert dropped == pytest.approx(expected_dropped, abs=1e-14)
         state = rows.T @ rows.conj()
         assert np.max(np.abs(state - expected.T @ expected.conj())) < 1e-13
         # Row j is divided by the square root of its pivot residual d_j, so it
-        # carries the rounding of its column over sqrt(d_j).  Compare pivots
-        # while d_j > 1e-5: past that, rounding may break a tie of two pivots
-        # the other way, which changes the rows but not the state.  The
-        # reference's columns and those of the even/odd kernels round
-        # independently, by up to 1e-14 at Phi = 60 + 40i, so compare rows
-        # while d_j > 1e-4, where that stays below 1e-12.
+        # carries the rounding of its column over sqrt(d_j).  Compare while
+        # d_j > 1e-5: past that, rounding may break a tie of two pivots the
+        # other way, which changes the rows but not the state.
         n = LASER_PERIOD_X.size
         pivot_residual = np.array([expected[j, p].real ** 2 for j, (p, _) in enumerate(pivots)])
         steps = int(np.sum(pivot_residual > 1e-5))
-        row_steps = int(np.sum(pivot_residual > 1e-4))
         pivots_found, parity = replayed_pivots(
             rows, float(np.sum(SCALE_WEIGHTS)),
             odd_diagonal(phi, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS),
         )
         # the pivot rule picked each row's block, and the row has that parity
-        assert [b for _, b in pivots_found] == parity
+        assert [b for _, b in pivots_found] == parity == block.odd.astype(int).tolist()
         assert unmirrored(pivots_found[:steps], n) == unmirrored(pivots[:steps], n)
         # an odd row taken at a point of the other sign of c is the negative
         # of the reference's: align each row's sign at the reference pivot
-        signs = np.array([np.sign(rows[j, p].real) for j, (p, _) in enumerate(pivots[:row_steps])])
-        assert np.max(np.abs(signs[:, None] * rows[:row_steps] - expected[:row_steps])) < 1e-12
+        signs = np.array([np.sign(rows[j, p].real) for j, (p, _) in enumerate(pivots[:steps])])
+        assert np.max(np.abs(signs[:, None] * rows[:steps] - expected[:steps])) < 1e-12
 
 
 class TestRamanNathDiagnostic:

@@ -291,7 +291,7 @@ class TestSamplesPerLaserPeriod:
         # the state's spectrum on four times finer sampling
         fine = GridSpec(periods=2, samples_per_period=2 * n)
         (rows,), _ = effective_channels([phi], 2 * n, (1.0,), (1.0,), 1e-10)
-        power = np.abs(np.fft.fft(rows, axis=-1) / fine.size) ** 2
+        power = np.abs(np.fft.fft(rows.period(), axis=-1) / fine.size) ** 2
         m = np.abs(np.fft.fftfreq(fine.size, 1.0 / fine.size))
         assert power[:, m >= n // 4].sum() < 1e-10
 
