@@ -42,6 +42,7 @@ from .beamline import (
     DiffractionPattern,
     compare_patterns,
     ensemble_pattern,
+    ensemble_patterns,
     farfield_peak_positions,
     order_slot_spacing,
     pattern_metrics,
@@ -91,6 +92,7 @@ __all__ = [
     "DiffractionPattern",
     "compare_patterns",
     "ensemble_pattern",
+    "ensemble_patterns",
     "farfield_peak_positions",
     "order_slot_spacing",
     "pattern_metrics",

@@ -24,6 +24,16 @@ on one grid, sized by the slowest node; no photon cap) and places each
 order's weight on the geometric shadow envelope instead of propagating;
 it is faster and serves as the cross-check of the wave pipeline's
 propagation.
+
+A power scan (``ensemble_patterns``) changes only the grating strength,
+so its powers share the velocity, vertical and source quadratures, the
+grating window, the detector grid and one pool of worker threads.  In
+wave mode one batch factorizes the states of every (power, velocity)
+pair, up to ``MAX_BATCH_STATES`` of them, and one worker task per
+velocity node builds that node's chirp and source kernel once and
+propagates its rows at every power of the batch.  Each power's pattern is
+bit-identical to a run at that power alone.  Orders mode sizes its grid
+by each power's strongest phase, so it factorizes once per power.
 """
 
 from __future__ import annotations
@@ -51,7 +61,14 @@ from .propagation import next_pow2, propagate_spectral
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+
     from .config import SimulationConfig
+
+# Wave mode factorizes the (power, velocity) states of a scan in groups of
+# powers holding at most this many states, so that the temporaries of one
+# batch stay bounded however many powers a scan has.
+MAX_BATCH_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -252,20 +269,21 @@ def _wave_velocity_slice(
     velocity: float,
     grid: GridSpec,
     mask: np.ndarray,
-    rows: ParityRows,
+    rows: Sequence[ParityRows],
     src_nodes: np.ndarray,
     src_weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """One velocity node of the wave-mode ensemble.
+) -> tuple[np.ndarray, list[np.ndarray], float, list[float]]:
+    """One velocity node of the wave-mode ensemble, at one or more laser powers.
 
-    ``rows`` are the node's effective grating rows
+    ``rows`` holds the node's effective grating rows at each power
     (``grating.effective_channels``), spread over one laser period here.
     The photon channels and vertical scales enter only through their
     summed grating state, which repeats with the laser period (the window
     holds a whole number of them); the rows reproduce it on every period.
-    Returns (native positions, native intensity, input power, in-span
-    fraction).  Pure function of its arguments; safe to run on a worker
-    thread.
+    The chirp and the source kernel depend on the velocity alone, so every
+    power shares them.  Returns (native positions, native intensity at each
+    power, input power, in-span fraction at each power).  Pure function of
+    its arguments; safe to run on a worker thread.
     """
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
@@ -280,9 +298,6 @@ def _wave_velocity_slice(
     # point then contributes only a linear phase ramp.  Constant phases
     # drop out of |psi|^2.
     base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
-    # each row repeats over the laser periods of the window
-    fields = rows.period()[:, None, :] * base.reshape(-1, laser_period)
-    fields = fields.reshape(rows.rank, grid.size)
 
     # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
     # that of the slit alone; what the effective rows drop shows as a loss.
@@ -300,8 +315,6 @@ def _wave_velocity_slice(
     # 2 grid.size - 1), and one n_fft transform gives the output bins: the
     # same sum_d A(d) c[d] exp(-2 pi i f d / n_fft) at any n_fft.
     n_lag = next_pow2(2 * grid.size - 1)
-    single = np.zeros(n_lag)
-    backend.accumulate_weighted_abs2(np.fft.fft(fields, n=n_lag, axis=-1), 1.0, single)
     # c[d] for d >= 0; the weights are real, so c[-d] = conj(c[d])
     ramp = -1j * (k / geom.L12) * spacing
     kernel = np.einsum(
@@ -309,15 +322,29 @@ def _wave_velocity_slice(
     )
     kernel = np.concatenate([kernel[:0:-1].conj(), kernel])
     lags = np.arange(1 - grid.size, grid.size)
-    folded = np.zeros(n_fft, dtype=np.complex128)
-    np.add.at(folded, lags % n_fft, np.fft.ifft(single)[lags] * kernel)
-    intensity = np.fft.fftshift(np.fft.fft(folded).real * out_scale)
+    folds = lags % n_fft
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
-    total = float(intensity.sum() * out_spacing)
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
-    coverage = float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
-    return x_native, intensity, power_in, coverage
+
+    intensities = []
+    coverages = []
+    for block in rows:
+        # each row repeats over the laser periods of the window
+        fields = block.period()[:, None, :] * base.reshape(-1, laser_period)
+        fields = fields.reshape(block.rank, grid.size)
+        single = np.zeros(n_lag)
+        backend.accumulate_weighted_abs2(np.fft.fft(fields, n=n_lag, axis=-1), 1.0, single)
+        del fields  # before the next power's rows are spread
+        folded = np.zeros(n_fft, dtype=np.complex128)
+        np.add.at(folded, folds, np.fft.ifft(single)[lags] * kernel)
+        intensity = np.fft.fftshift(np.fft.fft(folded).real * out_scale)
+        total = float(intensity.sum() * out_spacing)
+        intensities.append(intensity)
+        coverages.append(
+            float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
+        )
+    return x_native, intensities, power_in, coverages
 
 
 def _finalize(
@@ -345,22 +372,28 @@ def _finalize(
     return DiffractionPattern(positions=scan_x, intensity=scan_intensity, metadata=metadata)
 
 
-def ensemble_pattern(cfg: "SimulationConfig") -> DiffractionPattern:
-    """Full ensemble-averaged detector-plane pattern for a configuration.
+def ensemble_patterns(
+    cfg: "SimulationConfig", powers: Sequence[float]
+) -> list[DiffractionPattern]:
+    """The ensemble-averaged detector-plane pattern of ``cfg`` at each laser power.
 
-    Deterministic: quadrature results are reduced in a fixed order no
-    matter how many workers compute them, so identical configs give
-    bit-identical patterns.  When ``cfg.run.convergence_check`` is set the
-    quadrature axes are doubled one at a time and the RMS pattern change
-    is recorded in ``metadata["convergence"]`` (warning above 1%).
+    Pattern i is that of ``cfg`` with ``beam.power = powers[i]``, bit for
+    bit: one scan shares the quadratures, the grating window, the worker
+    threads and, in wave mode, one factorization of every (power, velocity)
+    state and each velocity's chirp and source kernel.  Deterministic:
+    quadrature results are reduced in a fixed order no matter how many
+    workers compute them, so identical configs give bit-identical patterns.
+    When ``cfg.run.convergence_check`` is set the quadrature axes are
+    doubled one at a time and the RMS pattern change is recorded in each
+    pattern's ``metadata["convergence"]`` (warning above 1%).
     """
-    pattern = _ensemble_once(cfg)
+    patterns = _ensembles(cfg, powers)
     if not cfg.run.convergence_check:
-        return pattern
+        return patterns
     from .config import QuadratureSpec  # deferred: avoids import cycle at module load
 
     quad = cfg.quadrature
-    changes = {}
+    changes: list[dict[str, float]] = [{} for _ in patterns]
     for axis in ("velocity_nodes", "vertical_nodes", "source_nodes"):
         doubled = replace(
             cfg,
@@ -372,114 +405,169 @@ def ensemble_pattern(cfg: "SimulationConfig") -> DiffractionPattern:
             ),
             run=replace(cfg.run, convergence_check=False),
         )
-        refined = _ensemble_once(doubled)
-        scale = float(np.sqrt(np.mean(pattern.intensity**2)))
-        rms = float(np.sqrt(np.mean((pattern.intensity - refined.intensity) ** 2)))
-        changes[axis] = rms / scale if scale > 0.0 else 0.0
-    worst = max(changes.values())
-    pattern.metadata["convergence"] = {"rms_change": changes, "converged": worst <= 0.01}
-    if worst > 0.01:
-        warnings.warn(
-            f"quadrature not converged: doubling changes the pattern by {worst:.2%} RMS",
-            stacklevel=2,
-        )
-    return pattern
+        for pattern, refined, change in zip(patterns, _ensembles(doubled, powers), changes):
+            scale = float(np.sqrt(np.mean(pattern.intensity**2)))
+            rms = float(np.sqrt(np.mean((pattern.intensity - refined.intensity) ** 2)))
+            change[axis] = rms / scale if scale > 0.0 else 0.0
+    for pattern, change in zip(patterns, changes):
+        worst = max(change.values())
+        pattern.metadata["convergence"] = {"rms_change": change, "converged": worst <= 0.01}
+        if worst > 0.01:
+            warnings.warn(
+                f"quadrature not converged at {pattern.metadata['power_w']} W: doubling "
+                f"changes the pattern by {worst:.2%} RMS",
+                stacklevel=3,
+            )
+    return patterns
 
 
-def _ensemble_once(cfg: "SimulationConfig") -> DiffractionPattern:
+def ensemble_pattern(cfg: "SimulationConfig") -> DiffractionPattern:
+    """Full ensemble-averaged detector-plane pattern for a configuration.
+
+    ``ensemble_patterns`` at the one power ``cfg.beam.power``, convergence
+    check included.
+    """
+    return ensemble_patterns(cfg, [cfg.beam.power])[0]
+
+
+def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[DiffractionPattern]:
     v_nodes, v_weights = velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)
     scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
     common_x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
-    phi_peak = compute_phi(cfg.species, cfg.beam, cfg.velocity.v_peak)
-    metadata = {
-        "mode": cfg.run.mode,
-        "species": cfg.species.name,
-        "power_w": cfg.beam.power,
-        "v_peak": cfg.velocity.v_peak,
-        "phi_re": phi_peak.re,
-        "phi_im": phi_peak.im,
-    }
-
-    # Every velocity node's grating state is factorized in one batch here,
-    # before the workers start.  Each node then gives its weighted share of
-    # the common-grid intensity, of the probability and of the scan coverage.
     velocities = v_nodes.tolist()
-    phis = [compute_phi(cfg.species, cfg.beam, velocity) for velocity in velocities]
-    if cfg.run.mode == "orders":
-        orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
-        per_node, n_channels, dropped = mixed_order_spectra(
-            phis, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
-        )
+    weights = v_weights.tolist()
+    configs = [replace(cfg, beam=replace(cfg.beam, power=power)) for power in powers]
+    phis = [[compute_phi(c.species, c.beam, velocity) for velocity in velocities] for c in configs]
+    grid_metadata: dict = {}  # wave mode: the grating samples and the FFT length
+    patterns: list[DiffractionPattern] = []
 
-        def run_slice(velocity: float, v_weight: float, slot_weights: np.ndarray):
-            slot = order_slot_spacing(cfg.species, velocity, cfg.beam, cfg.geometry)
-            placed = _envelope_sum(cfg.geometry, common_x, orders * slot, v_weight * slot_weights)
-            probability = v_weight * float(slot_weights.sum())
-            return placed, probability, v_weight
+    def node_sums(per_node: Iterable[list[tuple]], count: int) -> list[tuple]:
+        """Sum, for each of ``count`` powers, the shares of every velocity node.
 
-    else:
-        spp = cfg.numerics.samples_per_period
-        # The grid holds 2 spp samples per laser period, so orders |m| >= spp
-        # fold back into the pattern; the slowest node at the largest
-        # vertical scale carries the strongest grating.
-        slowest = float(v_nodes.min())
-        strongest = compute_phi(cfg.species, cfg.beam, slowest).scaled(float(scales.max()))
-        bound = tail_order(strongest, 0.01)
-        if bound >= spp:
-            warnings.warn(
-                f"the wave grid resolves orders |m| < numerics.samples_per_period = {spp}, "
-                f"but at {slowest:.1f} m/s the grating state is bounded below 1% only beyond "
-                f"|m| = {bound}; more than 1% may alias into the pattern, raise "
-                "numerics.samples_per_period",
-                stacklevel=3,
-            )
-        grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
-        src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
-        metadata["grating_samples"] = grid.size
-        metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
-        per_node, dropped = effective_channels(
-            phis, spp, scales, scale_weights, cfg.numerics.tail_eps
-        )
-        n_channels = [rows.rank for rows in per_node]
+        ``per_node`` yields, in node order, each node's share of the
+        common-grid intensity, of the probability and of the scan coverage
+        at each power; a node's shares are added as it arrives.
+        """
+        intensity = [np.zeros_like(common_x) for _ in range(count)]
+        probability = [0.0] * count
+        coverage = [0.0] * count
+        for shares in per_node:
+            for i, (placed, node_probability, in_span) in enumerate(shares):
+                intensity[i] += placed
+                probability[i] += node_probability
+                coverage[i] += in_span
+        return list(zip(intensity, probability, coverage))
 
-        def run_slice(velocity: float, v_weight: float, rows: ParityRows):
-            x_native, intensity, power_in, in_span = _wave_velocity_slice(
-                cfg, velocity, grid, mask, rows, src_nodes, src_weights
-            )
-            placed = v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0)
-            spacing_native = float(x_native[1] - x_native[0])
-            probability = v_weight * float(intensity.sum() * spacing_native) / power_in
-            return placed, probability, v_weight * in_span
+    def finish(p: int, sums: tuple, n_channels: list[int], dropped: np.ndarray) -> None:
+        accumulated, total_probability, coverage = sums
+        c = configs[p]
+        phi_peak = compute_phi(c.species, c.beam, c.velocity.v_peak)
+        metadata = {
+            "mode": c.run.mode,
+            "species": c.species.name,
+            "power_w": c.beam.power,
+            "v_peak": c.velocity.v_peak,
+            "phi_re": phi_peak.re,
+            "phi_im": phi_peak.im,
+            **grid_metadata,
+            "phi_per_velocity": [[v, phi.re, phi.im] for v, phi in zip(velocities, phis[p])],
+            "channels_per_velocity": n_channels,
+            "dropped_probability": float(dropped.max()),
+            "total_probability": total_probability,
+            "scan_coverage": coverage,
+        }
+        patterns.append(_finalize(c, common_x, accumulated, metadata))
 
-    if cfg.run.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.run.workers) as pool:
-            slices = list(pool.map(run_slice, velocities, v_weights.tolist(), per_node))
-    else:
-        slices = list(map(run_slice, velocities, v_weights.tolist(), per_node))
+    pool = ThreadPoolExecutor(max_workers=cfg.run.workers) if cfg.run.workers > 1 else None
+    run = map if pool is None else pool.map
+    try:
+        if cfg.run.mode == "orders":
+            orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
 
-    accumulated = np.zeros_like(common_x)
-    total_probability = 0.0
-    coverage = 0.0
-    for placed, probability, in_span in slices:
-        accumulated += placed
-        total_probability += probability
-        coverage += in_span
-    if cfg.run.mode == "orders":
-        # _finalize renormalizes the pattern, so mass in the orders beyond
-        # m_max would otherwise vanish from it without a trace
-        lost = 1.0 - total_probability
-        if lost > 0.01:
-            warnings.warn(
-                f"orders beyond numerics.m_max = {cfg.numerics.m_max} hold {lost:.2%} "
-                "of the molecules; raise numerics.m_max",
-                stacklevel=3,
-            )
-    metadata["phi_per_velocity"] = [[v, phi.re, phi.im] for v, phi in zip(velocities, phis)]
-    metadata["channels_per_velocity"] = n_channels
-    metadata["dropped_probability"] = float(dropped.max())
-    metadata["total_probability"] = total_probability
-    metadata["scan_coverage"] = coverage
-    return _finalize(cfg, common_x, accumulated, metadata)
+            def place_orders(velocity: float, v_weight: float, slot_weights: np.ndarray):
+                slot = order_slot_spacing(cfg.species, velocity, cfg.beam, cfg.geometry)
+                placed = _envelope_sum(
+                    cfg.geometry, common_x, orders * slot, v_weight * slot_weights
+                )
+                return [(placed, v_weight * float(slot_weights.sum()), v_weight)]
+
+            # one grid per power, sized by that power's strongest phase
+            for p, node_phis in enumerate(phis):
+                per_node, n_channels, dropped = mixed_order_spectra(
+                    node_phis, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
+                )
+                (sums,) = node_sums(run(place_orders, velocities, weights, per_node), 1)
+                # _finalize renormalizes the pattern, so mass in the orders beyond
+                # m_max would otherwise vanish from it without a trace
+                lost = 1.0 - sums[1]
+                if lost > 0.01:
+                    warnings.warn(
+                        f"orders beyond numerics.m_max = {cfg.numerics.m_max} hold {lost:.2%} "
+                        f"of the molecules at {powers[p]} W; raise numerics.m_max",
+                        stacklevel=4,
+                    )
+                finish(p, sums, n_channels, dropped)
+        else:
+            spp = cfg.numerics.samples_per_period
+            # The grid holds 2 spp samples per laser period, so orders |m| >= spp
+            # fold back into the pattern; the slowest node at the largest
+            # vertical scale carries the strongest grating.
+            slowest = float(v_nodes.min())
+            for c in configs:
+                strongest = compute_phi(c.species, c.beam, slowest).scaled(float(scales.max()))
+                bound = tail_order(strongest, 0.01)
+                if bound >= spp:
+                    warnings.warn(
+                        f"the wave grid resolves orders |m| < numerics.samples_per_period = "
+                        f"{spp}, but at {c.beam.power} W and {slowest:.1f} m/s the grating "
+                        f"state is bounded below 1% only beyond |m| = {bound}; more than 1% "
+                        "may alias into the pattern, raise numerics.samples_per_period",
+                        stacklevel=4,
+                    )
+            grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
+            src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
+            grid_metadata["grating_samples"] = grid.size
+            grid_metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
+
+            def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):
+                x_native, intensities, power_in, coverages = _wave_velocity_slice(
+                    cfg, velocity, grid, mask, rows, src_nodes, src_weights
+                )
+                spacing_native = float(x_native[1] - x_native[0])
+                return [
+                    (
+                        v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0),
+                        v_weight * float(intensity.sum() * spacing_native) / power_in,
+                        v_weight * in_span,
+                    )
+                    for intensity, in_span in zip(intensities, coverages)
+                ]
+
+            # The (power, velocity) states of a group of powers are factorized
+            # in one batch before its workers start; each worker task then
+            # propagates one velocity node at every power of the group.
+            n_nodes = len(velocities)
+            per_group = max(1, MAX_BATCH_STATES // n_nodes)
+            for first in range(0, len(configs), per_group):
+                group = range(first, min(first + per_group, len(configs)))
+                rows, dropped = effective_channels(
+                    [phi for p in group for phi in phis[p]],
+                    spp,
+                    scales,
+                    scale_weights,
+                    cfg.numerics.tail_eps,
+                )
+                # state i * n_nodes + j is power group[i] at velocity node j
+                per_node = [rows[j::n_nodes] for j in range(n_nodes)]
+                sums = node_sums(run(propagate, velocities, weights, per_node), len(group))
+                for i, p in enumerate(group):
+                    states = slice(i * n_nodes, (i + 1) * n_nodes)
+                    n_channels = [block.rank for block in rows[states]]
+                    finish(p, sums[i], n_channels, dropped[states])
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return patterns
 
 
 def pattern_metrics(pattern: DiffractionPattern, spacing: float) -> PatternMetrics:

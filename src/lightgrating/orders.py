@@ -23,7 +23,6 @@ from .grating import (
     GridSpec,
     channel_amplitudes,
     effective_channels,
-    poisson_weight,
     scale_weight_arrays,
     truncation_order,
 )
@@ -288,8 +287,9 @@ def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.
     grating period (uniform illumination, midpoint samples over the half
     period; the other half mirrors it) and over the vertical intensity
     ``scales`` with their ``weights``, normalised to unit sum.  Each Poisson
-    weight is evaluated in log space (``grating.poisson_weight``), so none
-    under- or overflows at any mean photon number.
+    weight is evaluated in log space, as ``grating.poisson_weight`` does, so
+    none under- or overflows at any mean photon number; log(nbar) is taken
+    once for every n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -297,7 +297,18 @@ def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.
     weights = weights / weights.sum()
     theta = (np.arange(_HALF_PERIOD_SAMPLES) + 0.5) * (0.5 * math.pi / _HALF_PERIOD_SAMPLES)
     nbar = 4.0 * phi.im * np.multiply.outer(scales, np.cos(theta) ** 2)
+    if np.any(nbar < 0.0):
+        raise ValueError("mean photon number must be >= 0")
+    # where nbar = 0, log(nbar) = -inf and the weight exp(-inf) of n >= 1 is 0
+    with np.errstate(divide="ignore"):
+        log_nbar = np.log(nbar)
     # row n: the period average at each scale
-    means = np.array([np.mean(poisson_weight(nbar, n), axis=-1) for n in range(n_max + 1)])
+    means = [np.mean(np.exp(-nbar), axis=-1)]
+    for n in range(1, n_max + 1):
+        weight = n * log_nbar
+        weight -= nbar
+        weight -= math.lgamma(n + 1)
+        means.append(np.mean(np.exp(weight, out=weight), axis=-1))
+    means = np.array(means)
     # a running sum over the scales, in order
     return sum(weight * column for weight, column in zip(weights, means.T))

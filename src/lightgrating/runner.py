@@ -19,6 +19,7 @@ from .beamline import (
     DiffractionPattern,
     compare_patterns,
     ensemble_pattern,
+    ensemble_patterns,
     order_slot_spacing,
     pattern_metrics,
 )
@@ -144,8 +145,16 @@ def run_simulate(
     optional convergence check fails, so the caller can report a distinct
     exit status while the artifacts remain inspectable.
     """
-    out = _resolve_out_dir(cfg, out_dir)
     pattern = ensemble_pattern(cfg)
+    return pattern, _write_run(cfg, pattern, _resolve_out_dir(cfg, out_dir))
+
+
+def _write_run(cfg: SimulationConfig, pattern: DiffractionPattern, out: Path) -> dict:
+    """Stamp, summarize and write the pattern of ``cfg``; return its summary.
+
+    Raises :class:`ConvergenceError` after writing when the pattern's
+    convergence check failed.
+    """
     pattern.metadata["config_digest"] = config_digest(cfg)
     summary = summarize(cfg, pattern)
     write_pattern_csv(out / f"{cfg.run.prefix}_pattern.csv", pattern)
@@ -159,7 +168,7 @@ def run_simulate(
         raise ConvergenceError(
             f"quadrature doubling changes the pattern by {worst:.2%} RMS (> 1%)"
         )
-    return pattern, summary
+    return summary
 
 
 def run_orders(cfg: SimulationConfig, out_dir: str | Path | None = None) -> dict:
@@ -196,21 +205,31 @@ def run_orders(cfg: SimulationConfig, out_dir: str | Path | None = None) -> dict
 def run_power_scan(
     cfg: SimulationConfig, powers: list[float], out_dir: str | Path | None = None
 ) -> list[dict]:
-    """One simulation per laser power plus combined scan tables."""
+    """One simulation per laser power plus combined scan tables.
+
+    The patterns come from one ``ensemble_patterns`` call, and each power
+    writes the files ``run_simulate`` writes for its configuration, with
+    the prefix ``<prefix>_pNN``.  A failed convergence check raises
+    :class:`ConvergenceError` after that power's files are written.
+    """
     if not powers:
         raise ValueError("power scan needs at least one power")
+    if not np.all(np.isfinite(powers)):
+        raise ValueError("powers must be finite")
     if any(p < 0.0 for p in powers):
         raise ValueError("powers must be >= 0")
     out = _resolve_out_dir(cfg, out_dir)
+    powers = [float(power) for power in powers]
+    patterns = ensemble_patterns(cfg, powers)
     combined = ["power_w,position_um,intensity"]
     rows = []
-    for index, power in enumerate(powers):
+    for index, (power, pattern) in enumerate(zip(powers, patterns)):
         sub = replace(
             cfg,
-            beam=replace(cfg.beam, power=float(power)),
+            beam=replace(cfg.beam, power=power),
             run=replace(cfg.run, prefix=f"{cfg.run.prefix}_p{index:02d}"),
         )
-        pattern, summary = run_simulate(sub, out_dir)
+        summary = _write_run(sub, pattern, out)
         for x, value in zip(pattern.positions, pattern.intensity):
             combined.append(f"{power:.6f},{x * 1e6:.6f},{value:.20f}")
         efficiencies = summary["order_efficiencies"]

@@ -23,6 +23,7 @@ from lightgrating.beamline import (
     aperture_mask,
     compare_patterns,
     ensemble_pattern,
+    ensemble_patterns,
     farfield_peak_positions,
     geometric_envelope,
     grating_window,
@@ -385,8 +386,8 @@ class TestWaveVelocitySlice:
             (rows,), (dropped,) = effective_channels(
                 [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
             )
-            x, intensity, power_in, _ = _wave_velocity_slice(
-                cfg, velocity, grid, mask, rows, self.SOURCES, self.SOURCE_WEIGHTS
+            x, (intensity,), power_in, _ = _wave_velocity_slice(
+                cfg, velocity, grid, mask, [rows], self.SOURCES, self.SOURCE_WEIGHTS
             )
             x_ref, reference = channel_by_channel_slice(
                 cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
@@ -442,9 +443,10 @@ class TestWaveVelocitySlice:
         (rows,), _ = effective_channels(
             [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
         )
-        args = (cfg, slowest, grid, mask, rows, src_nodes, src_weights)
-        intensity = _wave_velocity_slice(*args)[1]
-        reference = per_source_loop_slice(*args)
+        (intensity,) = _wave_velocity_slice(
+            cfg, slowest, grid, mask, [rows], src_nodes, src_weights
+        )[1]
+        reference = per_source_loop_slice(cfg, slowest, grid, mask, rows, src_nodes, src_weights)
         assert np.max(np.abs(intensity - reference)) <= 1e-13 * reference.max()
         # the lag-domain product is real only up to rounding
         assert intensity.min() >= -1e-14 * intensity.max()
@@ -537,6 +539,68 @@ def full_grid_envelopes(geom, x, centers, weights):
     for center, weight in zip(centers, weights):
         total += weight * geometric_envelope(geom, x - center)
     return total
+
+
+
+class TestEnsemblePatterns:
+    POWERS = [9.5, 0.0, 30.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "mode, workers", [("wave", 1), ("wave", 2), ("orders", 1), ("orders", 3)]
+    )
+    def test_each_power_equals_its_own_ensemble(self, mode, workers):
+        cfg = fast_config()
+        cfg = replace(cfg, run=replace(cfg.run, mode=mode, workers=workers))
+        patterns = ensemble_patterns(cfg, self.POWERS)
+        assert len(patterns) == len(self.POWERS)
+        for power, pattern in zip(self.POWERS, patterns):
+            alone = ensemble_pattern(replace(cfg, beam=replace(cfg.beam, power=power)))
+            assert np.array_equal(pattern.intensity, alone.intensity)
+            assert np.array_equal(pattern.positions, alone.positions)
+            assert pattern.metadata == alone.metadata
+
+    def test_one_factorization_and_one_task_per_velocity(self, monkeypatch):
+        cfg = fast_config()
+        batches, tasks = [], []
+        factorize = lightgrating.beamline.effective_channels
+        propagate = lightgrating.beamline._wave_velocity_slice
+
+        def counted_factorize(phis, *args):
+            batches.append(len(phis))
+            return factorize(phis, *args)
+
+        def counted_propagate(cfg, velocity, grid, mask, rows, *args):
+            tasks.append((velocity, len(rows)))
+            return propagate(cfg, velocity, grid, mask, rows, *args)
+
+        monkeypatch.setattr(lightgrating.beamline, "effective_channels", counted_factorize)
+        monkeypatch.setattr(lightgrating.beamline, "_wave_velocity_slice", counted_propagate)
+        ensemble_patterns(cfg, self.POWERS)
+        nodes = cfg.quadrature.velocity_nodes
+        assert batches == [nodes * len(self.POWERS)]
+        velocities = velocity_quadrature(cfg.velocity, nodes)[0].tolist()
+        assert tasks == [(velocity, len(self.POWERS)) for velocity in velocities]
+
+    @pytest.mark.parametrize("limit, expected", [(8, [8, 8, 4]), (3, [4] * 5)])
+    def test_long_scans_factorize_in_groups(self, monkeypatch, limit, expected):
+        # 4 velocity nodes: at most limit // 4 powers per batch, and at least one
+        cfg = fast_config()
+        powers = self.POWERS + [20.0]
+        whole = ensemble_patterns(cfg, powers)
+        batches = []
+        factorize = lightgrating.beamline.effective_channels
+
+        def counted_factorize(phis, *args):
+            batches.append(len(phis))
+            return factorize(phis, *args)
+
+        monkeypatch.setattr(lightgrating.beamline, "MAX_BATCH_STATES", limit)
+        monkeypatch.setattr(lightgrating.beamline, "effective_channels", counted_factorize)
+        grouped = ensemble_patterns(cfg, powers)
+        assert batches == expected
+        for a, b in zip(whole, grouped):
+            assert np.array_equal(a.intensity, b.intensity)
+            assert a.metadata == b.metadata
 
 
 class TestEnsembleOrdersMode:

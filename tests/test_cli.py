@@ -1,10 +1,13 @@
 """End-to-end command-line runs on small configurations."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,13 @@ import lightgrating
 from lightgrating.cli import build_parser, main
 from lightgrating.config import config_digest, parse_config
 from lightgrating.grating import GratingBeam, compute_phi
-from lightgrating.runner import read_pattern_csv, write_pattern_csv
+from lightgrating.runner import (
+    ConvergenceError,
+    read_pattern_csv,
+    run_power_scan,
+    run_simulate,
+    write_pattern_csv,
+)
 from lightgrating.species import CATALOG
 
 TINY = """\
@@ -254,6 +263,76 @@ class TestScan:
         cfg = write_config(tmp_path)
         assert main(["scan", str(cfg), "--powers", "-2"]) == 1
         assert ">= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("powers", ["nan", "2,inf", "1,-inf", "1e999"])
+    def test_non_finite_power_is_a_config_error(self, tmp_path, capsys, powers):
+        cfg = write_config(tmp_path)
+        assert main(["scan", str(cfg), "--powers", powers, "--out-dir", str(tmp_path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_run_power_scan_rejects_non_finite_power(self, tmp_path, bad):
+        cfg = parse_config(TINY)
+        with pytest.raises(ValueError, match="finite"):
+            run_power_scan(cfg, [2.0, bad], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+
+class TestScanMatchesSimulate:
+    """Every per-power file of a scan equals that of ``run_simulate`` at the power."""
+
+    POWERS = [5.0, 0.0, 9.5]
+
+    def sub_config(self, cfg, index, power):
+        return replace(
+            cfg,
+            beam=replace(cfg.beam, power=power),
+            run=replace(cfg.run, prefix=f"{cfg.run.prefix}_p{index:02d}"),
+        )
+
+    def simulate_each(self, cfg, powers, out):
+        """``run_simulate`` per power until one raises; returns that index or None."""
+        for index, power in enumerate(powers):
+            try:
+                run_simulate(self.sub_config(cfg, index, power), out)
+            except ConvergenceError:
+                return index
+        return None
+
+    def assert_same_power_files(self, scan_dir, simulate_dir):
+        names = sorted(path.name for path in simulate_dir.iterdir())
+        assert names
+        assert sorted(p.name for p in scan_dir.iterdir() if "_scan" not in p.name) == names
+        for name in names:
+            assert (scan_dir / name).read_bytes() == (simulate_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "mode, workers", [("wave", 1), ("wave", 2), ("orders", 1), ("orders", 2)]
+    )
+    def test_byte_identical_per_power_outputs(self, tmp_path, mode, workers):
+        cfg = parse_config(TINY + f"[run]\nmode = {mode}\nworkers = {workers}\n")
+        rows = run_power_scan(cfg, self.POWERS, tmp_path / "scan")
+        assert self.simulate_each(cfg, self.POWERS, tmp_path / "simulate") is None
+        self.assert_same_power_files(tmp_path / "scan", tmp_path / "simulate")
+        assert [row["power_w"] for row in rows] == self.POWERS
+
+    @pytest.mark.parametrize("mode", ["wave", "orders"])
+    def test_convergence_failure_at_the_same_power(self, tmp_path, mode):
+        # 0 W passes the check, 5 W does not: the scan stops after writing
+        # the 5 W files, as the per-power simulate runs do
+        text = TINY.replace("source_nodes = 2", "source_nodes = 4")
+        cfg = parse_config(text + f"[run]\nmode = {mode}\nconvergence_check = true\n")
+        powers = [0.0, 5.0, 9.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert self.simulate_each(cfg, powers, tmp_path / "simulate") == 1
+            with pytest.raises(ConvergenceError):
+                run_power_scan(cfg, powers, tmp_path / "scan")
+        self.assert_same_power_files(tmp_path / "scan", tmp_path / "simulate")
+        assert not (tmp_path / "scan" / "run_p02_pattern.csv").exists()
+        assert not (tmp_path / "scan" / "run_scan.csv").exists()
 
 
 class TestCompare:

@@ -408,6 +408,29 @@ class TestAbsorbedFraction:
         ]
         assert np.max(np.abs(absorbed_fractions(phi, n_max, scales, weights) - expected)) < 1e-14
 
+    @staticmethod
+    def per_n_poisson_weight_loop(phi, n_max, scales, weights):
+        """The fractions from one ``poisson_weight`` call per n, summed as the summary does."""
+        weights = weights / weights.sum()
+        theta = (np.arange(1024) + 0.5) * (0.5 * math.pi / 1024)
+        nbar = 4.0 * phi.im * np.multiply.outer(scales, np.cos(theta) ** 2)
+        means = np.array([np.mean(poisson_weight(nbar, n), axis=-1) for n in range(n_max + 1)])
+        return sum(weight * column for weight, column in zip(weights, means.T))
+
+    @pytest.mark.parametrize("species", [C60, C70], ids=["C60", "C70"])
+    @pytest.mark.parametrize("power", [0.0, 9.5, 50.0, 1000.0])
+    def test_bit_identical_to_per_n_poisson_weight(self, species, power):
+        phi = compute_phi(species, GratingBeam(power=power), 120.0)
+        n_max = truncation_order(phi)
+        for nodes in range(1, 40):
+            scales, weights = vertical_phi_scales(VerticalProfile(), nodes)
+            expected = self.per_n_poisson_weight_loop(phi, n_max, scales, weights)
+            assert np.array_equal(absorbed_fractions(phi, n_max, scales, weights), expected)
+
+    def test_negative_mean_photon_number_rejected(self):
+        with pytest.raises(ValueError, match="mean photon number"):
+            absorbed_fractions(ComplexPhase(1.0, 0.1), 2, [-1.0], [1.0])
+
     def test_c70_two_photon_fraction(self):
         phi = compute_phi(C70, GratingBeam(), 120.0)
         assert absorbed_fractions(phi, 2)[2] == pytest.approx(0.13, abs=0.01)
