@@ -6,19 +6,21 @@ closed form: per velocity, the grating is the mixed state of
 into the few field rows it needs.  One call factorizes the states of all
 velocity nodes of a run, before the worker threads start; the workers
 only propagate.  The rows of each velocity are Fresnel-propagated in one
-FFT batch and their intensities add.  A source point only adds a linear
-phase ramp, which multiplies each lag of the field autocorrelation by a
-phase; so the incoherent average over the source nodes is one kernel on
-the lags of that single-source intensity, exact for the midpoint source
-rule.  This equals the channel-by-channel, source-by-source quadrature of
+FFT batch and their intensities add.  The fields are even about the slit
+centre, so the batch transforms only the L nonzero samples right of it,
+at the 5-smooth length M >= 2L: one FFT per row gives the power spectrum
+of the whole field (a DCT-II by Makhoul's method), and one inverse
+transform its autocorrelation.  A source point only adds a linear phase
+ramp, which multiplies each lag of the field autocorrelation by a phase;
+so the incoherent average over the source nodes is one kernel on the lags
+of that single-source intensity, exact for the midpoint source rule.  This
+equals the channel-by-channel, source-by-source quadrature of
 ``point_source_pattern`` up to the probability the rows drop (at most
-``tail_eps`` per grating point).  The autocorrelation of N grating samples
-has 2N - 1 lags, so the row batch runs at next_pow2(2N - 1) points
-whatever ``numerics.pad_factor`` is; the padding sets only the output
-bins, one transform of the folded lags per velocity.  The grid resolves
-the orders |m| < ``numerics.samples_per_period``, and a run warns when the
-grating state may put more than 1% beyond them.  Orders mode projects the
-same effective rows onto the diffraction orders
+``tail_eps`` per grating point).  ``numerics.pad_factor`` sets only the
+output bins, one transform of the folded lags per velocity.
+The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
+run warns when the grating state may put more than 1% beyond them.
+Orders mode projects the same effective rows onto the diffraction orders
 (``orders.mixed_order_spectra``: one factorization of all velocity nodes
 on one grid, sized by the slowest node; no photon cap) and places each
 order's weight on the geometric shadow envelope instead of propagating;
@@ -57,7 +59,7 @@ from .grating import (
     effective_channels,
 )
 from .orders import mixed_order_spectra, tail_order
-from .propagation import next_pow2, propagate_spectral
+from .propagation import next_pow2, next_smooth, propagate_spectral
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
 if TYPE_CHECKING:
@@ -284,20 +286,49 @@ def _wave_velocity_slice(
     power shares them.  Returns (native positions, native intensity at each
     power, input power, in-span fraction at each power).  Pure function of
     its arguments; safe to run on a worker thread.
+
+    Every field is even about the window centre, f(N - 1 - n) = f(n): the
+    grid is centred on an antinode, the slit mask is symmetric, the chirp
+    depends on x^2 and the rows depend on x only through c = cos(k x).
+    Only the rounding of the mask's edge cells breaks the symmetry, by
+    less than 2e-13 of the peak at 48 and 64 samples per period; a mask
+    that is not mirror-symmetric raises ``ValueError``.  So only the
+    half field g(m) = f(N/2 + m), m < L, is transformed, where L counts its
+    nonzero samples: its even extension has the power spectrum
+    S(k) = |w V(k) + w^* V(M - k)|^2 on 2M bins, w = exp(-i pi k / 2M), from
+    one FFT V of length M >= 2L of g in Makhoul's order (IEEE Trans. ASSP
+    28, 27 (1980)), and the inverse transform of S is the field
+    autocorrelation A(d), real and even, over all its lags |d| < 2L.
     """
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
-    x = grid.positions()
     spacing = grid.spacing
     n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
-    laser_period = 2 * grid.samples_per_period
+    if np.max(np.abs(mask - mask[::-1])) > 1e-10:
+        raise ValueError("the slit mask is not mirror-symmetric about the window centre")
+    centre = grid.size // 2
+    support = int(np.flatnonzero(mask[centre:])[-1]) + 1
+    m_len = 2 * next_smooth(support)
+    half = m_len // 2
 
-    # Quadratic phases of the incoming cylindrical wave (L12) and of the
-    # outgoing Fresnel kernel (L2D) combine into one chirp; each source
-    # point then contributes only a linear phase ramp.  Constant phases
-    # drop out of |psi|^2.
-    base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
+    # Makhoul's order, v = [g(0), g(2), ..., 0, ..., g(3), g(1)], in two
+    # runs: the even samples ascending, then the odd ones descending.
+    # Sample n of the window takes row column n mod 2 spp, as if the
+    # period were tiled across it from n = 0; the centre then falls on
+    # column 0 or spp, and a shift by spp negates c, which negates odd rows
+    # only and leaves every intensity unchanged.  Quadratic phases of the
+    # incoming cylindrical wave (L12) and of the outgoing Fresnel kernel
+    # (L2D) combine into one chirp; each source point then contributes only
+    # a linear phase ramp.  Constant phases drop out of |psi|^2.
+    x = grid.positions()
+    chirp = 0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)
+    runs = []
+    for n in (centre + np.arange(0, support, 2), centre + np.arange(1, support, 2)[::-1]):
+        runs.append((n % (2 * grid.samples_per_period), mask[n] * np.exp(1j * chirp * x[n] ** 2)))
+    (even_columns, even_base), (odd_columns, odd_base) = runs
+    mirror = -np.arange(half + 1) % m_len  # M - k, with V(M) = V(0)
+    twist = np.exp(-1j * np.pi * np.arange(half + 1) / m_len)  # w^2
 
     # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
     # that of the slit alone; what the effective rows drop shows as a loss.
@@ -307,22 +338,16 @@ def _wave_velocity_slice(
 
     # Source point s adds the ramp exp(-i (k/L12) s x), which multiplies lag
     # d of the field autocorrelation by exp(-i (k/L12) s spacing d).  The
-    # incoherent source average is therefore one kernel on the lags of the
-    # single-source intensity.  The autocorrelation A(d) spans |d| < grid.size,
-    # so the rows are transformed at n_lag = next_pow2(2 grid.size - 1), where
-    # A does not wrap, whatever pad_factor is.  The averaged lags then fold
-    # onto the output grid at d mod n_fft (terms add only when n_fft <
-    # 2 grid.size - 1), and one n_fft transform gives the output bins: the
-    # same sum_d A(d) c[d] exp(-2 pi i f d / n_fft) at any n_fft.
-    n_lag = next_pow2(2 * grid.size - 1)
-    # c[d] for d >= 0; the weights are real, so c[-d] = conj(c[d])
+    # incoherent source average is therefore one kernel c[d] on the lags of
+    # the single-source intensity.  The averaged lags B(d) = A(d) c[d] are
+    # Hermitian, since A is real and even and the weights are real, so they
+    # fold onto the output grid at d mod n_fft and one n_fft transform gives
+    # the output: sum_d B(d) exp(-2 pi i f d / n_fft) at any n_fft.
+    n_lags = 2 * support
     ramp = -1j * (k / geom.L12) * spacing
     kernel = np.einsum(
-        "s,sd->d", src_weights, np.exp(ramp * np.multiply.outer(src_nodes, np.arange(grid.size)))
+        "s,sd->d", src_weights, np.exp(ramp * np.multiply.outer(src_nodes, np.arange(n_lags)))
     )
-    kernel = np.concatenate([kernel[:0:-1].conj(), kernel])
-    lags = np.arange(1 - grid.size, grid.size)
-    folds = lags % n_fft
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
@@ -330,14 +355,29 @@ def _wave_velocity_slice(
     intensities = []
     coverages = []
     for block in rows:
-        # each row repeats over the laser periods of the window
-        fields = block.period()[:, None, :] * base.reshape(-1, laser_period)
-        fields = fields.reshape(block.rank, grid.size)
-        single = np.zeros(n_lag)
-        backend.accumulate_weighted_abs2(np.fft.fft(fields, n=n_lag, axis=-1), 1.0, single)
-        del fields  # before the next power's rows are spread
+        period = block.period()
+        v = np.zeros((block.rank, m_len), dtype=np.complex128)
+        v[:, : even_base.size] = period[:, even_columns] * even_base
+        v[:, m_len - odd_base.size :] = period[:, odd_columns] * odd_base
+        spectrum = np.fft.fft(v, axis=-1)
+        del v  # before the next power's rows are spread
+        power = np.zeros(m_len)  # P(k) = sum_r |V_r(k)|^2
+        backend.accumulate_weighted_abs2(spectrum, 1.0, power)
+        # Q(k) = sum_r V_r(k) V_r(M - k)^*
+        cross = np.einsum("rk,rk->k", spectrum[:, : half + 1], spectrum[:, mirror].conj())
+        del spectrum
+        paired = power[: half + 1] + power[mirror]
+        twisted = 2.0 * (twist * cross).real
+        spectrum_2m = np.empty(m_len + 1)
+        spectrum_2m[: half + 1] = paired + twisted
+        spectrum_2m[half:] = (paired - twisted)[::-1]  # S(M - k)
+        spectrum_2m[m_len] = 0.0
+        lags = np.fft.irfft(spectrum_2m, 2 * m_len)[:n_lags] * kernel
+        # lag -d lands on bin n_fft - d, which overlaps the positive lags
+        # only when n_fft < 4L - 1
         folded = np.zeros(n_fft, dtype=np.complex128)
-        np.add.at(folded, folds, np.fft.ifft(single)[lags] * kernel)
+        folded[:n_lags] = lags
+        folded[n_fft - n_lags + 1 :] += lags[:0:-1].conj()
         intensity = np.fft.fftshift(np.fft.fft(folded).real * out_scale)
         total = float(intensity.sum() * out_spacing)
         intensities.append(intensity)

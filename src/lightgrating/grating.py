@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -310,12 +311,23 @@ class ParityRows:
 
     def period(self) -> np.ndarray:
         """The rows over the canonical laser period, shape (rank, 2 spp)."""
-        spp = 2 * self.values.shape[1]
-        # point i has k x_i = pi (i + 1/2)/spp - pi, |c_i| = a[fold[i]]
-        within_half = np.arange(2 * spp) % spp
-        fold = np.minimum(within_half, spp - 1 - within_half)
-        sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
+        fold, sign = _period_layout(2 * self.values.shape[1])
         return self.values[:, fold] * np.where(self.odd[:, None], sign, 1.0)
+
+
+@lru_cache(maxsize=16)
+def _period_layout(spp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The |c| index and the sign of c at each point of the canonical laser period.
+
+    Point i has k x_i = pi (i + 1/2)/spp - pi and |c_i| = a[fold[i]].  The
+    arrays are shared between callers, so they are read-only.
+    """
+    within_half = np.arange(2 * spp) % spp
+    fold = np.minimum(within_half, spp - 1 - within_half)
+    sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
+    fold.flags.writeable = False
+    sign.flags.writeable = False
+    return fold, sign
 
 
 def effective_channels(

@@ -29,6 +29,19 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def next_smooth(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length at which an FFT is fast."""
+    best = next_pow2(n)
+    fives = 1
+    while fives < best:
+        odd = fives  # 3^b 5^c
+        while odd < best:
+            best = min(best, odd * next_pow2(-(-n // odd)))
+            odd *= 3
+        fives *= 5
+    return best
+
+
 def propagate_spectral(
     field: np.ndarray,
     spacing: float,

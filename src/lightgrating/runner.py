@@ -155,8 +155,8 @@ def _write_run(cfg: SimulationConfig, pattern: DiffractionPattern, out: Path) ->
     Raises :class:`ConvergenceError` after writing when the pattern's
     convergence check failed.
     """
-    pattern.metadata["config_digest"] = config_digest(cfg)
     summary = summarize(cfg, pattern)
+    pattern.metadata["config_digest"] = summary["config_digest"]
     write_pattern_csv(out / f"{cfg.run.prefix}_pattern.csv", pattern)
     _atomic_write(
         out / f"{cfg.run.prefix}_summary.json",

@@ -1,5 +1,6 @@
 """Beamline geometry, single-source patterns, and ensemble averaging."""
 
+import itertools
 import math
 import warnings
 from contextlib import nullcontext
@@ -314,34 +315,97 @@ def channel_by_channel_slice(cfg, velocity, scales, scale_weights, src_nodes, sr
     return x_out, total
 
 
+def window_fields(cfg, velocity, grid, mask, rows):
+    """The fields of the effective rows over the whole grating window.
+
+    The canonical laser period is tiled across the window from its first
+    sample, and each row is multiplied by the slit mask and the chirp.
+    """
+    geom = cfg.geometry
+    k = 2.0 * math.pi / de_broglie_wavelength(cfg.species, velocity)
+    x = grid.positions()
+    base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
+    return np.tile(rows.period(), (1, grid.size // (2 * grid.samples_per_period))) * base
+
+
 def per_source_loop_slice(cfg, velocity, grid, mask, rows, src_nodes, src_weights):
     """Native intensity of one velocity node with one FFT batch per source point.
 
-    The direct form of the incoherent source average: every source point's
-    linear phase ramp multiplies the effective rows before their own FFT.
+    The direct form of the incoherent source average over the whole window:
+    every source point's linear phase ramp multiplies the effective rows
+    before their own FFT.
     """
-    geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
     x = grid.positions()
     n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
-    laser_period = 2 * grid.samples_per_period
-    base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
-    fields = np.tile(rows.period(), (1, grid.size // laser_period)) * base
-    out_scale = grid.spacing**2 / (wavelength * geom.L2D)
+    fields = window_fields(cfg, velocity, grid, mask, rows)
+    out_scale = grid.spacing**2 / (wavelength * cfg.geometry.L2D)
     intensity = np.zeros(n_fft)
     for source_x, source_weight in zip(src_nodes, src_weights):
-        ramp = np.exp(-1j * (k / geom.L12) * source_x * x)
+        ramp = np.exp(-1j * (k / cfg.geometry.L12) * source_x * x)
         transform = np.fft.fft(fields * ramp, n=n_fft, axis=-1)
         intensity += source_weight * out_scale * np.sum(np.abs(transform) ** 2, axis=0)
     return np.fft.fftshift(intensity)
+
+
+def velocity_slice(species, power, spp, slit2, source_nodes, pad_factor=4):
+    """The inputs of ``_wave_velocity_slice`` at the slowest default velocity node."""
+    cfg = replace(
+        SimulationConfig(),
+        species=species,
+        beam=GratingBeam(power=power),
+        geometry=BeamlineGeometry(slit2=slit2),
+    )
+    cfg = replace(
+        cfg, numerics=replace(cfg.numerics, samples_per_period=spp, pad_factor=pad_factor)
+    )
+    velocity = float(velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0][0])
+    scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
+    grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
+    (rows,), _ = effective_channels(
+        [compute_phi(cfg.species, cfg.beam, velocity)],
+        spp,
+        scales,
+        scale_weights,
+        cfg.numerics.tail_eps,
+    )
+    src_nodes, src_weights = source_quadrature(cfg.geometry, source_nodes)
+    return SimpleNamespace(
+        cfg=cfg,
+        velocity=velocity,
+        grid=grid,
+        mask=mask,
+        rows=rows,
+        src_nodes=src_nodes,
+        src_weights=src_weights,
+    )
+
+
+def half_support(grid, mask):
+    """L, the number of nonzero samples of the slit mask right of the window centre."""
+    return int(np.count_nonzero(mask[grid.size // 2 :]))
+
+
+def smooth_even_length(n):
+    """The smallest even 2^a 3^b 5^c >= n, by search."""
+    m = n + n % 2
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2
 
 
 class CountingNumpy:
     """Stands in for ``np`` inside a module and counts its calls into ``np.fft``.
 
     ``transforms`` lists (name, length) of every one-dimensional transform
-    in call order: the ``n`` it was asked for, else the length of its axis.
+    in call order: the ``n`` it was asked for, else the length of its axis;
+    ``inputs`` holds the array each of them was given.
     """
 
     TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
@@ -349,6 +413,7 @@ class CountingNumpy:
     def __init__(self):
         self.fft_calls = 0
         self.transforms = []
+        self.inputs = []
         self.fft = SimpleNamespace(
             **{name: self._counted(name, getattr(np.fft, name)) for name in np.fft.__all__}
         )
@@ -361,6 +426,7 @@ class CountingNumpy:
                 if length is None:
                     length = np.shape(args[0])[kwargs.get("axis", -1)]
                 self.transforms.append((name, length))
+                self.inputs.append(args[0])
             return func(*args, **kwargs)
 
         return counted
@@ -419,37 +485,82 @@ class TestWaveVelocitySlice:
         phi = self.check_against_oracle(cfg, slowest, 2)
         assert lightgrating.grating.truncation_order(phi, cfg.numerics.tail_eps) > 12
 
+    # (species, power W, samples per period, slit2 m, source nodes).  The
+    # slit mask has L = 622 nonzero samples right of the window centre at
+    # 64 samples per period, an odd L = 467 at 48; the 5.5 um slit's window
+    # holds 30 grating periods, so its centre falls on column spp of the
+    # tiled laser period ((N/2) mod 2 spp = spp), and its L = 685 is odd.
+    SLICES = {
+        "c60-default": (C60, 9.5, 64, 5e-6, 16),
+        "c70-50W-4-sources": (C70, 50.0, 64, 5e-6, 4),
+        "c60-spp48": (C60, 9.5, 48, 5e-6, 4),
+        "c70-default": (C70, 9.5, 64, 5e-6, 4),
+        "c70-default-spp48": (C70, 9.5, 48, 5e-6, 4),
+        "c60-5.5um-slit": (C60, 9.5, 64, 5.5e-6, 4),
+    }
+
+    def test_slices_cover_odd_support_and_shifted_centre(self):
+        supports, shifts = set(), set()
+        for _, _, spp, slit2, _ in self.SLICES.values():
+            grid, mask = grating_window(GratingBeam(), BeamlineGeometry(slit2=slit2), spp)
+            supports.add(half_support(grid, mask) % 2)
+            shifts.add(grid.size // 2 % (2 * spp))
+        assert supports == {0, 1}
+        assert len(shifts) == 2
+
+    @pytest.mark.parametrize("name", list(SLICES))
+    def test_fields_are_mirror_symmetric(self, name):
+        # the premise of the half-slit transform: f(N - 1 - n) = f(n), up to
+        # the rounding of the mask's edge cells
+        s = velocity_slice(*self.SLICES[name])
+        fields = window_fields(s.cfg, s.velocity, s.grid, s.mask, s.rows)
+        assert s.rows.odd.any() and not s.rows.odd.all()
+        assert np.max(np.abs(fields - fields[:, ::-1])) <= 1e-12 * np.max(np.abs(fields))
+
+    @pytest.mark.parametrize("name", list(SLICES))
+    def test_half_field_transformed_in_makhoul_order(self, monkeypatch, name):
+        # v = [g(0), g(2), ..., 0, ..., g(3), g(1)] with g(m) = f(N/2 + m)
+        s = velocity_slice(*self.SLICES[name])
+        counting = CountingNumpy()
+        monkeypatch.setattr(lightgrating.beamline, "np", counting)
+        _wave_velocity_slice(
+            s.cfg, s.velocity, s.grid, s.mask, [s.rows], s.src_nodes, s.src_weights
+        )
+        (kind, m_len), v = counting.transforms[0], counting.inputs[0]
+        support = half_support(s.grid, s.mask)
+        assert kind == "fft" and v.shape == (s.rows.rank, m_len)
+        half = window_fields(s.cfg, s.velocity, s.grid, s.mask, s.rows)[:, s.grid.size // 2 :]
+        assert not half[:, support:].any()
+        n_even = (support + 1) // 2
+        assert np.array_equal(v[:, :n_even], half[:, 0:support:2])
+        assert np.array_equal(v[:, m_len - support + n_even :], half[:, 1:support:2][:, ::-1])
+        assert not v[:, n_even : m_len - support + n_even].any()
+
     @pytest.mark.parametrize(
-        "species, power, source_nodes, pad_factor",
+        "name, pad_factor",
         [
-            pytest.param(species, power, nodes, pad, id=name if pad == 4 else f"{name}-pad{pad}")
-            for pad in PAD_FACTORS
-            for name, species, power, nodes in (
-                ("c60-default", C60, 9.5, 16),
-                ("c70-50W-4-sources", C70, 50.0, 4),
-            )
+            pytest.param(name, pad, id=name if pad == 4 else f"{name}-pad{pad}")
+            for pad, name in itertools.product(PAD_FACTORS, SLICES)
         ],
     )
-    def test_lag_domain_average_matches_per_source_loop(
-        self, species, power, source_nodes, pad_factor
-    ):
-        cfg = replace(SimulationConfig(), species=species, beam=GratingBeam(power=power))
-        cfg = replace(cfg, numerics=replace(cfg.numerics, pad_factor=pad_factor))
-        slowest = float(velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0][0])
-        scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
-        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
-        src_nodes, src_weights = source_quadrature(cfg.geometry, source_nodes)
-        phi = compute_phi(cfg.species, cfg.beam, slowest)
-        (rows,), _ = effective_channels(
-            [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
-        )
+    def test_lag_domain_average_matches_per_source_loop(self, name, pad_factor):
+        s = velocity_slice(*self.SLICES[name], pad_factor=pad_factor)
         (intensity,) = _wave_velocity_slice(
-            cfg, slowest, grid, mask, [rows], src_nodes, src_weights
+            s.cfg, s.velocity, s.grid, s.mask, [s.rows], s.src_nodes, s.src_weights
         )[1]
-        reference = per_source_loop_slice(cfg, slowest, grid, mask, rows, src_nodes, src_weights)
+        reference = per_source_loop_slice(
+            s.cfg, s.velocity, s.grid, s.mask, s.rows, s.src_nodes, s.src_weights
+        )
         assert np.max(np.abs(intensity - reference)) <= 1e-13 * reference.max()
         # the lag-domain product is real only up to rounding
         assert intensity.min() >= -1e-14 * intensity.max()
+
+    def test_rejects_an_asymmetric_slit_mask(self):
+        s = velocity_slice(*self.SLICES["c60-default"])
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            _wave_velocity_slice(
+                s.cfg, s.velocity, s.grid, np.roll(s.mask, 1), [s.rows], s.src_nodes, s.src_weights
+            )
 
     def test_fft_calls_per_velocity_independent_of_source_nodes(self, monkeypatch):
         calls_per_velocity = {}
@@ -463,17 +574,20 @@ class TestWaveVelocitySlice:
 
     @pytest.mark.parametrize("pad_factor", PAD_FACTORS)
     def test_rows_transformed_at_lag_length(self, monkeypatch, pad_factor):
-        # the row batch and the ifft run at the autocorrelation length
-        # whatever pad_factor is; only the last transform is n_fft long
+        # the rows are transformed at M, the smallest even 5-smooth length
+        # >= 2L, and their spectrum at the 2M >= 4L - 1 lags of the field
+        # autocorrelation, whatever pad_factor is; only the last transform
+        # is n_fft long
         cfg = fast_config()
         cfg = replace(cfg, numerics=replace(cfg.numerics, pad_factor=pad_factor))
-        grid, _ = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
-        n_lag = next_pow2(2 * grid.size - 1)
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        m_len = smooth_even_length(2 * half_support(grid, mask))
         n_fft = next_pow2(grid.size * pad_factor)
         counting = CountingNumpy()
         monkeypatch.setattr(lightgrating.beamline, "np", counting)
         ensemble_pattern(cfg)
-        per_velocity = [("fft", n_lag), ("ifft", n_lag), ("fft", n_fft)]
+        per_velocity = [("fft", m_len), ("irfft", 2 * m_len), ("fft", n_fft)]
+        assert m_len == 1250
         assert counting.transforms == per_velocity * cfg.quadrature.velocity_nodes
 
     def test_wave_mode_uses_no_photon_channel(self, monkeypatch):

@@ -93,6 +93,19 @@ class TestSimulate:
         assert len(summary["config_digest"]) == 64
         assert summary["total_probability"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_config_digest_computed_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return config_digest(cfg)
+
+        monkeypatch.setattr(lightgrating.runner, "config_digest", counted)
+        cfg = parse_config(TINY)
+        pattern, summary = run_simulate(cfg, tmp_path)
+        assert len(calls) == 1
+        assert summary["config_digest"] == pattern.metadata["config_digest"] == config_digest(cfg)
+
     def test_summary_reports_effective_channels(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0

@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lightgrating.grating
 from lightgrating import backend
 from lightgrating.beamline import BeamlineGeometry, grating_window
 from lightgrating.grating import (
@@ -581,6 +582,21 @@ class TestEffectiveChannels:
         assert 1 in row_parity(rows)
         state = grating_coherence(phi, beam.k_laser, x, x, SCALES, SCALE_WEIGHTS)
         assert np.max(np.abs(state - rows.T @ rows.conj())) <= tail_eps + 1e-14
+
+    def test_period_layout_built_once_per_spp(self):
+        # each point of the period takes the row value at its |c| and, in
+        # an odd row, the sign of its c
+        c = np.cos(K_LASER * LASER_PERIOD_X)
+        a = np.cos(np.pi * (np.arange(SPP // 2) + 0.5) / SPP)
+        fold = np.argmin(np.abs(np.abs(c)[:, None] - a), axis=1)
+        rows, _ = effective_channels(
+            [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5)], SPP, SCALES, SCALE_WEIGHTS
+        )
+        lightgrating.grating._period_layout.cache_clear()
+        for block in rows + rows:
+            expected = block.values[:, fold] * np.where(block.odd[:, None], np.sign(c), 1.0)
+            assert block.odd.any() and np.array_equal(block.period(), expected)
+        assert lightgrating.grating._period_layout.cache_info().misses == 1
 
     def test_rejects_non_positive_tail(self):
         with pytest.raises(ValueError):

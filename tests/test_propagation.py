@@ -12,6 +12,7 @@ from lightgrating.propagation import (
     fresnel_propagate,
     midpoint_weights,
     next_pow2,
+    next_smooth,
     propagate_direct,
     propagate_spectral,
     simpson_weights,
@@ -66,6 +67,17 @@ class TestWeights:
         assert next_pow2(5) == 8
         assert next_pow2(1024) == 1024
         assert next_pow2(1025) == 2048
+
+    def test_next_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        expected = [next(m for m in range(n, 2 * n + 1) if smooth(m)) for n in range(1, 3000)]
+        assert [next_smooth(n) for n in range(1, 3000)] == expected
+        assert next_smooth(622) == 625
 
 
 class TestSpectralPropagation:
