@@ -22,10 +22,15 @@ The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
 run warns when the grating state may put more than 1% beyond them.
 Orders mode projects the same effective rows onto the diffraction orders
 (``orders.mixed_order_spectra``: one factorization of all velocity nodes
-on one grid, sized by the slowest node; no photon cap) and places each
-order's weight on the geometric shadow envelope instead of propagating;
-it is faster and serves as the cross-check of the wave pipeline's
-propagation.
+on one grid, sized by the slowest node; no photon cap; a cosine sum over
+the stored values of |cos kx|, no FFT) and places each order's weight on
+the geometric shadow envelope instead of propagating; it is faster and
+serves as the cross-check of the wave pipeline's propagation.
+The vertical midpoint rule is mirror-symmetric and the grating scale
+depends on y^2 only, so both modes factorize the states over its
+ceil(n/2) distinct scales, each mirror pair with its summed weight
+(``distributions.fold_vertical_rule``); the run summary keeps the full
+rule.
 
 A power scan (``ensemble_patterns``) changes only the grating strength,
 so its powers share the velocity, vertical and source quadratures, the
@@ -49,7 +54,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import backend
-from .distributions import detector_kernel, velocity_quadrature, vertical_phi_scales
+from .distributions import (
+    detector_kernel,
+    fold_vertical_rule,
+    velocity_quadrature,
+    vertical_phi_scales,
+)
 from .grating import (
     GratingBeam,
     GridSpec,
@@ -472,7 +482,10 @@ def ensemble_pattern(cfg: "SimulationConfig") -> DiffractionPattern:
 
 def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[DiffractionPattern]:
     v_nodes, v_weights = velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)
-    scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
+    # the grating states need only the distinct scales; the summary keeps the full rule
+    scales, scale_weights = fold_vertical_rule(
+        *vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
+    )
     common_x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
     velocities = v_nodes.tolist()
     weights = v_weights.tolist()

@@ -138,6 +138,26 @@ def vertical_phi_scales(
     return scales, weights / weights.sum()
 
 
+def fold_vertical_rule(scales, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The ceil(n/2) distinct nodes of the rule of ``vertical_phi_scales``.
+
+    Its midpoint cells are mirror-symmetric in y and the scale depends on
+    y^2 only, so node i and node n-1-i carry one scale: the first node of
+    each mirror pair keeps the pair's summed weight, and the centre node of
+    an odd rule its own.  Raises ValueError unless scales and weights are
+    mirror-symmetric to 1e-12.
+    """
+    scales = np.asarray(scales, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if max(np.max(np.abs(scales - scales[::-1])), np.max(np.abs(weights - weights[::-1]))) > 1e-12:
+        raise ValueError("the vertical rule is not mirror-symmetric")
+    half = (scales.size + 1) // 2
+    folded = weights[:half] + weights[::-1][:half]
+    if scales.size % 2 == 1:
+        folded[-1] = weights[half - 1]
+    return scales[:half], folded
+
+
 def mean_vertical_scale(profile: VerticalProfile) -> float:
     """Closed-form average of exp(-2 y^2/w^2) over the vertical Gaussian.
 

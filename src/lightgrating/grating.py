@@ -296,8 +296,9 @@ def grating_coherence(
 class ParityRows:
     """The effective rows of one grating state, stored once per value of |c|.
 
-    ``values[j]`` holds row j at the spp/2 values a = |cos(k x)| of the
-    canonical laser period ``GridSpec(2, spp)``; ``odd[j]`` is True for a
+    ``values[j]`` holds row j at the spp/2 values a_i = cos(theta_i) of
+    |cos(k x)| on the canonical laser period ``GridSpec(2, spp)``
+    (``parity_angles``); ``odd[j]`` is True for a
     row of the odd block.  Over the period an even row is v(|c|) and an odd
     row sign(c) v(|c|).
     """
@@ -313,6 +314,15 @@ class ParityRows:
         """The rows over the canonical laser period, shape (rank, 2 spp)."""
         fold, sign = _period_layout(2 * self.values.shape[1])
         return self.values[:, fold] * np.where(self.odd[:, None], sign, 1.0)
+
+
+def parity_angles(samples_per_period: int) -> np.ndarray:
+    """The spp/2 angles theta_i = pi (i + 1/2)/spp at which ``ParityRows`` stores its rows.
+
+    a_i = cos(theta_i) > 0 runs over the values of |cos(k x)| on the
+    canonical laser period ``GridSpec(2, spp)``.
+    """
+    return np.pi * (np.arange(samples_per_period // 2) + 0.5) / samples_per_period
 
 
 @lru_cache(maxsize=16)
@@ -373,7 +383,7 @@ def effective_channels(
     spp = GridSpec(samples_per_period=samples_per_period).samples_per_period  # validated
     n_points = spp // 2
     # the spp/2 values of |c| on the canonical period
-    a = np.cos(np.pi * (np.arange(n_points) + 0.5) / spp)
+    a = np.cos(parity_angles(spp))
 
     re = np.array([phi.re for phi in phis], dtype=np.float64)
     im = np.array([phi.im for phi in phis], dtype=np.float64)

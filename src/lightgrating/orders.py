@@ -7,6 +7,13 @@ This module turns sampled transmission channels, or the effective rows of
 the mixed grating state, into order intensities, provides the analytic
 Bessel result for the pure phase grating as an oracle, and finds the phase
 that switches off the zero order.
+
+Both kinds of row depend on x only through c = cos(k x), evenly or oddly
+(Hornberger et al., Rev. Mod. Phys. 84, 157 (2012), on absorption
+gratings as mixed momentum-space states).  So they are kept at the spp/2
+values of |c| of one laser period (``grating.ParityRows``), and their
+order amplitudes are real cosine sums over those values, one matrix
+product for all rows: no FFT and no spread over the period.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ import numpy as np
 from .grating import (
     DEFAULT_TAIL_EPS,
     ComplexPhase,
-    GridSpec,
+    ParityRows,
     channel_amplitudes,
     effective_channels,
+    parity_angles,
     scale_weight_arrays,
     truncation_order,
 )
@@ -186,16 +194,29 @@ def pure_phase_orders(phi_re: float, m_max: int = DEFAULT_M_MAX) -> OrderSpectru
     return OrderSpectrum(m_max=m_max, intensities=intensities)
 
 
-def _order_power(rows: np.ndarray, m_max: int) -> np.ndarray:
-    """|u_j(m)|^2 for each row u_j and m = -m_max .. m_max, shape (rows, 2 m_max + 1).
+def _order_power(rows: ParityRows, m_max: int) -> np.ndarray:
+    """|u_j(m)|^2 for each row u_j and m = -m_max .. m_max, shape (rank, 2 m_max + 1).
 
-    The rows are sampled at n > 2 m_max points over one laser period; u_j(m)
-    is the Fourier coefficient (1/n) sum_x u_j(x) exp(-i m k x), FFT bin
-    m mod n.  The midpoint offset of the samples only rotates their phases.
+    u_j(m) = (1/n) sum_x u_j(x) exp(-i m k x) over the n = 2 spp midpoints
+    of the canonical laser period, with n > 2 m_max.  A row depends on x
+    only through c = cos(k x), evenly or oddly, and the points x, -x,
+    pi/k - x and pi/k + x share one |c|.  So u_j(m) vanishes for m of the
+    other parity, and for m of the row's own parity it is the cosine sum
+
+        u_j(m) = (1/n_points) sum_i v_j(a_i) cos(m theta_i)
+
+    over the spp/2 stored values (``grating.parity_angles``), real and
+    even in m: I_{-m} = I_m.  The midpoint offset of the samples only
+    rotates the phases of u_j(m).
     """
-    n = rows.shape[-1]
-    spectrum = np.fft.fft(rows, axis=-1)[:, np.arange(-m_max, m_max + 1) % n] / n
-    return spectrum.real**2 + spectrum.imag**2
+    n_points = rows.values.shape[1]
+    orders = np.arange(m_max + 1)
+    table = np.cos(np.multiply.outer(parity_angles(2 * n_points), orders)) / n_points
+    real = rows.values.real @ table
+    imag = rows.values.imag @ table
+    power = real * real + imag * imag
+    power *= rows.odd[:, None] == (orders % 2 == 1)
+    return np.concatenate([power[:, :0:-1], power], axis=1)
 
 
 def incoherent_order_intensities(
@@ -206,17 +227,20 @@ def incoherent_order_intensities(
     """Order intensities of the full grating, absorption channels included.
 
     Channels add incoherently: I_m = sum_n |c_m^(n)|^2, over every photon
-    number n up to ``grating.truncation_order``.  The channels are sampled
-    over one laser wavelength by ``samples_per_laser_period``; the result
-    depends on k*x only.
+    number n up to ``grating.truncation_order``.  Channel n is
+    exp((2i Re Phi - 2 Im Phi) c^2) (4 Im Phi)^(n/2) c^n / sqrt(n!) with
+    c = cos(k x), so it has the parity of n in c; it is sampled at the
+    spp/2 points of ``grating.parity_angles`` where c > 0, with spp half
+    of ``samples_per_laser_period``, and projected by ``_order_power``.
+    The result depends on k*x only.
     """
     if m_max is None:
         m_max = default_m_max(phi)
-    n = samples_per_laser_period(phi, m_max, tail_eps)
-    grid = GridSpec(periods=2, samples_per_period=n // 2)
-    k_laser = 2.0 * math.pi / grid.wavelength
-    rows = channel_amplitudes(phi, truncation_order(phi, tail_eps), k_laser, grid.positions())
-    power = _order_power(rows, m_max)
+    n_max = truncation_order(phi, tail_eps)
+    theta = parity_angles(samples_per_laser_period(phi, m_max, tail_eps) // 2)
+    # k = 1: the channels see cos(theta) itself
+    channels = ParityRows(channel_amplitudes(phi, n_max, 1.0, theta), np.arange(n_max + 1) % 2 == 1)
+    power = _order_power(channels, m_max)
     return OrderSpectrum(m_max, power.sum(axis=0), per_channel=dict(enumerate(power)))
 
 
@@ -232,20 +256,32 @@ def mixed_order_spectra(
     One ``grating.effective_channels`` call factorizes the vertically
     averaged states of all phases on one laser-period grid, sized by
     ``samples_per_laser_period`` at the largest |Re Phi| and Im Phi of the
-    batch times the largest scale, so it resolves every phase.  For each
-    phase in turn, its rows u_j are spread over the period and I_m = sum_j
-    |u_j(m)|^2, for m = -m_max .. m_max.  This equals the scale-averaged ``incoherent_order_intensities``
-    up to the residual of the rows (at most ``tail_eps`` per grating point)
-    and the Poisson tail that one leaves out.  Returns (intensities of shape
-    (len(phis), 2 m_max + 1), row count of each phase, largest residual
-    diagonal of each phase).
+    batch times the largest scale, so it resolves every phase.  The rows
+    of all phases are stacked and projected at once by ``_order_power``,
+    a cosine sum over their spp/2 stored values of |c|, with no FFT and
+    no spread over the period; I_m = sum_j |u_j(m)|^2 over the rows of
+    each phase, for m = -m_max .. m_max.  This equals the scale-averaged
+    ``incoherent_order_intensities`` up to the residual of the rows (at
+    most ``tail_eps`` per grating point) and the Poisson tail that one
+    leaves out.  Returns (intensities of shape (len(phis), 2 m_max + 1),
+    row count of each phase, largest residual diagonal of each phase).
     """
     scales, weights = scale_weight_arrays(scales, weights)
     strongest = ComplexPhase(max(abs(phi.re) for phi in phis), max(phi.im for phi in phis))
     n = samples_per_laser_period(strongest.scaled(float(np.max(scales))), m_max, tail_eps)
     rows, dropped = effective_channels(phis, n // 2, scales, weights, tail_eps)
-    intensities = np.array([_order_power(block.period(), m_max).sum(axis=0) for block in rows])
-    return intensities, [block.rank for block in rows], dropped
+    ranks = np.array([block.rank for block in rows])
+    stacked = ParityRows(
+        np.concatenate([block.values for block in rows]),
+        np.concatenate([block.odd for block in rows]),
+    )
+    power = _order_power(stacked, m_max)
+    intensities = np.zeros((len(rows), 2 * m_max + 1))
+    # a phase without rows (weights summing to <= tail_eps) adds nothing
+    kept = ranks > 0
+    if kept.any():
+        intensities[kept] = np.add.reduceat(power, (np.cumsum(ranks) - ranks)[kept], axis=0)
+    return intensities, ranks.tolist(), dropped
 
 
 def mixed_order_intensities(

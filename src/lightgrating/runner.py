@@ -51,7 +51,8 @@ def _atomic_write(path: Path, text: str) -> None:
 def write_pattern_csv(path: str | Path, pattern: DiffractionPattern) -> None:
     """Fixed-decimal two-column CSV (positions in um), LF line endings."""
     lines = [PATTERN_HEADER]
-    for x, value in zip(pattern.positions, pattern.intensity):
+    # Python floats format faster than NumPy scalars, to the same text
+    for x, value in zip(pattern.positions.tolist(), pattern.intensity.tolist()):
         lines.append(f"{x * 1e6:.6f},{value:.20f}")
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
@@ -185,11 +186,10 @@ def run_orders(cfg: SimulationConfig, out_dir: str | Path | None = None) -> dict
     photon_numbers = sorted(spectrum.per_channel)
     header = "m,intensity," + ",".join(f"n{n}" for n in photon_numbers)
     lines = [header]
-    for i, m in enumerate(spectrum.orders):
-        channel_cols = ",".join(
-            f"{spectrum.per_channel[n][i]:.20f}" for n in photon_numbers
-        )
-        lines.append(f"{m},{spectrum.intensities[i]:.20f},{channel_cols}")
+    columns = [spectrum.per_channel[n].tolist() for n in photon_numbers]
+    for i, (m, value) in enumerate(zip(spectrum.orders.tolist(), spectrum.intensities.tolist())):
+        channel_cols = ",".join(f"{column[i]:.20f}" for column in columns)
+        lines.append(f"{m},{value:.20f},{channel_cols}")
     _atomic_write(out / f"{cfg.run.prefix}_orders.csv", "\n".join(lines) + "\n")
     return {
         "config_digest": config_digest(cfg),
@@ -230,7 +230,7 @@ def run_power_scan(
             run=replace(cfg.run, prefix=f"{cfg.run.prefix}_p{index:02d}"),
         )
         summary = _write_run(sub, pattern, out)
-        for x, value in zip(pattern.positions, pattern.intensity):
+        for x, value in zip(pattern.positions.tolist(), pattern.intensity.tolist()):
             combined.append(f"{power:.6f},{x * 1e6:.6f},{value:.20f}")
         efficiencies = summary["order_efficiencies"]
         rows.append(

@@ -25,6 +25,7 @@ from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
     GridSpec,
+    ParityRows,
     channel_set,
     compute_phi,
     mean_photon_number,
@@ -154,12 +155,21 @@ def test_06_channel_intensity_conservation():
 
 def test_07_parity_selection_rule():
     phi = compute_phi(C70, GratingBeam(), 120.0)  # strongest absorption
-    grid = GridSpec(periods=2, samples_per_period=64, wavelength=GratingBeam().wavelength)
+    spp = 64
+    grid = GridSpec(periods=2, samples_per_period=spp, wavelength=GratingBeam().wavelength)
     m_max = 20
+    orders = np.arange(-m_max, m_max + 1)
     worst = 0.0
     for channel in channel_set(phi, grid):
-        power = _order_power(channel.samples[None, :], m_max)[0]
-        orders = np.arange(-m_max, m_max + 1)
+        # the channel per |c| with the parity of its photon number; the
+        # selection rule is read off the FFT of the period it spreads to
+        rows = ParityRows(
+            channel.samples[None, spp : spp + spp // 2], np.array([channel.photon_count % 2 == 1])
+        )
+        period = rows.period()[0]
+        assert np.max(np.abs(period - channel.samples)) < 1e-14
+        power = np.abs(np.fft.fft(period)[orders % period.size] / period.size) ** 2
+        assert np.max(np.abs(_order_power(rows, m_max)[0] - power)) < 1e-13
         forbidden = (orders % 2) != (channel.photon_count % 2)
         leak = float(np.max(power[forbidden]))
         worst = max(worst, leak)

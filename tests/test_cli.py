@@ -16,7 +16,9 @@ import pytest
 import lightgrating
 from lightgrating.cli import build_parser, main
 from lightgrating.config import config_digest, parse_config
-from lightgrating.grating import GratingBeam, compute_phi
+from lightgrating.distributions import vertical_phi_scales
+from lightgrating.grating import GratingBeam, compute_phi, truncation_order
+from lightgrating.orders import absorbed_fractions
 from lightgrating.runner import (
     ConvergenceError,
     read_pattern_csv,
@@ -128,6 +130,23 @@ class TestSimulate:
         assert len(channels) == 2 and all(isinstance(n, int) and n >= 1 for n in channels)
         assert 0.0 <= summary["dropped_probability"] <= 1e-10
         assert summary["total_probability"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["wave", "orders"])
+    @pytest.mark.parametrize("nodes", [7, 8])
+    def test_summary_fractions_average_the_full_vertical_rule(self, tmp_path, mode, nodes):
+        # the patterns use the folded rule; the summary keeps every node
+        cfg = parse_config(
+            f"[species]\nname = C70\n[beam]\npower_w = 20\n[quadrature]\nvelocity_nodes = 2\n"
+            f"vertical_nodes = {nodes}\nsource_nodes = 2\n[run]\nmode = {mode}\n"
+        )
+        _, summary = run_simulate(cfg, tmp_path)
+        phi = compute_phi(cfg.species, cfg.beam, cfg.velocity.v_peak)
+        scales, weights = vertical_phi_scales(cfg.vertical, nodes)
+        n_max = truncation_order(phi, cfg.numerics.tail_eps)
+        expected = absorbed_fractions(phi, n_max, scales, weights).tolist()
+        assert summary["absorbed_fractions"] == expected
+        written = json.loads((tmp_path / "run_summary.json").read_text())
+        assert written["absorbed_fractions"] == expected
 
     def test_csv_round_trip_precision(self, tmp_path):
         cfg = write_config(tmp_path)

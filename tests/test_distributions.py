@@ -13,6 +13,7 @@ from lightgrating.distributions import (
     VelocityDistribution,
     VerticalProfile,
     detector_kernel,
+    fold_vertical_rule,
     load_velocity_histogram,
     mean_vertical_scale,
     velocity_quadrature,
@@ -146,6 +147,34 @@ class TestVerticalProfile:
         scales, weights = vertical_phi_scales(VerticalProfile(), 1)
         assert scales.tolist() == [1.0]
         assert weights.tolist() == [1.0]
+
+    def test_rule_is_mirror_symmetric(self):
+        for n in range(1, 65):
+            scales, weights = vertical_phi_scales(VerticalProfile(), n)
+            assert np.max(np.abs(scales - scales[::-1])) <= 1e-12
+            assert np.max(np.abs(weights - weights[::-1])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 8])
+    def test_fold_keeps_one_node_per_mirror_pair(self, n):
+        scales, weights = vertical_phi_scales(VerticalProfile(), n)
+        folded_scales, folded_weights = fold_vertical_rule(scales, weights)
+        half = (n + 1) // 2
+        assert folded_scales.tolist() == scales[:half].tolist()
+        expected = [weights[i] + weights[n - 1 - i] for i in range(n // 2)] + [weights[n // 2]] * (
+            n % 2
+        )
+        assert folded_weights.tolist() == expected
+        # any function of the scale integrates as on the full rule
+        for power in (1, 3):
+            assert np.dot(folded_scales**power, folded_weights) == pytest.approx(
+                np.dot(scales**power, weights), abs=1e-15
+            )
+
+    def test_fold_rejects_an_asymmetric_rule(self):
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            fold_vertical_rule([1.0, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            fold_vertical_rule([0.5, 0.5], [0.4, 0.6])
 
     def test_validation(self):
         with pytest.raises(ValueError):

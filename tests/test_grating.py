@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import lightgrating.grating
 from lightgrating import backend
 from lightgrating.beamline import BeamlineGeometry, grating_window
+from lightgrating.distributions import VerticalProfile, fold_vertical_rule, vertical_phi_scales
 from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
@@ -512,6 +513,20 @@ class TestEffectiveChannels:
         assert dropped == pytest.approx(np.max(np.real(np.diag(residual))), abs=1e-14)
         assert np.max(np.abs(residual)) <= tail_eps + 1e-14
         assert rows.shape[0] < LASER_PERIOD_X.size
+
+    @pytest.mark.parametrize("n_nodes", [1, 7, 8, 12, 16])
+    def test_folded_vertical_rule_gives_the_same_states(self, n_nodes):
+        # the distinct scales of a mirror-symmetric rule, with their pair weights
+        scales, weights = vertical_phi_scales(VerticalProfile(), n_nodes)
+        phis = [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5)] + [
+            compute_phi(C70, GratingBeam(power=50.0), v) for v in (90.0, 200.0)
+        ]
+        full, _ = effective_channels(phis, SPP, scales, weights)
+        folded, _ = effective_channels(phis, SPP, *fold_vertical_rule(scales, weights))
+        for a, b in zip(full, folded):
+            assert a.rank == b.rank
+            rows_a, rows_b = a.period(), b.period()
+            assert np.max(np.abs(rows_a.T @ rows_a.conj() - rows_b.T @ rows_b.conj())) < 1e-13
 
     def test_tighter_tail_needs_more_rows(self):
         phi = ComplexPhase(1.3, 0.4)

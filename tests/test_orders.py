@@ -14,9 +14,11 @@ from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
     GridSpec,
+    ParityRows,
     channel_set,
     compute_phi,
     effective_channels,
+    parity_angles,
     poisson_weight,
     truncation_order,
 )
@@ -152,30 +154,60 @@ def direct_order_power(rows, m_max):
     return power
 
 
+def fft_order_power(period, m_max):
+    """|u(m)|^2 of rows sampled over one laser period, by FFT, m = -m_max .. m_max."""
+    n = period.shape[-1]
+    spectrum = np.fft.fft(period, axis=-1)[:, np.arange(-m_max, m_max + 1) % n] / n
+    return spectrum.real**2 + spectrum.imag**2
+
+
+def channel_rows(channels):
+    """The channels of ``channel_set`` on GridSpec(2, spp) as ``ParityRows``, n mod 2 odd.
+
+    Point spp + i of the canonical period sits at k x = theta_i, the i-th
+    stored value of ``ParityRows``; ``period()`` must give the samples back.
+    """
+    grid = channels[0].grid
+    spp = grid.samples_per_period
+    samples = np.array([channel.samples for channel in channels])
+    rows = ParityRows(
+        samples[:, spp : spp + spp // 2],
+        np.array([channel.photon_count % 2 == 1 for channel in channels]),
+    )
+    assert np.max(np.abs(rows.period() - samples)) < 1e-14
+    return rows
+
+
 class TestFourierAmplitudes:
     GRID = GridSpec(periods=2, samples_per_period=1024)
+    A = np.cos(parity_angles(1024))  # the stored values of |cos(k x)|
 
     def test_matches_direct_sum_on_random_rows(self):
         rng = np.random.default_rng(7)
-        rows = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
-        assert np.max(np.abs(_order_power(rows, 12) - direct_order_power(rows, 12))) < 1e-13
+        rows = ParityRows(
+            rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64)), np.array([False, True, False])
+        )
+        direct = direct_order_power(rows.period(), 12)
+        assert np.max(np.abs(_order_power(rows, 12) - direct)) < 1e-13
 
     def test_uniform_transmission(self):
-        power = _order_power(np.ones((1, self.GRID.size), dtype=complex), 5)[0]
+        rows = ParityRows(np.ones((1, self.A.size), dtype=complex), np.array([False]))
+        power = _order_power(rows, 5)[0]
         assert power[5] == pytest.approx(1.0, rel=1e-14)
         assert np.max(np.delete(power, 5)) < 1e-28
 
     def test_single_harmonic(self):
-        k = 2.0 * math.pi / self.GRID.wavelength
-        power = _order_power(np.exp(2.0j * k * self.GRID.positions())[None, :], 4)[0]
-        assert power[4 + 2] == pytest.approx(1.0, rel=1e-13)
-        assert power[4 - 2] < 1e-28
+        # cos(2 k x) = 2 c^2 - 1 = (exp(2ikx) + exp(-2ikx))/2
+        rows = ParityRows((2.0 * self.A**2 - 1.0)[None, :].astype(complex), np.array([False]))
+        power = _order_power(rows, 4)[0]
+        for m in (-2, 2):
+            assert power[4 + m] == pytest.approx(0.25, rel=1e-13)
+        assert np.max(np.delete(power, [4 - 2, 4 + 2])) < 1e-28
 
     def test_square_wave_amplitudes(self):
         # sign(cos kx) has |c_m| = 2/(pi |m|) for odd m, 0 for even m
-        k = 2.0 * math.pi / self.GRID.wavelength
-        samples = np.sign(np.cos(k * self.GRID.positions())).astype(complex)
-        power = _order_power(samples[None, :], 5)[0]
+        rows = ParityRows(np.ones((1, self.A.size), dtype=complex), np.array([True]))
+        power = _order_power(rows, 5)[0]
         for m in (-1, 1):
             assert math.sqrt(power[5 + m]) == pytest.approx(2.0 / math.pi, abs=1e-5)
         for m in (-3, 3):
@@ -186,23 +218,26 @@ class TestFourierAmplitudes:
     def test_pure_phase_channel_matches_bessel(self):
         # exp(2i phi cos^2) decomposes with |c_2j| = |J_j(phi)| exactly
         phi = ComplexPhase(1.7, 0.0)
-        channels = channel_set(phi, self.GRID)
-        power = _order_power(channels[0].samples[None, :], 12)[0]
+        power = _order_power(channel_rows(channel_set(phi, self.GRID)), 12)[0]
         for j in range(-6, 7):
             assert math.sqrt(power[12 + 2 * j]) == pytest.approx(
                 abs(scipy.special.jv(j, phi.re)), abs=1e-12
             )
 
+    # The selection rules are checked on the FFT of each channel over the
+    # period, not through the parity of the projection.
     def test_coherent_channel_selection_rule(self):
         # the zero-photon channel is half-period periodic: odd slots vanish
-        channels = channel_set(ComplexPhase(2.28, 0.386), self.GRID)
-        power = _order_power(channels[0].samples[None, :], 9)[0]
+        rows = channel_rows(channel_set(ComplexPhase(2.28, 0.386), self.GRID))
+        power = fft_order_power(rows.period()[:1], 9)[0]
         assert max(power[9 + m] for m in range(-9, 10) if m % 2 != 0) < 1e-12
+        assert np.max(np.abs(_order_power(rows, 9)[0] - power)) < 1e-13
 
     def test_odd_channel_populates_odd_slots_only(self):
-        channels = channel_set(ComplexPhase(2.28, 0.386), self.GRID)
-        power = _order_power(channels[1].samples[None, :], 9)[0]
+        rows = channel_rows(channel_set(ComplexPhase(2.28, 0.386), self.GRID))
+        power = fft_order_power(rows.period()[1:2], 9)[0]
         assert max(power[9 + m] for m in range(-9, 10) if m % 2 == 0) < 1e-12
+        assert np.max(np.abs(_order_power(rows, 9)[1] - power)) < 1e-13
 
     def test_incommensurate_window_rejected(self):
         with pytest.raises(ValueError):
@@ -364,6 +399,16 @@ class TestMixedOrderSpectra:
             single, _, single_drop = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)
             assert np.max(np.abs(row - single)) <= 1e-12
             assert rank >= 1 and 0.0 <= drop <= 1e-10 and 0.0 <= single_drop <= 1e-10
+
+    def test_states_without_rows_have_no_orders(self):
+        # weights summing below tail_eps leave every phase without rows
+        phis = [ComplexPhase(1.3, 0.4), ComplexPhase(2.0, 0.1)]
+        intensities, ranks, dropped = lightgrating.orders.mixed_order_spectra(
+            phis, 5, [1.0], [1e-12]
+        )
+        assert ranks == [0, 0]
+        assert intensities.shape == (2, 11) and not intensities.any()
+        assert dropped.tolist() == [1e-12, 1e-12]
 
 
 class TestZeroOrderNull:
