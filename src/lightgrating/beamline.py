@@ -25,7 +25,12 @@ Orders mode projects the same effective rows onto the diffraction orders
 on one grid, sized by the slowest node; no photon cap; a cosine sum over
 the stored values of |cos kx|, no FFT) and places each order's weight on
 the geometric shadow envelope instead of propagating; it is faster and
-serves as the cross-check of the wave pipeline's propagation.
+serves as the cross-check of the wave pipeline's propagation.  The order
+weights are even in m and the detector grid is mirror-symmetric, so one
+call per power places the orders m >= 0 of every velocity node and the
+mirror image adds the rest (``_place_orders``); the in-span share of each
+order is the closed-form mass of its shadow (``_envelope_mass``).  Orders
+mode runs on the calling thread; worker threads serve wave mode only.
 The vertical midpoint rule is mirror-symmetric and the grating scale
 depends on y^2 only, so both modes factorize the states over its
 ceil(n/2) distinct scales, each mirror pair with its summed weight
@@ -34,10 +39,10 @@ rule.
 
 A power scan (``ensemble_patterns``) changes only the grating strength,
 so its powers share the velocity, vertical and source quadratures, the
-grating window, the detector grid and one pool of worker threads.  In
-wave mode one batch factorizes the states of every (power, velocity)
-pair, up to ``MAX_BATCH_STATES`` of them, and one worker task per
-velocity node builds that node's chirp and source kernel once and
+grating window, the detector grid and, in wave mode, one pool of worker
+threads.  In wave mode one batch factorizes the states of every (power,
+velocity) pair, up to ``MAX_BATCH_STATES`` of them, and one worker task
+per velocity node builds that node's chirp and source kernel once and
 propagates its rows at every power of the batch.  Each power's pattern is
 bit-identical to a run at that power alone.  Orders mode sizes its grid
 by each power's strongest phase, so it factorizes once per power.
@@ -142,6 +147,14 @@ def farfield_peak_positions(
     return np.arange(-m_max, m_max + 1) * spacing
 
 
+def _trapezoid(geom: BeamlineGeometry) -> tuple[float, float]:
+    """Widths (wide, narrow) of the two top-hats whose convolution is the shadow."""
+    r = geom.L2D / geom.L12
+    wide = geom.slit2 * (1.0 + r)
+    narrow = geom.slit1 * r
+    return (narrow, wide) if narrow > wide else (wide, narrow)
+
+
 def geometric_envelope(geom: BeamlineGeometry, x: np.ndarray) -> np.ndarray:
     """Unit-area ray-optics shadow of the two slits at the detector plane.
 
@@ -150,11 +163,7 @@ def geometric_envelope(geom: BeamlineGeometry, x: np.ndarray) -> np.ndarray:
     r = L2D/L12 — a trapezoid.  Evaluated pointwise at ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
-    r = geom.L2D / geom.L12
-    wide = geom.slit2 * (1.0 + r)
-    narrow = geom.slit1 * r
-    if narrow > wide:
-        wide, narrow = narrow, wide
+    wide, narrow = _trapezoid(geom)
     if narrow <= 0.0:
         return np.where(np.abs(x) <= 0.5 * wide, 1.0 / wide, 0.0)
     ax = np.abs(x)
@@ -164,23 +173,76 @@ def geometric_envelope(geom: BeamlineGeometry, x: np.ndarray) -> np.ndarray:
     return np.where(ax <= flat, 1.0 / wide, np.where(ax < base, ramp, 0.0))
 
 
+def _envelope_mass(geom: BeamlineGeometry, y: np.ndarray) -> np.ndarray:
+    """The integral of ``geometric_envelope`` from -infinity to ``y``.
+
+    The trapezoid is four ramps, so the mass is
+    [R(y + base) - R(y + flat) - R(y - flat) + R(y - base)] / (2 wide narrow)
+    with R(t) = max(t, 0)^2.  It is evaluated at t = -|y| in the equivalent
+    form R(t + base)/(2 wide narrow) on the outer ramp and 1/2 + t/wide on
+    the flat top, and mirrored, mass(y) = 1 - mass(-y): so it is exactly 0,
+    1/2 and 1 at -base, 0 and base.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    wide, narrow = _trapezoid(geom)
+    t = -np.abs(y)
+    flat = 0.5 * (wide - narrow)
+    outer = np.maximum(t + 0.5 * (wide + narrow), 0.0) ** 2 / (2.0 * wide * narrow)
+    lower = np.where(t <= -flat, outer, 0.5 + t / wide)
+    return np.where(y > 0.0, 1.0 - lower, lower)
+
+
 def _envelope_sum(
     geom: BeamlineGeometry, x: np.ndarray, centers: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """sum_i weights[i] * geometric_envelope(geom, x - centers[i]) on the uniform grid x.
 
+    2-D ``centers`` and ``weights`` (node x order) are placed one row at a
+    time and the rows add in order, so the temporaries stay one row's size.
     Each trapezoid is evaluated only on the grid points it covers, plus one
-    on either side, and the terms add in the order of ``centers``.
+    on either side, on ``x`` padded by the trapezoid's width: a trapezoid
+    that meets the grid lies wholly on the padded one, so no index is
+    clipped, and one that misses the grid is skipped.  Within a row the
+    terms add in the order of ``centers``.
     """
-    r = geom.L2D / geom.L12
-    # half the trapezoid's base: ``geometric_envelope`` is zero beyond it
-    half = 0.5 * (geom.slit2 * (1.0 + r) + geom.slit1 * r)
-    span = np.arange(int(math.ceil(2.0 * half / (x[1] - x[0]))) + 3)
-    index = (np.searchsorted(x, centers - half) - 1)[:, None] + span
-    inside = (index >= 0) & (index < x.size)
-    index = np.clip(index, 0, x.size - 1)
-    values = weights[:, None] * geometric_envelope(geom, x[index] - centers[:, None])
-    return np.bincount(index[inside], weights=values[inside], minlength=x.size)
+    wide, narrow = _trapezoid(geom)
+    half = 0.5 * (wide + narrow)  # ``geometric_envelope`` is zero beyond it
+    step = x[1] - x[0]
+    span = np.arange(int(math.ceil(2.0 * half / step)) + 3)
+    margin = np.arange(1, span.size) * step
+    # the middle of the padded grid is x itself
+    padded = np.concatenate([x[0] - margin[::-1], x, x[-1] + margin])
+    total = np.zeros(padded.size)
+    for row_centers, row_weights in zip(np.atleast_2d(centers), np.atleast_2d(weights)):
+        first = np.searchsorted(padded, row_centers - half) - 1
+        # the trapezoids whose points [first, first + span.size) meet x
+        hits = (first >= 0) & (first < margin.size + x.size)
+        index = first[hits, None] + span
+        values = row_weights[hits, None] * geometric_envelope(
+            geom, padded[index] - row_centers[hits, None]
+        )
+        total += np.bincount(index.ravel(), weights=values.ravel(), minlength=padded.size)
+    return total[margin.size : margin.size + x.size]
+
+
+def _place_orders(
+    geom: BeamlineGeometry, x: np.ndarray, slots: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """The shadows of the orders m = -m_max .. m_max of every node on the grid x.
+
+    Node j puts ``weights[j, m + m_max]`` on ``geometric_envelope`` centred
+    at m * ``slots[j]``.  The weights must be even in m bit for bit, as
+    ``mixed_order_spectra`` returns them, and x mirror-symmetric, as
+    ``_internal_grid`` builds it.  Then the orders m < 0 are the mirror
+    image of the orders m > 0, so only m = 0 .. m_max are placed, the
+    centre at half weight, and the image is added.
+    """
+    m_max = weights.shape[1] // 2
+    half = weights[:, m_max:].copy()
+    half[:, 0] *= 0.5
+    placed = _envelope_sum(geom, x, np.multiply.outer(slots, np.arange(m_max + 1)), half)
+    placed += placed[::-1]
+    return placed
 
 
 def aperture_mask(x: np.ndarray, spacing: float, width: float) -> np.ndarray:
@@ -428,11 +490,12 @@ def ensemble_patterns(
     """The ensemble-averaged detector-plane pattern of ``cfg`` at each laser power.
 
     Pattern i is that of ``cfg`` with ``beam.power = powers[i]``, bit for
-    bit: one scan shares the quadratures, the grating window, the worker
-    threads and, in wave mode, one factorization of every (power, velocity)
-    state and each velocity's chirp and source kernel.  Deterministic:
-    quadrature results are reduced in a fixed order no matter how many
-    workers compute them, so identical configs give bit-identical patterns.
+    bit: one scan shares the quadratures and the grating window and, in
+    wave mode, the worker threads, one factorization of every (power,
+    velocity) state and each velocity's chirp and source kernel.
+    Deterministic: quadrature results are reduced in a fixed order no
+    matter how many workers compute them, so identical configs give
+    bit-identical patterns.
     When ``cfg.run.convergence_check`` is set the quadrature axes are
     doubled one at a time and the RMS pattern change is recorded in each
     pattern's ``metadata["convergence"]`` (warning above 1%).
@@ -494,23 +557,6 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
     grid_metadata: dict = {}  # wave mode: the grating samples and the FFT length
     patterns: list[DiffractionPattern] = []
 
-    def node_sums(per_node: Iterable[list[tuple]], count: int) -> list[tuple]:
-        """Sum, for each of ``count`` powers, the shares of every velocity node.
-
-        ``per_node`` yields, in node order, each node's share of the
-        common-grid intensity, of the probability and of the scan coverage
-        at each power; a node's shares are added as it arrives.
-        """
-        intensity = [np.zeros_like(common_x) for _ in range(count)]
-        probability = [0.0] * count
-        coverage = [0.0] * count
-        for shares in per_node:
-            for i, (placed, node_probability, in_span) in enumerate(shares):
-                intensity[i] += placed
-                probability[i] += node_probability
-                coverage[i] += in_span
-        return list(zip(intensity, probability, coverage))
-
     def finish(p: int, sums: tuple, n_channels: list[int], dropped: np.ndarray) -> None:
         accumulated, total_probability, coverage = sums
         c = configs[p]
@@ -531,92 +577,119 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
         }
         patterns.append(_finalize(c, common_x, accumulated, metadata))
 
+    if cfg.run.mode == "orders":
+        m_max = cfg.numerics.m_max
+        slots = np.array(
+            [order_slot_spacing(cfg.species, v, cfg.beam, cfg.geometry) for v in velocities]
+        )
+        # the share of each order's shadow inside the detector span
+        centers = np.multiply.outer(slots, np.arange(-m_max, m_max + 1))
+        half_span = 0.5 * cfg.geometry.detector_span
+        in_span = _envelope_mass(cfg.geometry, half_span - centers)
+        in_span -= _envelope_mass(cfg.geometry, -half_span - centers)
+        # one grid per power, sized by that power's strongest phase
+        for p, node_phis in enumerate(phis):
+            intensities, n_channels, dropped = mixed_order_spectra(
+                node_phis, m_max, scales, scale_weights, cfg.numerics.tail_eps
+            )
+            placed = _place_orders(cfg.geometry, common_x, slots, v_weights[:, None] * intensities)
+            node_totals = intensities.sum(axis=1)
+            shares = np.divide(
+                (intensities * in_span).sum(axis=1),
+                node_totals,
+                out=np.zeros_like(node_totals),
+                where=node_totals > 0.0,
+            )
+            probability = sum(w * t for w, t in zip(weights, node_totals.tolist()))
+            coverage = sum(w * share for w, share in zip(weights, shares.tolist()))
+            # _finalize renormalizes the pattern, so mass in the orders beyond
+            # m_max would otherwise vanish from it without a trace
+            lost = 1.0 - probability
+            if lost > 0.01:
+                warnings.warn(
+                    f"orders beyond numerics.m_max = {m_max} hold {lost:.2%} "
+                    f"of the molecules at {powers[p]} W; raise numerics.m_max",
+                    stacklevel=4,
+                )
+            finish(p, (placed, probability, coverage), n_channels, dropped)
+        return patterns
+
+    def node_sums(per_node: Iterable[list[tuple]], count: int) -> list[tuple]:
+        """Sum, for each of ``count`` powers, the shares of every velocity node.
+
+        ``per_node`` yields, in node order, each node's share of the
+        common-grid intensity, of the probability and of the scan coverage
+        at each power; a node's shares are added as it arrives.
+        """
+        intensity = [np.zeros_like(common_x) for _ in range(count)]
+        probability = [0.0] * count
+        coverage = [0.0] * count
+        for shares in per_node:
+            for i, (placed, node_probability, in_span) in enumerate(shares):
+                intensity[i] += placed
+                probability[i] += node_probability
+                coverage[i] += in_span
+        return list(zip(intensity, probability, coverage))
+
+    spp = cfg.numerics.samples_per_period
+    # The grid holds 2 spp samples per laser period, so orders |m| >= spp
+    # fold back into the pattern; the slowest node at the largest
+    # vertical scale carries the strongest grating.
+    slowest = float(v_nodes.min())
+    for c in configs:
+        strongest = compute_phi(c.species, c.beam, slowest).scaled(float(scales.max()))
+        bound = tail_order(strongest, 0.01)
+        if bound >= spp:
+            warnings.warn(
+                f"the wave grid resolves orders |m| < numerics.samples_per_period = "
+                f"{spp}, but at {c.beam.power} W and {slowest:.1f} m/s the grating "
+                f"state is bounded below 1% only beyond |m| = {bound}; more than 1% "
+                "may alias into the pattern, raise numerics.samples_per_period",
+                stacklevel=4,
+            )
+    grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
+    src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
+    grid_metadata["grating_samples"] = grid.size
+    grid_metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
+
+    def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):
+        x_native, intensities, power_in, coverages = _wave_velocity_slice(
+            cfg, velocity, grid, mask, rows, src_nodes, src_weights
+        )
+        spacing_native = float(x_native[1] - x_native[0])
+        return [
+            (
+                v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0),
+                v_weight * float(intensity.sum() * spacing_native) / power_in,
+                v_weight * in_span,
+            )
+            for intensity, in_span in zip(intensities, coverages)
+        ]
+
+    # The (power, velocity) states of a group of powers are factorized in one
+    # batch before its workers start; each worker task then propagates one
+    # velocity node at every power of the group.
+    n_nodes = len(velocities)
+    per_group = max(1, MAX_BATCH_STATES // n_nodes)
     pool = ThreadPoolExecutor(max_workers=cfg.run.workers) if cfg.run.workers > 1 else None
     run = map if pool is None else pool.map
     try:
-        if cfg.run.mode == "orders":
-            orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
-
-            def place_orders(velocity: float, v_weight: float, slot_weights: np.ndarray):
-                slot = order_slot_spacing(cfg.species, velocity, cfg.beam, cfg.geometry)
-                placed = _envelope_sum(
-                    cfg.geometry, common_x, orders * slot, v_weight * slot_weights
-                )
-                return [(placed, v_weight * float(slot_weights.sum()), v_weight)]
-
-            # one grid per power, sized by that power's strongest phase
-            for p, node_phis in enumerate(phis):
-                per_node, n_channels, dropped = mixed_order_spectra(
-                    node_phis, cfg.numerics.m_max, scales, scale_weights, cfg.numerics.tail_eps
-                )
-                (sums,) = node_sums(run(place_orders, velocities, weights, per_node), 1)
-                # _finalize renormalizes the pattern, so mass in the orders beyond
-                # m_max would otherwise vanish from it without a trace
-                lost = 1.0 - sums[1]
-                if lost > 0.01:
-                    warnings.warn(
-                        f"orders beyond numerics.m_max = {cfg.numerics.m_max} hold {lost:.2%} "
-                        f"of the molecules at {powers[p]} W; raise numerics.m_max",
-                        stacklevel=4,
-                    )
-                finish(p, sums, n_channels, dropped)
-        else:
-            spp = cfg.numerics.samples_per_period
-            # The grid holds 2 spp samples per laser period, so orders |m| >= spp
-            # fold back into the pattern; the slowest node at the largest
-            # vertical scale carries the strongest grating.
-            slowest = float(v_nodes.min())
-            for c in configs:
-                strongest = compute_phi(c.species, c.beam, slowest).scaled(float(scales.max()))
-                bound = tail_order(strongest, 0.01)
-                if bound >= spp:
-                    warnings.warn(
-                        f"the wave grid resolves orders |m| < numerics.samples_per_period = "
-                        f"{spp}, but at {c.beam.power} W and {slowest:.1f} m/s the grating "
-                        f"state is bounded below 1% only beyond |m| = {bound}; more than 1% "
-                        "may alias into the pattern, raise numerics.samples_per_period",
-                        stacklevel=4,
-                    )
-            grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
-            src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
-            grid_metadata["grating_samples"] = grid.size
-            grid_metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
-
-            def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):
-                x_native, intensities, power_in, coverages = _wave_velocity_slice(
-                    cfg, velocity, grid, mask, rows, src_nodes, src_weights
-                )
-                spacing_native = float(x_native[1] - x_native[0])
-                return [
-                    (
-                        v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0),
-                        v_weight * float(intensity.sum() * spacing_native) / power_in,
-                        v_weight * in_span,
-                    )
-                    for intensity, in_span in zip(intensities, coverages)
-                ]
-
-            # The (power, velocity) states of a group of powers are factorized
-            # in one batch before its workers start; each worker task then
-            # propagates one velocity node at every power of the group.
-            n_nodes = len(velocities)
-            per_group = max(1, MAX_BATCH_STATES // n_nodes)
-            for first in range(0, len(configs), per_group):
-                group = range(first, min(first + per_group, len(configs)))
-                rows, dropped = effective_channels(
-                    [phi for p in group for phi in phis[p]],
-                    spp,
-                    scales,
-                    scale_weights,
-                    cfg.numerics.tail_eps,
-                )
-                # state i * n_nodes + j is power group[i] at velocity node j
-                per_node = [rows[j::n_nodes] for j in range(n_nodes)]
-                sums = node_sums(run(propagate, velocities, weights, per_node), len(group))
-                for i, p in enumerate(group):
-                    states = slice(i * n_nodes, (i + 1) * n_nodes)
-                    n_channels = [block.rank for block in rows[states]]
-                    finish(p, sums[i], n_channels, dropped[states])
+        for first in range(0, len(configs), per_group):
+            group = range(first, min(first + per_group, len(configs)))
+            rows, dropped = effective_channels(
+                [phi for p in group for phi in phis[p]],
+                spp,
+                scales,
+                scale_weights,
+                cfg.numerics.tail_eps,
+            )
+            # state i * n_nodes + j is power group[i] at velocity node j
+            per_node = [rows[j::n_nodes] for j in range(n_nodes)]
+            sums = node_sums(run(propagate, velocities, weights, per_node), len(group))
+            for i, p in enumerate(group):
+                states = slice(i * n_nodes, (i + 1) * n_nodes)
+                n_channels = [block.rank for block in rows[states]]
+                finish(p, sums[i], n_channels, dropped[states])
     finally:
         if pool is not None:
             pool.shutdown()

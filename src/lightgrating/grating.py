@@ -399,31 +399,34 @@ def effective_channels(
     live = np.arange(len(phis))  # the phases still factorizing
     rows = np.empty((len(phis), min(2 * n_points, 8), n_points), dtype=np.complex128)
     odd_row = np.empty(rows.shape[:2], dtype=bool)
+    at = np.arange(live.size)
     rank = 0
     while True:
         pivot = np.argmax(full, axis=1)
-        at = np.arange(live.size)
-        done = (full[at, pivot] <= tail_eps) | (rank == 2 * n_points)
-        for v in np.flatnonzero(done):
+        pivot_full = full[at, pivot]
+        done = (pivot_full <= tail_eps) | (rank == 2 * n_points)
+        finished = np.flatnonzero(done)
+        for v in finished:
             out[live[v]] = ParityRows(rows[v, :rank].copy(), odd_row[v, :rank].copy())
             dropped[live[v]] = max(float(full[v].max()), 0.0)
-        if done.all():
+        if finished.size == live.size:
             break
-        if done.any():
+        if finished.size:
             keep = ~done
             live, phase, damping, full = live[keep], phase[keep], damping[keep], full[keep]
             odd, rows, odd_row, pivot = odd[keep], rows[keep], odd_row[keep], pivot[keep]
+            pivot_full = pivot_full[keep]
             at = np.arange(live.size)
         if rank == rows.shape[1]:
             grow = min(rank, 2 * n_points - rank)
             rows = np.concatenate([rows, np.empty((live.size, grow, n_points), rows.dtype)], axis=1)
             odd_row = np.concatenate([odd_row, np.empty((live.size, grow), bool)], axis=1)
-        pivot_full, pivot_odd = full[at, pivot], odd[at, pivot]
+        pivot_odd = odd[at, pivot]
         block = pivot_odd > pivot_full - pivot_odd
         pivot_residual = np.where(block, pivot_odd, pivot_full - pivot_odd)
         a_pivot = a[pivot][:, None, None]
         kernel = np.exp(damping * (a + a_pivot) ** 2)
-        kernel *= (1.0 - 2.0 * block)[:, None, None]
+        np.negative(kernel, out=kernel, where=block[:, None, None])
         kernel += np.exp(damping * (a - a_pivot) ** 2)
         # a BLAS product: callers factorize before their worker threads start
         column = (0.5 * weights * phase[at, :, pivot].conj())[:, None, :] @ (kernel * phase)

@@ -338,13 +338,15 @@ def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.
     # where nbar = 0, log(nbar) = -inf and the weight exp(-inf) of n >= 1 is 0
     with np.errstate(divide="ignore"):
         log_nbar = np.log(nbar)
-    # row n: the period average at each scale
-    means = [np.mean(np.exp(-nbar), axis=-1)]
+    # row n: the period average at each scale, the sum over the samples
+    # divided by their count, as np.mean computes it, in one reused buffer
+    means = np.empty((n_max + 1, scales.size))
+    weight = np.exp(-nbar)
+    means[0] = weight.sum(axis=-1) / _HALF_PERIOD_SAMPLES
     for n in range(1, n_max + 1):
-        weight = n * log_nbar
+        np.multiply(log_nbar, n, out=weight)
         weight -= nbar
         weight -= math.lgamma(n + 1)
-        means.append(np.mean(np.exp(weight, out=weight), axis=-1))
-    means = np.array(means)
+        means[n] = np.exp(weight, out=weight).sum(axis=-1) / _HALF_PERIOD_SAMPLES
     # a running sum over the scales, in order
     return sum(weight * column for weight, column in zip(weights, means.T))

@@ -185,11 +185,10 @@ def run_orders(cfg: SimulationConfig, out_dir: str | Path | None = None) -> dict
     assert spectrum.per_channel is not None
     photon_numbers = sorted(spectrum.per_channel)
     header = "m,intensity," + ",".join(f"n{n}" for n in photon_numbers)
-    lines = [header]
     columns = [spectrum.per_channel[n].tolist() for n in photon_numbers]
-    for i, (m, value) in enumerate(zip(spectrum.orders.tolist(), spectrum.intensities.tolist())):
-        channel_cols = ",".join(f"{column[i]:.20f}" for column in columns)
-        lines.append(f"{m},{value:.20f},{channel_cols}")
+    row = "%d" + ",%.20f" * (1 + len(columns))
+    rows = zip(spectrum.orders.tolist(), spectrum.intensities.tolist(), *columns)
+    lines = [header, *(row % values for values in rows)]
     _atomic_write(out / f"{cfg.run.prefix}_orders.csv", "\n".join(lines) + "\n")
     return {
         "config_digest": config_digest(cfg),

@@ -15,9 +15,12 @@ import lightgrating.grating
 import lightgrating.orders
 from lightgrating import backend
 from lightgrating.beamline import (
+    _envelope_mass,
     _envelope_sum,
     _finalize,
     _internal_grid,
+    _place_orders,
+    _trapezoid,
     _wave_velocity_slice,
     BeamlineGeometry,
     DiffractionPattern,
@@ -136,6 +139,27 @@ class TestGeometricEnvelope:
         x = self.fine_grid()
         env = geometric_envelope(GEOM, x)
         assert np.allclose(env, env[::-1], atol=1e-15)
+
+
+class TestEnvelopeMass:
+    def test_matches_cumulative_sum(self):
+        step = 1e-9
+        x = np.arange(-12000, 12001) * step
+        cumulative = np.cumsum(geometric_envelope(GEOM, x)) * step
+        # the cumulative sum of the midpoint rule, read half a step later
+        mass = _envelope_mass(GEOM, x + 0.5 * step)
+        assert np.max(np.abs(mass - cumulative)) <= 1e-5
+        assert np.all(np.diff(mass) >= 0.0)
+
+    def test_exact_at_the_base_and_the_centre(self):
+        wide, narrow = _trapezoid(GEOM)
+        base = 0.5 * (wide + narrow)
+        values = _envelope_mass(GEOM, np.array([-2.0 * base, -base, 0.0, base, 2.0 * base]))
+        assert values.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_mirror_symmetric(self):
+        y = np.linspace(-6e-6, 6e-6, 301)
+        assert np.max(np.abs(_envelope_mass(GEOM, y) + _envelope_mass(GEOM, -y) - 1.0)) < 1e-15
 
 
 class TestApertures:
@@ -741,10 +765,12 @@ class TestEnsembleOrdersMode:
             pattern = ensemble_pattern(cfg)
         v_nodes, v_weights = velocity_quadrature(cfg.velocity, 4)
         reference = per_channel_slot_weights(cfg)
-        slot_weights = np.array([weights for _, weights in calls]) / v_weights[:, None]
-        assert np.max(np.abs(slot_weights - reference)) <= 1e-10
+        # one placement of the orders m >= 0 of every node, m = 0 at half weight
+        ((x, placed_weights),) = calls
+        slot_weights = placed_weights / v_weights[:, None]
+        slot_weights[:, 0] *= 2.0
+        assert np.max(np.abs(slot_weights - reference[:, cfg.numerics.m_max :])) <= 1e-10
         # and the pattern is the per-channel one placed on the full grid
-        x = calls[0][0]
         orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
         accumulated = sum(
             full_grid_envelopes(
@@ -848,6 +874,76 @@ class TestEnsembleOrdersMode:
         assert np.max(np.abs(result - reference)) <= 1e-15 * reference.max()
         # each trapezoid touches only about 2 * half / step of the grid points
         assert 2 * half / (x[1] - x[0]) < 0.1 * x.size
+
+    def test_rows_add_like_separate_calls(self):
+        cfg = SimulationConfig()
+        x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+        rng = np.random.default_rng(17)
+        edge = float(x[-1])
+        centers = rng.uniform(-1.2 * edge, 1.2 * edge, (9, 21))
+        weights = rng.uniform(0.0, 1.0, centers.shape)
+        expected = 0.0
+        for row_centers, row_weights in zip(centers, weights):
+            expected = expected + _envelope_sum(cfg.geometry, x, row_centers, row_weights)
+        assert np.array_equal(_envelope_sum(cfg.geometry, x, centers, weights), expected)
+
+    @pytest.mark.parametrize("m_max", [0, 20, 120])
+    def test_mirrored_placement_matches_full_grid(self, m_max):
+        cfg = SimulationConfig()
+        geom = cfg.geometry
+        x = _internal_grid(geom, cfg.detector.width, cfg.numerics.internal_step)
+        edge = float(x[-1])
+        half = 0.5 * sum(_trapezoid(geom))
+        step = float(x[1] - x[0])
+        rng = np.random.default_rng(5 + m_max)
+        # the outer orders leave the grid; two nodes put their outermost
+        # order just past either edge, where the padding ends
+        slots = rng.uniform(0.5, 3.0, 12) * 2.0 * edge / max(m_max, 1)
+        if m_max:
+            slots[:2] = (edge + half + 0.5 * step) / m_max, (edge + half - 0.5 * step) / m_max
+        positive = rng.uniform(0.0, 1.0, (slots.size, m_max + 1))
+        weights = np.concatenate([positive[:, :0:-1], positive], axis=1)
+        orders = np.arange(-m_max, m_max + 1)
+        reference = sum(
+            full_grid_envelopes(geom, x, orders * slot, row) for slot, row in zip(slots, weights)
+        )
+        placed = _place_orders(geom, x, slots, weights)
+        assert np.max(np.abs(placed - reference)) <= 1e-15 * reference.max()
+
+    def test_orders_mode_starts_no_worker_threads(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("orders mode started a thread pool")
+
+        monkeypatch.setattr(lightgrating.beamline, "ThreadPoolExecutor", forbidden)
+        cfg = fast_config()
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders", workers=3))
+        patterns = ensemble_patterns(cfg, [0.0, 9.5])
+        assert all(pattern.intensity.sum() == pytest.approx(1.0) for pattern in patterns)
+
+    def test_default_scan_coverage_below_one(self):
+        cfg = SimulationConfig()
+        pattern = ensemble_pattern(replace(cfg, run=replace(cfg.run, mode="orders")))
+        assert 0.999 < pattern.metadata["scan_coverage"] < 1.0
+
+    def test_scan_coverage_agrees_with_wave_mode(self):
+        # C70 with a 100 um span: most of the pattern leaves the span at 50 W
+        cfg = replace(SimulationConfig(), species=C70)
+        cfg = replace(
+            cfg,
+            geometry=replace(cfg.geometry, detector_span=100e-6),
+            numerics=replace(cfg.numerics, m_max=120, samples_per_period=128),
+        )
+        powers = [9.5, 50.0, 150.0]
+        orders = ensemble_patterns(replace(cfg, run=replace(cfg.run, mode="orders")), powers)
+        # at 150 W the wave grid may alias a little, and says so
+        with pytest.warns(UserWarning, match="samples_per_period"):
+            wave = ensemble_patterns(cfg, powers)
+        coverage = [pattern.metadata["scan_coverage"] for pattern in orders]
+        assert coverage[1] < 0.2 and coverage[2] < 0.1
+        for a, b in zip(orders, wave):
+            assert a.metadata["scan_coverage"] == pytest.approx(
+                b.metadata["scan_coverage"], abs=0.005
+            )
 
     def test_laser_off_is_blurred_envelope(self):
         cfg = fast_config(quadrature=QuadratureSpec(1, 1, 1))

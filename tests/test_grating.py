@@ -17,14 +17,17 @@ from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
     GridSpec,
+    ParityRows,
     channel_amplitudes,
     channel_set,
     compute_phi,
     effective_channels,
     grating_coherence,
     mean_photon_number,
+    parity_angles,
     poisson_weight,
     raman_nath_diagnostic,
+    scale_weight_arrays,
     truncation_order,
 )
 from lightgrating.species import C60, C70, HBAR, C_LIGHT, EPS0, polarizability_si
@@ -488,6 +491,66 @@ def unmirrored(pivots, n):
     return [(min(p % half, half - 1 - p % half), b) for p, b in pivots]
 
 
+def stepwise_effective_channels(phis, spp, scales, weights, tail_eps):
+    """``effective_channels`` as it was before its loop was trimmed, kept as a reference.
+
+    It rebuilds the phase index and reads the pivot's full residual twice
+    on every step, and flips the sign of the odd blocks' kernels by a
+    multiplication with 1 - 2 * block.
+    """
+    scales, weights = scale_weight_arrays(scales, weights)
+    n_points = spp // 2
+    a = np.cos(parity_angles(spp))
+    re = np.array([phi.re for phi in phis])
+    im = np.array([phi.im for phi in phis])
+    phase = np.exp(2j * np.multiply.outer(np.multiply.outer(re, scales), a * a))
+    damping = -2.0 * np.multiply.outer(im, scales)[:, :, None]
+    full = np.full((len(phis), n_points), float(np.sum(weights)))
+    odd = np.einsum("s,vsj->vj", -0.5 * weights, np.expm1(4.0 * damping * a * a))
+    out = [None] * len(phis)
+    dropped = np.zeros(len(phis))
+    live = np.arange(len(phis))
+    rows = np.empty((len(phis), min(2 * n_points, 8), n_points), dtype=np.complex128)
+    odd_row = np.empty(rows.shape[:2], dtype=bool)
+    rank = 0
+    while True:
+        pivot = np.argmax(full, axis=1)
+        at = np.arange(live.size)
+        done = (full[at, pivot] <= tail_eps) | (rank == 2 * n_points)
+        for v in np.flatnonzero(done):
+            out[live[v]] = ParityRows(rows[v, :rank].copy(), odd_row[v, :rank].copy())
+            dropped[live[v]] = max(float(full[v].max()), 0.0)
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            live, phase, damping, full = live[keep], phase[keep], damping[keep], full[keep]
+            odd, rows, odd_row, pivot = odd[keep], rows[keep], odd_row[keep], pivot[keep]
+            at = np.arange(live.size)
+        if rank == rows.shape[1]:
+            grow = min(rank, 2 * n_points - rank)
+            rows = np.concatenate([rows, np.empty((live.size, grow, n_points), rows.dtype)], axis=1)
+            odd_row = np.concatenate([odd_row, np.empty((live.size, grow), bool)], axis=1)
+        pivot_full, pivot_odd = full[at, pivot], odd[at, pivot]
+        block = pivot_odd > pivot_full - pivot_odd
+        pivot_residual = np.where(block, pivot_odd, pivot_full - pivot_odd)
+        a_pivot = a[pivot][:, None, None]
+        kernel = np.exp(damping * (a + a_pivot) ** 2)
+        kernel *= (1.0 - 2.0 * block)[:, None, None]
+        kernel += np.exp(damping * (a - a_pivot) ** 2)
+        column = (0.5 * weights * phase[at, :, pivot].conj())[:, None, :] @ (kernel * phase)
+        earlier = np.where(odd_row[:, :rank] == block[:, None], rows[at, :rank, pivot].conj(), 0.0)
+        column -= earlier[:, None, :] @ rows[:, :rank]
+        row = column[:, 0] / np.sqrt(pivot_residual)[:, None]
+        rows[:, rank] = row
+        odd_row[:, rank] = block
+        power = row.real**2 + row.imag**2
+        full -= power
+        odd -= power * block[:, None]
+        rank += 1
+    return out, dropped
+
+
 class TestEffectiveChannels:
     @pytest.mark.parametrize("tail_eps", [1e-4, 1e-10])
     @pytest.mark.parametrize(
@@ -527,6 +590,31 @@ class TestEffectiveChannels:
             assert a.rank == b.rank
             rows_a, rows_b = a.period(), b.period()
             assert np.max(np.abs(rows_a.T @ rows_a.conj() - rows_b.T @ rows_b.conj())) < 1e-13
+
+    def test_bit_identical_to_the_stepwise_loop(self):
+        # random batches whose phases finish at different ranks, some at once
+        rng = np.random.default_rng(1601)
+        for _ in range(300):
+            n_phis = int(rng.integers(1, 7))
+            phis = [
+                ComplexPhase(float(re), float(im))
+                for re, im in zip(
+                    rng.uniform(-30.0, 30.0, n_phis), rng.choice([0.0, 0.3, 5.0, 60.0], n_phis)
+                )
+            ]
+            spp = int(rng.choice([8, 16, 32, 64]))
+            n_scales = int(rng.integers(1, 5))
+            scales = rng.uniform(0.1, 1.0, n_scales)
+            weights = rng.uniform(0.1, 1.0, n_scales)
+            tail_eps = float(rng.choice([1e-12, 1e-10, 1e-4]))
+            rows, dropped = effective_channels(phis, spp, scales, weights, tail_eps)
+            expected, expected_dropped = stepwise_effective_channels(
+                phis, spp, scales, weights, tail_eps
+            )
+            assert np.array_equal(dropped, expected_dropped)
+            for block, reference in zip(rows, expected):
+                assert np.array_equal(block.values, reference.values)
+                assert np.array_equal(block.odd, reference.odd)
 
     def test_tighter_tail_needs_more_rows(self):
         phi = ComplexPhase(1.3, 0.4)
