@@ -503,19 +503,12 @@ def ensemble_patterns(
     patterns = _ensembles(cfg, powers)
     if not cfg.run.convergence_check:
         return patterns
-    from .config import QuadratureSpec  # deferred: avoids import cycle at module load
-
     quad = cfg.quadrature
     changes: list[dict[str, float]] = [{} for _ in patterns]
     for axis in ("velocity_nodes", "vertical_nodes", "source_nodes"):
         doubled = replace(
             cfg,
-            quadrature=QuadratureSpec(
-                **{
-                    name: getattr(quad, name) * (2 if name == axis else 1)
-                    for name in ("velocity_nodes", "vertical_nodes", "source_nodes")
-                }
-            ),
+            quadrature=replace(quad, **{axis: 2 * getattr(quad, axis)}),
             run=replace(cfg.run, convergence_check=False),
         )
         for pattern, refined, change in zip(patterns, _ensembles(doubled, powers), changes):

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .config import ConfigError, _parse_float, load_config_file
+from .config import ConfigError, load_config_file, parse_value
 from .grating import GratingBeam
 from .runner import ConvergenceError, run_compare, run_orders, run_power_scan, run_simulate
 from .species import (
@@ -96,8 +96,10 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
     try:
-        # the rule of a config value: a number, and finite
-        powers = [_parse_float(p) for p in args.powers.split(",") if p.strip() != ""]
+        # each entry obeys the rule of beam.power_w in a config file
+        powers = [parse_value("beam", "power_w", p) for p in args.powers.split(",") if p.strip()]
+        if not powers:
+            raise ValueError("no power given")
     except ValueError as exc:
         raise ConfigError(f"bad --powers list {args.powers!r}: {exc}")
     rows = run_power_scan(cfg, powers, _out_dir(args))

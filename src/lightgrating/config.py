@@ -5,6 +5,13 @@ reference apparatus value, so an empty file is a complete, valid
 configuration.  Unknown sections or keys are fatal errors carrying the
 offending line number: a no-free-parameter model deserves loud config
 mistakes, not silently ignored typos.
+
+A key is one row of ``_KEYS``: its section and name, the
+``SimulationConfig`` attribute it sets, a (parser, formatter) codec and a
+validator.  Its default is that attribute of ``SimulationConfig()``.
+``_SCHEMA``, ``parse_config`` and ``serialize_config`` all follow the
+table, in its order.  Only ``[species]`` (a catalog name, or all three
+custom fields) and the velocity histogram load are written out by hand.
 """
 
 from __future__ import annotations
@@ -13,17 +20,16 @@ import configparser
 import hashlib
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .beamline import BeamlineGeometry
-from .distributions import (
-    DetectorModel,
-    VelocityDistribution,
-    VerticalProfile,
-    load_velocity_histogram,
-)
+from .distributions import DetectorModel, VelocityDistribution, VerticalProfile
+from .distributions import load_velocity_histogram
 from .grating import GratingBeam
 from .species import CATALOG, ComplexPolarizability, MoleculeSpecies
 
@@ -80,6 +86,7 @@ class SimulationConfig:
     velocity_histogram_file: str | None = None
 
 
+# --- parsers and formatters ---------------------------------------------
 def _parse_float(raw: str) -> float:
     try:
         value = float(raw)
@@ -132,36 +139,105 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _positive(name: str, value):
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0")
+Codec = tuple[Callable[[str], Any], Callable[[Any], str]]
+_FLOAT: Codec = (_parse_float, lambda value: repr(float(value)))
+_INT: Codec = (_parse_int, str)
+_TEXT: Codec = (str.strip, str)
+_BOOL: Codec = (_parse_bool, lambda value: "true" if value else "false")
+_PATH: Codec = (lambda raw: raw.strip() or None, str)  # an empty value: no file
+
+
+def _unit(exponent: int) -> Codec:
+    """Codec of a float key given in units of 10^exponent SI (nm: -9)."""
+    return _scaled(exponent), lambda value: _fmt_scaled(value, -exponent)
+
+
+# --- validators: each raises ValueError naming the dotted key -----------
+def _rule(holds: Callable[[Any], bool], requirement: str) -> Callable[[str, Any], None]:
+    def check(name: str, value) -> None:
+        if not holds(value):
+            raise ValueError(f"{name} {requirement}")
+
+    return check
+
+
+def _one_of(*allowed: str) -> Callable[[str, Any], None]:
+    return _rule(lambda value: value in allowed, f"must be one of {', '.join(allowed)}")
+
+
+_anything = _rule(lambda value: True, "")
+_positive = _rule(lambda value: value > 0, "must be > 0")
+_nonnegative = _rule(lambda value: not value < 0, "must be >= 0")
+_open_unit = _rule(lambda value: 0.0 < value < 1.0, "must be in (0, 1)")
+
+
+def _multiple_of_4(name: str, value: int) -> None:
+    _positive(name, value)
+    if value % 4 != 0:
+        raise ValueError(f"{name} must be a multiple of 4")
+
+
+# --- the table: one row per key -----------------------------------------
+class _Key(NamedTuple):
+    section: str
+    key: str
+    path: str  # attribute of SimulationConfig, dotted
+    codec: Codec
+    check: Callable[[str, Any], None] = _anything
+
+
+_KEYS: tuple[_Key, ...] = (
+    _Key("beam", "wavelength_nm", "beam.wavelength", _unit(-9), _positive),
+    _Key("beam", "power_w", "beam.power", _FLOAT, _nonnegative),
+    _Key("beam", "waist_y_mm", "beam.waist_y", _unit(-3), _positive),
+    _Key("beam", "waist_z_um", "beam.waist_z", _unit(-6), _positive),
+    _Key("geometry", "slit1_um", "geometry.slit1", _unit(-6), _positive),
+    _Key("geometry", "slit2_um", "geometry.slit2", _unit(-6), _positive),
+    _Key("geometry", "l12_m", "geometry.L12", _FLOAT, _positive),
+    _Key("geometry", "l2d_m", "geometry.L2D", _FLOAT, _positive),
+    _Key("geometry", "detector_span_um", "geometry.detector_span", _unit(-6), _positive),
+    _Key("velocity", "v_peak", "velocity.v_peak", _FLOAT, _positive),
+    _Key("velocity", "fwhm_ratio", "velocity.fwhm_ratio", _FLOAT, _open_unit),
+    _Key("velocity", "histogram_file", "velocity_histogram_file", _PATH),
+    _Key("vertical", "beam_fwhm_um", "vertical.beam_fwhm", _unit(-6), _positive),
+    _Key("detector", "width_um", "detector.width", _unit(-6), _nonnegative),
+    _Key("detector", "step_um", "detector.step", _unit(-6), _positive),
+    _Key("detector", "kernel", "detector.kernel_shape", _TEXT, _one_of("gaussian", "tophat")),
+    _Key("quadrature", "velocity_nodes", "quadrature.velocity_nodes", _INT, _positive),
+    _Key("quadrature", "vertical_nodes", "quadrature.vertical_nodes", _INT, _positive),
+    _Key("quadrature", "source_nodes", "quadrature.source_nodes", _INT, _positive),
+    _Key("numerics", "samples_per_period", "numerics.samples_per_period", _INT, _multiple_of_4),
+    _Key("numerics", "pad_factor", "numerics.pad_factor", _INT, _positive),
+    _Key("numerics", "tail_eps", "numerics.tail_eps", _FLOAT, _open_unit),
+    _Key("numerics", "m_max", "numerics.m_max", _INT, _positive),
+    _Key("numerics", "internal_step_um", "numerics.internal_step", _unit(-6), _positive),
+    _Key("run", "mode", "run.mode", _TEXT, _one_of("wave", "orders")),
+    _Key("run", "normalization", "run.normalization", _TEXT, _one_of("sum", "peak")),
+    _Key("run", "workers", "run.workers", _INT, _positive),
+    _Key("run", "convergence_check", "run.convergence_check", _BOOL),
+    _Key("run", "out_dir", "run.out_dir", _TEXT),
+    _Key("run", "prefix", "run.prefix", _TEXT),
+)
+
+# the three fields of a custom species, with their validators
+_CUSTOM_SPECIES = {"mass_amu": _positive, "alpha_re_a3": _anything, "alpha_im_a3": _nonnegative}
+
+# section -> keys the parser accepts; anything else is fatal.
+_SCHEMA: dict[str, tuple[str, ...]] = {"species": ("name", *_CUSTOM_SPECIES)}
+for _row in _KEYS:
+    _SCHEMA[_row.section] = _SCHEMA.get(_row.section, ()) + (_row.key,)
+
+_ROWS = {(row.section, row.key): row for row in _KEYS}
+_GETTERS = tuple(attrgetter(row.path) for row in _KEYS)
+_DEFAULT = SimulationConfig()  # built once: each key's default is its field here
+
+
+def parse_value(section: str, key: str, raw: str):
+    """One key's value from its text by its row's parser and validator (or ValueError)."""
+    row = _ROWS[section, key]
+    value = row.codec[0](raw)
+    row.check(f"{section}.{key}", value)
     return value
-
-
-def _nonnegative(name: str, value):
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return value
-
-
-def _choice(name: str, value: str, allowed: tuple[str, ...]) -> str:
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {', '.join(allowed)}")
-    return value
-
-
-# section -> set of keys the parser accepts; anything else is fatal.
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "species": ("name", "mass_amu", "alpha_re_a3", "alpha_im_a3"),
-    "beam": ("wavelength_nm", "power_w", "waist_y_mm", "waist_z_um"),
-    "geometry": ("slit1_um", "slit2_um", "l12_m", "l2d_m", "detector_span_um"),
-    "velocity": ("v_peak", "fwhm_ratio", "histogram_file"),
-    "vertical": ("beam_fwhm_um",),
-    "detector": ("width_um", "step_um", "kernel"),
-    "quadrature": ("velocity_nodes", "vertical_nodes", "source_nodes"),
-    "numerics": ("samples_per_period", "pad_factor", "tail_eps", "m_max", "internal_step_um"),
-    "run": ("mode", "normalization", "workers", "convergence_check", "out_dir", "prefix"),
-}
 
 
 def _line_map(text: str) -> dict[tuple[str | None, str], int]:
@@ -176,8 +252,7 @@ def _line_map(text: str) -> dict[tuple[str | None, str], int]:
             section = stripped[1:-1].strip()
             out[(None, section)] = lineno
         elif "=" in line:
-            key = line.split("=", 1)[0].strip().lower()
-            out[(section, key)] = lineno
+            out[(section, line.split("=", 1)[0].strip().lower())] = lineno
     return out
 
 
@@ -186,18 +261,16 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
 
     ``base_dir`` anchors relative paths referenced by the config (the
     velocity histogram file); it defaults to the working directory.
+    Keys are read and checked in table order; the first fault raises.
     """
     parser = configparser.ConfigParser(
-        delimiters=("=",),
-        comment_prefixes=("#", ";"),
-        inline_comment_prefixes=("#", ";"),
-        strict=True,
-        interpolation=None,
+        delimiters=("=",), comment_prefixes=("#", ";"), inline_comment_prefixes=("#", ";"),
+        strict=True, interpolation=None,
     )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), line=getattr(exc, "lineno", None)) from exc
     lines = _line_map(text)
 
     for section in parser.sections():
@@ -211,228 +284,68 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
                     "unknown key", key=f"{section}.{key}", line=lines.get((section, key))
                 )
 
-    def fetch(section: str, key: str, convert, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
+    @contextmanager
+    def blame(section: str, key: str):
+        """Re-raise a fault of ``section.key`` as a ConfigError at its line."""
         try:
-            return convert(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                str(exc), key=f"{section}.{key}", line=lines.get((section, key))
-            ) from exc
-
-    def checked(section: str, key: str, value, validator):
-        try:
-            return validator(f"{section}.{key}", value)
-        except ValueError as exc:
-            raise ConfigError(
-                str(exc), key=f"{section}.{key}", line=lines.get((section, key))
-            ) from exc
-
-    # --- species ------------------------------------------------------
-    name = fetch("species", "name", str.strip, "C60")
-    mass = fetch("species", "mass_amu", _parse_float, None)
-    alpha_re = fetch("species", "alpha_re_a3", _parse_float, None)
-    alpha_im = fetch("species", "alpha_im_a3", _parse_float, None)
-    custom_fields = {"mass_amu": mass, "alpha_re_a3": alpha_re, "alpha_im_a3": alpha_im}
-    given = {k: v for k, v in custom_fields.items() if v is not None}
-    if given:
-        missing = [k for k, v in custom_fields.items() if v is None]
-        if missing:
-            raise ConfigError(
-                f"custom species needs {', '.join(missing)} as well",
-                key="species." + next(iter(given)),
-                line=lines.get(("species", next(iter(given)))),
-            )
-        checked("species", "mass_amu", mass, _positive)
-        checked("species", "alpha_im_a3", alpha_im, _nonnegative)
-        species = MoleculeSpecies(name, mass, ComplexPolarizability(alpha_re, alpha_im))
-    else:
-        if name not in CATALOG:
-            raise ConfigError(
-                f"unknown species {name!r}; catalog has {', '.join(sorted(CATALOG))} "
-                "(or define mass_amu/alpha_re_a3/alpha_im_a3 inline)",
-                key="species.name",
-                line=lines.get(("species", "name")),
-            )
-        species = CATALOG[name]
-
-    # --- beam ---------------------------------------------------------
-    beam = GratingBeam(
-        wavelength=checked(
-            "beam", "wavelength_nm", fetch("beam", "wavelength_nm", _scaled(-9), 514.5e-9), _positive
-        ),
-        power=checked("beam", "power_w", fetch("beam", "power_w", _parse_float, 9.5), _nonnegative),
-        waist_y=checked(
-            "beam", "waist_y_mm", fetch("beam", "waist_y_mm", _scaled(-3), 1.3e-3), _positive
-        ),
-        waist_z=checked(
-            "beam", "waist_z_um", fetch("beam", "waist_z_um", _scaled(-6), 50e-6), _positive
-        ),
-    )
-
-    # --- geometry -----------------------------------------------------
-    geometry = BeamlineGeometry(
-        slit1=checked("geometry", "slit1_um", fetch("geometry", "slit1_um", _scaled(-6), 7e-6), _positive),
-        slit2=checked("geometry", "slit2_um", fetch("geometry", "slit2_um", _scaled(-6), 5e-6), _positive),
-        L12=checked("geometry", "l12_m", fetch("geometry", "l12_m", _parse_float, 1.13), _positive),
-        L2D=checked("geometry", "l2d_m", fetch("geometry", "l2d_m", _parse_float, 1.2), _positive),
-        detector_span=checked(
-            "geometry",
-            "detector_span_um",
-            fetch("geometry", "detector_span_um", _scaled(-6), 300e-6),
-            _positive,
-        ),
-    )
-
-    # --- velocity -----------------------------------------------------
-    v_peak = checked("velocity", "v_peak", fetch("velocity", "v_peak", _parse_float, 120.0), _positive)
-    fwhm_ratio = fetch("velocity", "fwhm_ratio", _parse_float, 0.17)
-    if not 0.0 < fwhm_ratio < 1.0:
-        raise ConfigError(
-            "velocity.fwhm_ratio must be in (0, 1)",
-            key="velocity.fwhm_ratio",
-            line=lines.get(("velocity", "fwhm_ratio")),
-        )
-    histogram_file = fetch("velocity", "histogram_file", str.strip, None)
-    if histogram_file:
-        path = Path(histogram_file)
-        if not path.is_absolute():
-            path = Path(base_dir or ".") / path
-        try:
-            velocity = load_velocity_histogram(path)
+            yield
         except (OSError, ValueError) as exc:
             raise ConfigError(
-                str(exc),
-                key="velocity.histogram_file",
-                line=lines.get(("velocity", "histogram_file")),
+                str(exc), key=f"{section}.{key}", line=lines.get((section, key))
             ) from exc
-        velocity = replace(velocity, fwhm_ratio=fwhm_ratio)
+
+    # --- species: a catalog name, or all three custom fields -----------
+    name = parser.get("species", "name", fallback=_DEFAULT.species.name).strip()
+    custom = {}
+    for key in _CUSTOM_SPECIES:
+        if parser.has_option("species", key):
+            with blame("species", key):
+                custom[key] = _parse_float(parser.get("species", key))
+    if custom:
+        missing = [key for key in _CUSTOM_SPECIES if key not in custom]
+        with blame("species", next(iter(custom))):
+            if missing:
+                raise ValueError(f"custom species needs {', '.join(missing)} as well")
+        for key, check in _CUSTOM_SPECIES.items():
+            with blame("species", key):
+                check(f"species.{key}", custom[key])
+        polarizability = ComplexPolarizability(custom["alpha_re_a3"], custom["alpha_im_a3"])
+        species = MoleculeSpecies(name, custom["mass_amu"], polarizability)
+    elif name in CATALOG:
+        species = CATALOG[name]
     else:
-        histogram_file = None
-        velocity = VelocityDistribution(v_peak=v_peak, fwhm_ratio=fwhm_ratio)
+        with blame("species", "name"):
+            raise ValueError(
+                f"unknown species {name!r}; catalog has {', '.join(sorted(CATALOG))} "
+                "(or define mass_amu/alpha_re_a3/alpha_im_a3 inline)"
+            )
 
-    # --- vertical -----------------------------------------------------
-    vertical = VerticalProfile(
-        beam_fwhm=checked(
-            "vertical", "beam_fwhm_um", fetch("vertical", "beam_fwhm_um", _scaled(-6), 625e-6), _positive
-        ),
-        laser_waist=beam.waist_y,
-    )
+    # --- every other key: one table row each; unset groups stay default --
+    given: dict[str, dict[str, Any]] = {"": {}}
+    for row in _KEYS:
+        if parser.has_option(row.section, row.key):
+            with blame(row.section, row.key):
+                value = parse_value(row.section, row.key, parser.get(row.section, row.key))
+            group, _, attr = row.path.rpartition(".")
+            given.setdefault(group, {})[attr] = value
+    if "waist_y" in given.get("beam", {}):  # the vertical average spans the laser's waist
+        given.setdefault("vertical", {})["laser_waist"] = given["beam"]["waist_y"]
+    fields = given.pop("")
+    fields.update((group, replace(getattr(_DEFAULT, group), **kw)) for group, kw in given.items())
 
-    # --- detector -----------------------------------------------------
-    detector = DetectorModel(
-        width=checked(
-            "detector", "width_um", fetch("detector", "width_um", _scaled(-6), 6e-6), _nonnegative
-        ),
-        step=checked("detector", "step_um", fetch("detector", "step_um", _scaled(-6), 2e-6), _positive),
-        kernel_shape=checked(
-            "detector",
-            "kernel",
-            fetch("detector", "kernel", str.strip, "gaussian"),
-            lambda n, v: _choice(n, v, ("gaussian", "tophat")),
-        ),
-    )
+    # --- a measured velocity histogram replaces the gaussian's v_peak ---
+    histogram_file = fields.get("velocity_histogram_file")
+    if histogram_file:
+        with blame("velocity", "histogram_file"):
+            loaded = load_velocity_histogram(Path(base_dir or ".") / histogram_file)
+        fwhm_ratio = fields.get("velocity", _DEFAULT.velocity).fwhm_ratio
+        fields["velocity"] = replace(loaded, fwhm_ratio=fwhm_ratio)
 
-    # --- quadrature ---------------------------------------------------
-    quadrature = QuadratureSpec(
-        velocity_nodes=checked(
-            "quadrature",
-            "velocity_nodes",
-            fetch("quadrature", "velocity_nodes", _parse_int, 16),
-            _positive,
-        ),
-        vertical_nodes=checked(
-            "quadrature",
-            "vertical_nodes",
-            fetch("quadrature", "vertical_nodes", _parse_int, 16),
-            _positive,
-        ),
-        source_nodes=checked(
-            "quadrature",
-            "source_nodes",
-            fetch("quadrature", "source_nodes", _parse_int, 16),
-            _positive,
-        ),
-    )
-
-    # --- numerics -----------------------------------------------------
-    spp = checked(
-        "numerics",
-        "samples_per_period",
-        fetch("numerics", "samples_per_period", _parse_int, 64),
-        _positive,
-    )
-    if spp % 4 != 0:
-        raise ConfigError(
-            "numerics.samples_per_period must be a multiple of 4",
-            key="numerics.samples_per_period",
-            line=lines.get(("numerics", "samples_per_period")),
-        )
-    tail_eps = fetch("numerics", "tail_eps", _parse_float, 1e-10)
-    if not 0.0 < tail_eps < 1.0:
-        raise ConfigError(
-            "numerics.tail_eps must be in (0, 1)",
-            key="numerics.tail_eps",
-            line=lines.get(("numerics", "tail_eps")),
-        )
-    numerics = NumericsSpec(
-        samples_per_period=spp,
-        pad_factor=checked(
-            "numerics", "pad_factor", fetch("numerics", "pad_factor", _parse_int, 4), _positive
-        ),
-        tail_eps=tail_eps,
-        m_max=checked("numerics", "m_max", fetch("numerics", "m_max", _parse_int, 20), _positive),
-        internal_step=checked(
-            "numerics",
-            "internal_step_um",
-            fetch("numerics", "internal_step_um", _scaled(-6), 0.25e-6),
-            _positive,
-        ),
-    )
-
-    # --- run ----------------------------------------------------------
-    run = RunSpec(
-        mode=checked(
-            "run",
-            "mode",
-            fetch("run", "mode", str.strip, "wave"),
-            lambda n, v: _choice(n, v, ("wave", "orders")),
-        ),
-        normalization=checked(
-            "run",
-            "normalization",
-            fetch("run", "normalization", str.strip, "sum"),
-            lambda n, v: _choice(n, v, ("sum", "peak")),
-        ),
-        workers=checked("run", "workers", fetch("run", "workers", _parse_int, 1), _positive),
-        convergence_check=fetch("run", "convergence_check", _parse_bool, False),
-        out_dir=fetch("run", "out_dir", str.strip, "."),
-        prefix=fetch("run", "prefix", str.strip, "run"),
-    )
-
-    return SimulationConfig(
-        species=species,
-        beam=beam,
-        geometry=geometry,
-        velocity=velocity,
-        vertical=vertical,
-        detector=detector,
-        quadrature=quadrature,
-        numerics=numerics,
-        run=run,
-        velocity_histogram_file=histogram_file,
-    )
+    return replace(_DEFAULT, species=species, **fields)
 
 
 def load_config_file(path: str | Path) -> SimulationConfig:
-    path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+    return parse_config(Path(path).read_text(encoding="utf-8"), base_dir=Path(path).parent)
 
 
 def serialize_config(cfg: SimulationConfig) -> str:
@@ -443,85 +356,22 @@ def serialize_config(cfg: SimulationConfig) -> str:
     content that the config digest hashes.
     """
     out = io.StringIO()
-
-    def section(name: str, pairs: list[tuple[str, str]]) -> None:
-        out.write(f"[{name}]\n")
-        for key, value in pairs:
-            out.write(f"{key} = {value}\n")
-        out.write("\n")
-
-    species_pairs = [("name", cfg.species.name)]
-    if cfg.species.name not in CATALOG or CATALOG[cfg.species.name] != cfg.species:
-        species_pairs += [
-            ("mass_amu", _fmt(cfg.species.mass_amu)),
-            ("alpha_re_a3", _fmt(cfg.species.polarizability.real_volume)),
-            ("alpha_im_a3", _fmt(cfg.species.polarizability.imag_volume)),
-        ]
-    section("species", species_pairs)
-    section(
-        "beam",
-        [
-            ("wavelength_nm", _fmt_scaled(cfg.beam.wavelength, 9)),
-            ("power_w", _fmt(cfg.beam.power)),
-            ("waist_y_mm", _fmt_scaled(cfg.beam.waist_y, 3)),
-            ("waist_z_um", _fmt_scaled(cfg.beam.waist_z, 6)),
-        ],
-    )
-    section(
-        "geometry",
-        [
-            ("slit1_um", _fmt_scaled(cfg.geometry.slit1, 6)),
-            ("slit2_um", _fmt_scaled(cfg.geometry.slit2, 6)),
-            ("l12_m", _fmt(cfg.geometry.L12)),
-            ("l2d_m", _fmt(cfg.geometry.L2D)),
-            ("detector_span_um", _fmt_scaled(cfg.geometry.detector_span, 6)),
-        ],
-    )
-    velocity_pairs = [
-        ("v_peak", _fmt(cfg.velocity.v_peak)),
-        ("fwhm_ratio", _fmt(cfg.velocity.fwhm_ratio)),
-    ]
-    if cfg.velocity_histogram_file:
-        velocity_pairs.append(("histogram_file", cfg.velocity_histogram_file))
-    section("velocity", velocity_pairs)
-    section("vertical", [("beam_fwhm_um", _fmt_scaled(cfg.vertical.beam_fwhm, 6))])
-    section(
-        "detector",
-        [
-            ("width_um", _fmt_scaled(cfg.detector.width, 6)),
-            ("step_um", _fmt_scaled(cfg.detector.step, 6)),
-            ("kernel", cfg.detector.kernel_shape),
-        ],
-    )
-    section(
-        "quadrature",
-        [
-            ("velocity_nodes", str(cfg.quadrature.velocity_nodes)),
-            ("vertical_nodes", str(cfg.quadrature.vertical_nodes)),
-            ("source_nodes", str(cfg.quadrature.source_nodes)),
-        ],
-    )
-    section(
-        "numerics",
-        [
-            ("samples_per_period", str(cfg.numerics.samples_per_period)),
-            ("pad_factor", str(cfg.numerics.pad_factor)),
-            ("tail_eps", _fmt(cfg.numerics.tail_eps)),
-            ("m_max", str(cfg.numerics.m_max)),
-            ("internal_step_um", _fmt_scaled(cfg.numerics.internal_step, 6)),
-        ],
-    )
-    section(
-        "run",
-        [
-            ("mode", cfg.run.mode),
-            ("normalization", cfg.run.normalization),
-            ("workers", str(cfg.run.workers)),
-            ("convergence_check", "true" if cfg.run.convergence_check else "false"),
-            ("out_dir", cfg.run.out_dir),
-            ("prefix", cfg.run.prefix),
-        ],
-    )
+    species = cfg.species
+    out.write(f"[species]\nname = {species.name}\n")
+    if CATALOG.get(species.name) != species:
+        pol = species.polarizability
+        values = (species.mass_amu, pol.real_volume, pol.imag_volume)
+        for key, value in zip(_CUSTOM_SPECIES, values):
+            out.write(f"{key} = {_FLOAT[1](value)}\n")
+    section = "species"
+    for row, get in zip(_KEYS, _GETTERS):
+        if row.section != section:
+            section = row.section
+            out.write(f"\n[{section}]\n")
+        value = get(cfg)
+        if value is not None:
+            out.write(f"{row.key} = {row.codec[1](value)}\n")
+    out.write("\n")
     return out.getvalue()
 
 

@@ -293,8 +293,15 @@ class TestScan:
 
     def test_negative_power_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["scan", str(cfg), "--powers", "-2"]) == 1
+        assert main(["scan", str(cfg), "--powers", "-2"]) == 2
         assert ">= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("powers", [",", "", " , "])
+    def test_empty_powers_list_is_a_config_error(self, tmp_path, capsys, powers):
+        cfg = write_config(tmp_path)
+        assert main(["scan", str(cfg), "--powers", powers, "--out-dir", str(tmp_path)]) == 2
+        assert "bad --powers list" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("powers", ["nan", "2,inf", "1,-inf", "1e999"])
     def test_non_finite_power_is_a_config_error(self, tmp_path, capsys, powers):

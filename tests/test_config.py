@@ -1,9 +1,17 @@
 """Config parsing, validation diagnostics, serialization, and digests."""
 
 import math
+import re
+import tempfile
+from dataclasses import replace
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lightgrating import config
 from lightgrating.config import (
     ConfigError,
     SimulationConfig,
@@ -13,6 +21,9 @@ from lightgrating.config import (
     serialize_config,
 )
 from lightgrating.species import CATALOG
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+HISTOGRAM = "# velocity  weight\n100 0.2\n120 0.5\n140 0.3\n"
 
 
 class TestDefaults:
@@ -276,3 +287,458 @@ class TestHistogramWiring:
         text = serialize_config(cfg)
         assert "histogram_file = beamvel.txt" in text
         assert parse_config(text, base_dir=tmp_path) == cfg
+
+
+# config_digest of a config that sets one key, recorded before the config
+# became a table of keys.  The text is '[section]\nkey = value\n'.
+ONE_KEY_DIGESTS = {
+    ("species", "name", "C70"):
+        "71428e65925979768fab44808a6c96adb386955981b50e940368cd76973d267f",
+    ("beam", "wavelength_nm", "532"):
+        "549fc60fcb87b84e1b9ac4ef5662ac3e1d68d863c6f0149ad5304526c943856e",
+    ("beam", "power_w", "11.712072224475481"):
+        "108032cc4b5b28ae44ddeda0326d0f931e3c37617cbe95724853e1b0a77df7b4",
+    ("beam", "waist_y_mm", "1.1"):
+        "61e63b8cb18fd0419c51d428c886e809ab1863e65bc362d22ea0caf737aafeac",
+    ("beam", "waist_z_um", "45.5"):
+        "51e63871346117583819b43fab1dfbcfb54af4cbd627e0622db6bd00691c2c9a",
+    ("geometry", "slit1_um", "8"):
+        "12f6e174f31382ae5337d45e1fab07267227b7a1a821f233326d7d0f4ffd6abc",
+    ("geometry", "slit2_um", "4.5"):
+        "592b661a7f84c2566926b24bfb3839e06ffa9db4c7e08ee62458d0b682358445",
+    ("geometry", "l12_m", "1.0"):
+        "789bef605eabefd315d8179a7d78e1c81331ebe1ab538fa183904d157c70edb9",
+    ("geometry", "l2d_m", "1.25"):
+        "ecdffd097345434d756af8e9b160544744edccb2482c5cafd74d6a5e35d485a2",
+    ("geometry", "detector_span_um", "250"):
+        "5974fe012132c1572c13ca68fed6482d28a0514c3b5bb2759983d24f2ebff145",
+    ("velocity", "v_peak", "117.3"):
+        "171748fd4065e10d71a732aa7b236e17d7a6b0dc35a79ef08d3d4bc69970587b",
+    ("velocity", "fwhm_ratio", "0.25"):
+        "98f43b5c7675fe9b9cd56b330d24c89780e9c4b851117b765ace4df6c631deb5",
+    ("velocity", "histogram_file", "hist.txt"):
+        "f8fe05d4897993c7d3be616c7344cb5d1c45ae752fad66c79babb489f7cb56e6",
+    ("vertical", "beam_fwhm_um", "600"):
+        "9a049c3239782e733a489fd79ab9ccce4db2f83897740d4393023cfb28477ab3",
+    ("detector", "width_um", "0"):
+        "60a86bf6c56e4d16f0a15e6f3f6a2bd9a3dd82a736be21ca05f52f44ff1fb7af",
+    ("detector", "step_um", "1.5"):
+        "e517f3a0b3b365852ce076fd2e70b9b8dd9686340d6b683da00d078f2222e390",
+    ("detector", "kernel", "tophat"):
+        "0c53cce1d82478291ddf982abe7deab38ff250a07ac9889b6d6665b58da3dbe1",
+    ("quadrature", "velocity_nodes", "8"):
+        "8b0e8528e9a1848cd32f4d2950d616f4b0c21b25c3f5542cc1ee11ab57422305",
+    ("quadrature", "vertical_nodes", "12"):
+        "ae599f75d64e75d58c803b13c5ee7f07f249da6cdc1fc4606e8febd2f4cc9c11",
+    ("quadrature", "source_nodes", "4"):
+        "6e1656bd49dff46e2ac1821b88bf955d64725427d44828ec3a9ab84f62c27828",
+    ("numerics", "samples_per_period", "32"):
+        "271c92d9e1e7d3229159c13999d8e3d245117a5017c264615b4782c087326529",
+    ("numerics", "pad_factor", "2"):
+        "060471090e14a61615a901060a5eeff8acd90e7c3bbed35b92ad9c4aae7bcc32",
+    ("numerics", "tail_eps", "3.7e-11"):
+        "85c7f0f8f9dff053fc76271461ebf3fdd6a9952accf8f0633ee63279e0fc7b4c",
+    ("numerics", "m_max", "12"):
+        "507033d1c5e4ac4361d936a723dfa750c187e42cc81f817d29c9ffea6a7d46f5",
+    ("numerics", "internal_step_um", "0.125"):
+        "127f5e2f356f787719a39d9885dc9532f328e0ea9f018e574f20e1fd17692316",
+    ("run", "mode", "orders"):
+        "814ab8b7a235fcf139662ee968288ded03709f8997cf46b59e5bc7eb3c6ec2a7",
+    ("run", "normalization", "peak"):
+        "d6bd397b35137624e41d5f80da728591f6d2d75425f07c8f2fbf2f1f25628ea9",
+    ("run", "workers", "2"):
+        "fea994024073d7492bbc6385b06fc2bed962d2dd6f9f57683ed4d0c6215618f1",
+    ("run", "convergence_check", "true"):
+        "75f7dc28d1a594e27c51eb1d5345929e6c9002ddfd786e88011e81bc46513614",
+    ("run", "out_dir", "outs"):
+        "4842685f4ea2c83e19ea285787451400adfdaa7de52f06c9715194edd3678759",
+    ("run", "prefix", "foo"):
+        "2da352e9c3758d6ab2e75512986c9fd865a3e161ef64f0517e0b3f1c353eef39",
+}
+
+# The ConfigError text of one bad value, recorded likewise.  The bad key
+# sits on line 5, after a valid section (see ``bad_value_text``).
+ONE_KEY_ERRORS = [
+    ("beam", "wavelength_nm", "abc", "not a number: 'abc'"),
+    ("beam", "wavelength_nm", "0", "beam.wavelength_nm must be > 0"),
+    ("beam", "wavelength_nm", "-514", "beam.wavelength_nm must be > 0"),
+    ("beam", "wavelength_nm", "inf", "not finite: 'inf'"),
+    ("beam", "power_w", "abc", "not a number: 'abc'"),
+    ("beam", "power_w", "-1", "beam.power_w must be >= 0"),
+    ("beam", "power_w", "nan", "not finite: 'nan'"),
+    ("beam", "waist_y_mm", "x", "not a number: 'x'"),
+    ("beam", "waist_y_mm", "0", "beam.waist_y_mm must be > 0"),
+    ("beam", "waist_z_um", "x", "not a number: 'x'"),
+    ("beam", "waist_z_um", "-3", "beam.waist_z_um must be > 0"),
+    ("geometry", "slit1_um", "x", "not a number: 'x'"),
+    ("geometry", "slit1_um", "0", "geometry.slit1_um must be > 0"),
+    ("geometry", "slit2_um", "x", "not a number: 'x'"),
+    ("geometry", "slit2_um", "0", "geometry.slit2_um must be > 0"),
+    ("geometry", "l12_m", "twelve", "not a number: 'twelve'"),
+    ("geometry", "l12_m", "0", "geometry.l12_m must be > 0"),
+    ("geometry", "l2d_m", "x", "not a number: 'x'"),
+    ("geometry", "l2d_m", "-1", "geometry.l2d_m must be > 0"),
+    ("geometry", "detector_span_um", "x", "not a number: 'x'"),
+    ("geometry", "detector_span_um", "0", "geometry.detector_span_um must be > 0"),
+    ("velocity", "v_peak", "x", "not a number: 'x'"),
+    ("velocity", "v_peak", "0", "velocity.v_peak must be > 0"),
+    ("velocity", "fwhm_ratio", "x", "not a number: 'x'"),
+    ("velocity", "fwhm_ratio", "0", "velocity.fwhm_ratio must be in (0, 1)"),
+    ("velocity", "fwhm_ratio", "1", "velocity.fwhm_ratio must be in (0, 1)"),
+    ("velocity", "fwhm_ratio", "1.5", "velocity.fwhm_ratio must be in (0, 1)"),
+    ("vertical", "beam_fwhm_um", "x", "not a number: 'x'"),
+    ("vertical", "beam_fwhm_um", "0", "vertical.beam_fwhm_um must be > 0"),
+    ("detector", "width_um", "x", "not a number: 'x'"),
+    ("detector", "width_um", "-1", "detector.width_um must be >= 0"),
+    ("detector", "step_um", "x", "not a number: 'x'"),
+    ("detector", "step_um", "0", "detector.step_um must be > 0"),
+    ("detector", "kernel", "lorentzian", "detector.kernel must be one of gaussian, tophat"),
+    ("quadrature", "velocity_nodes", "x", "not an integer: 'x'"),
+    ("quadrature", "velocity_nodes", "0", "quadrature.velocity_nodes must be > 0"),
+    ("quadrature", "velocity_nodes", "1.5", "not an integer: '1.5'"),
+    ("quadrature", "vertical_nodes", "x", "not an integer: 'x'"),
+    ("quadrature", "vertical_nodes", "-1", "quadrature.vertical_nodes must be > 0"),
+    ("quadrature", "source_nodes", "x", "not an integer: 'x'"),
+    ("quadrature", "source_nodes", "0", "quadrature.source_nodes must be > 0"),
+    ("numerics", "samples_per_period", "x", "not an integer: 'x'"),
+    ("numerics", "samples_per_period", "0", "numerics.samples_per_period must be > 0"),
+    ("numerics", "samples_per_period", "30", "numerics.samples_per_period must be a multiple of 4"),
+    ("numerics", "samples_per_period", "-4", "numerics.samples_per_period must be > 0"),
+    ("numerics", "pad_factor", "x", "not an integer: 'x'"),
+    ("numerics", "pad_factor", "0", "numerics.pad_factor must be > 0"),
+    ("numerics", "tail_eps", "x", "not a number: 'x'"),
+    ("numerics", "tail_eps", "0", "numerics.tail_eps must be in (0, 1)"),
+    ("numerics", "tail_eps", "2", "numerics.tail_eps must be in (0, 1)"),
+    ("numerics", "m_max", "x", "not an integer: 'x'"),
+    ("numerics", "m_max", "0", "numerics.m_max must be > 0"),
+    ("numerics", "internal_step_um", "x", "not a number: 'x'"),
+    ("numerics", "internal_step_um", "0", "numerics.internal_step_um must be > 0"),
+    ("run", "mode", "raytrace", "run.mode must be one of wave, orders"),
+    ("run", "normalization", "max", "run.normalization must be one of sum, peak"),
+    ("run", "workers", "x", "not an integer: 'x'"),
+    ("run", "workers", "0", "run.workers must be > 0"),
+    ("run", "convergence_check", "maybe", "not a boolean: 'maybe'"),
+]
+
+# config_digest of every orders-sweep config (species, power_w, vertical_nodes)
+ORDERS_SWEEP_DIGESTS = {
+    ("C60", 0, 8): "f7c42054093647f787b74e455af52879b98ec2901a70b6c1e8cd9ce815de18a4",
+    ("C60", 0, 12): "85313daa7ad181dbc54e973e7a9dfc3254aaea1352ae9a824b795a9131f536f3",
+    ("C60", 1, 8): "9aba4eec7fb1238a69fb2a57c19d9192156765dd0d143c98f20f5fcdab1ce536",
+    ("C60", 1, 12): "c1557eded6ac5ec4680c2e91ee19dd245a5b04ada540052c7f5d984b0b065e1d",
+    ("C60", 2, 8): "a881ce5a55fece31c98ad95c0b40d5ff692594fa25aabb982911dc351c55501f",
+    ("C60", 2, 12): "ba80c9b9c74d581fb128dafacb315cf88b4210ba2c22f4a76f0415dd045f3742",
+    ("C60", 6, 8): "daeb0a754742a9d8b595ad7b74024e4882d039a4879244a106917a301572c46a",
+    ("C60", 6, 12): "121963c9822a19620d018e3a35dbc9252a215a138ead59540310db3ff898e1ff",
+    ("C60", 10, 8): "411a63a10033988cdcfcaab1d716f6e0d707f39dbc8ea4c1877fea7a20f54445",
+    ("C60", 10, 12): "d4a2d27ee85ca86e2055ea0f0a1373fbe187fc25e801d46a3beebbddab98efce",
+    ("C60", 11, 8): "c783983a8fab0378714f5b800fd5f2dcbea07dea72d6581a0bf85e2254d24de3",
+    ("C60", 11, 12): "634c5d7ce8815d612d90e9fe947c69a95726f9e62571e8eab0df18614251c1da",
+    ("C60", 15, 8): "20080d1d42e94352b248f6fe7b1cdb8f2b5cb957ececa137c0b142fa8020f9fa",
+    ("C60", 15, 12): "90ef6968da3879f7c29d34d6acf0b90dd540f638cc29c928b500d2d86229d6a9",
+    ("C60", 17, 8): "91c157823421cfbfce3cf0afdb88829b9cfb3319bc831d21eb2279854e9a796c",
+    ("C60", 17, 12): "19076d311e77688d14f93253c35326f0dbc417ebfa46dd3014c7d942264d97ad",
+    ("C60", 18, 8): "4eff59e8a270a35f4f27eebd2a27d12e08adb4daf5752d63ac1934c0cbc2b0a3",
+    ("C60", 18, 12): "d3403802261e09c304edf7741e25ed6439478adb3772e30605aafda35f77a4c4",
+    ("C70", 0, 8): "ef00069e628cdb150891a8fc47463ce8be644c3269be964d73244282ae317f51",
+    ("C70", 0, 12): "123a3f139af5e1f3756ac06fc624ec91a0145f2e834eab7060126a50c7d33beb",
+    ("C70", 1, 8): "9f0161f192363b43b3548ffd075e24e2ce6c6e1f84ce1f14df0fc45d017fd0da",
+    ("C70", 1, 12): "27e14e2b56c4f38206f4941aa27044fe5ecc9eaa57341c63a2e91f77c540a35c",
+    ("C70", 2, 8): "f080454247b9408158df8556db02f70860de5456023d2ba7eb726f6cdcf00a2b",
+    ("C70", 2, 12): "26425369be1defdcd9f413f59198f331df2dea5864027764380b49c0d89c677f",
+    ("C70", 3, 8): "880d6c558dfe76834688c4077616f443617094848b66e6ea44b31adfce4e4fb8",
+    ("C70", 3, 12): "10e083ad6c6f877db16cc875ba66cdfadc4ccdcc14f556c46b3bef7af0fe2eca",
+    ("C70", 8, 8): "b1bac011facab773c7f0cf2811e9a56eff83ec360b309a2aba1ceea12103dbad",
+    ("C70", 8, 12): "d17a5f97d4509b2b7aa7694a3cec2ee2e2314e1b370dbddbce3865145ea41288",
+    ("C70", 9, 8): "a79231e2e70bf1383be583ca2f774aa4808c0c1bcba4d132d9252f192e366829",
+    ("C70", 9, 12): "07d082f1a5aba4f32621bdc87c933800783036644efb492ee9778f8b22ca3c0b",
+    ("C70", 10, 8): "8206779cb303df117f9e8af60278df1b7fcbff432ce88a93c9f77dd611c8b100",
+    ("C70", 10, 12): "f0c7bf2c946f0af1e7daf18df2c090bb7d77dcc1c7e239f92f67110c42ec0c99",
+    ("C70", 13, 8): "6229b1c120d1af266050b5d61aeb64746a74567063b0713dc04d5a19a35b4a4d",
+    ("C70", 13, 12): "a94676f691891252707612efb816325c3a4530a32a5b3dca40ecdf78c9c9b8ac",
+    ("C70", 14, 8): "82103ae939a9a379d29170708f90078be9afebce9de805ffdc632f9177bba822",
+    ("C70", 14, 12): "c2a82d3229dbc194dc102c94b72b8f453287e81447ee2b29b82a1ee7801f2bd9",
+    ("C70", 19, 8): "746179cf814f2c2c1073bbd1d9fb53494cfb12860490c89f79e708bff13d1258",
+    ("C70", 19, 12): "cff7d7c53392dc3ad108b136c8d0124feabe957097774a9130634d54fdfc0004",
+    ("C70", 20, 8): "fd7ec890be1578a1cec2c85847f9c5f42fac537ad64d19d0c1efc614b9494cd1",
+    ("C70", 20, 12): "728ee739a2053c535c8dc04835cfe8f70cedab48f5b057616c8debdea0bfbb8d",
+}
+
+
+def bad_value_text(section, key, value):
+    lead = "[run]\nprefix = p\n" if section == "beam" else "[beam]\npower_w = 5\n"
+    return f"{lead}\n[{section}]\n{key} = {value}\n"
+
+
+def orders_sweep_text(species, power, nodes):
+    """The config that the orders-sweep benchmark workload builds."""
+    prefix = f"{species.lower()}_p{power:02d}_v{nodes:02d}"
+    return (
+        f"[species]\nname = {species}\n[beam]\npower_w = {power}\n"
+        f"[quadrature]\nvertical_nodes = {nodes}\n"
+        f"[run]\nmode = orders\nprefix = {prefix}\n"
+    )
+
+
+class TestPinnedDigests:
+    """The serialization, and so the digest, of each config is frozen."""
+
+    @pytest.fixture
+    def base_dir(self, tmp_path):
+        (tmp_path / "hist.txt").write_text(HISTOGRAM, encoding="utf-8")
+        return tmp_path
+
+    def test_default(self):
+        digest = "0901e29237a1643a5312e2d9eb8b6354fff0d47ca62fe68d1056fbbe66ac5209"
+        assert config_digest(parse_config("")) == digest
+        assert config_digest(SimulationConfig()) == digest
+
+    @pytest.mark.parametrize("section, key, value", list(ONE_KEY_DIGESTS))
+    def test_one_key(self, base_dir, section, key, value):
+        cfg = parse_config(f"[{section}]\n{key} = {value}\n", base_dir=base_dir)
+        assert config_digest(cfg) == ONE_KEY_DIGESTS[section, key, value]
+
+    def test_every_key_is_pinned(self):
+        pinned = {(section, key) for section, key, _ in ONE_KEY_DIGESTS}
+        assert pinned == {(row.section, row.key) for row in config._KEYS} | {("species", "name")}
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (
+                "[species]\nname = testmol\nmass_amu = 123.456\n"
+                "alpha_re_a3 = 77.7\nalpha_im_a3 = 0.111\n",
+                "80c30e2ea7d3c799fd00c953d03ef3ea2fbb82d951e3ad65d1464ece68578078",
+            ),
+            (  # a catalog name with custom fields is a custom species
+                "[species]\nname = C70\nmass_amu = 840\nalpha_re_a3 = 102\nalpha_im_a3 = 1\n",
+                "6d37a215bf888ff76f954b4a9a3f04a3d7891fa8810e7cb96e8eddf20355226f",
+            ),
+            (
+                "[velocity]\nhistogram_file = hist.txt\nfwhm_ratio = 0.25\nv_peak = 99\n",
+                "f416cc3b4371db237e6894280e78601ec9cb9aece5c834d885b099a4eeb5af5d",
+            ),
+            (  # the scan-c70 benchmark workload
+                "[species]\nname = C70\n[quadrature]\nvelocity_nodes = 8\nvertical_nodes = 16\n"
+                "source_nodes = 4\n[run]\nworkers = 2\nprefix = scan\n",
+                "2348fd76eacf4a608d200ba65ce0c536ba942f37449b7f3b7ab06703de0164c7",
+            ),
+            (  # the wave-c60 benchmark workload
+                "[run]\nprefix = wave\n",
+                "3161c2f246e43947c12309339a33c70683dbc2672ef84d81b7a6203bddde72ba",
+            ),
+            (
+                "[beam]\npower_w = 20\nwavelength_nm = 514.5\n[geometry]\nslit1_um = 7.5\n"
+                "[quadrature]\nvelocity_nodes = 4\n[numerics]\ntail_eps = 1e-12\n"
+                "[run]\nprefix = x y\n",
+                "a5fb84229bf6954d8be985fb1bf349fd8e12bb2053eb3e9d4e800f65891c6082",
+            ),
+        ],
+    )
+    def test_whole_configs(self, base_dir, text, digest):
+        assert config_digest(parse_config(text, base_dir=base_dir)) == digest
+
+    @pytest.mark.parametrize("species, power, nodes", list(ORDERS_SWEEP_DIGESTS))
+    def test_orders_sweep(self, species, power, nodes):
+        cfg = parse_config(orders_sweep_text(species, power, nodes))
+        assert config_digest(cfg) == ORDERS_SWEEP_DIGESTS[species, power, nodes]
+
+
+class TestPinnedErrors:
+    """Each single fault keeps its message, key and line."""
+
+    @pytest.mark.parametrize("section, key, value, message", ONE_KEY_ERRORS)
+    def test_one_bad_value(self, section, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad_value_text(section, key, value))
+        assert str(err.value) == f"{section}.{key} (line 5): {message}"
+        assert (err.value.key, err.value.line) == (f"{section}.{key}", 5)
+
+    def test_every_key_has_a_pinned_error(self):
+        pinned = {(section, key) for section, key, _, _ in ONE_KEY_ERRORS}
+        rows = {(row.section, row.key) for row in config._KEYS}
+        # out_dir and prefix accept any text; test_bad_histogram_file has the file
+        unpinned = {("run", "out_dir"), ("run", "prefix"), ("velocity", "histogram_file")}
+        assert pinned == rows - unpinned
+
+    @pytest.mark.parametrize(
+        "text, message, key, line",
+        [
+            (
+                "[species]\nname = testmol\nmass_amu = 100\n",
+                "custom species needs alpha_re_a3, alpha_im_a3 as well",
+                "species.mass_amu",
+                3,
+            ),
+            (
+                "[species]\nname = testmol\nalpha_im_a3 = 1\n",
+                "custom species needs mass_amu, alpha_re_a3 as well",
+                "species.alpha_im_a3",
+                3,
+            ),
+            (
+                "[species]\nname = x\nmass_amu = -5\nalpha_re_a3 = 50\nalpha_im_a3 = 1\n",
+                "species.mass_amu must be > 0",
+                "species.mass_amu",
+                3,
+            ),
+            (
+                "[species]\nname = x\nmass_amu = 100\nalpha_re_a3 = 50\nalpha_im_a3 = -1\n",
+                "species.alpha_im_a3 must be >= 0",
+                "species.alpha_im_a3",
+                5,
+            ),
+            (
+                "[species]\nname = x\nmass_amu = nan\nalpha_re_a3 = 50\nalpha_im_a3 = 1\n",
+                "not finite: 'nan'",
+                "species.mass_amu",
+                3,
+            ),
+            (
+                "[species]\nname = C600\n",
+                "unknown species 'C600'; catalog has C60, C70 "
+                "(or define mass_amu/alpha_re_a3/alpha_im_a3 inline)",
+                "species.name",
+                2,
+            ),
+            ("[beam]\npower_w = 1\n\n[lasers]\nx = 1\n", "unknown section [lasers]", "lasers", 4),
+            ("[beam]\npower_watts = 1\n", "unknown key", "beam.power_watts", 2),
+        ],
+    )
+    def test_species_and_schema_faults(self, text, message, key, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"{key} (line {line}): {message}"
+        assert (err.value.key, err.value.line) == (key, line)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("bad.txt", "histogram file must have exactly two columns"),
+            ("nope.txt", "{base_dir}/nope.txt not found."),
+        ],
+    )
+    def test_bad_histogram_file(self, tmp_path, name, message):
+        (tmp_path / "bad.txt").write_text("100 0.2 7\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad_value_text("velocity", "histogram_file", name), base_dir=tmp_path)
+        message = message.format(base_dir=tmp_path)
+        assert str(err.value) == f"velocity.histogram_file (line 5): {message}"
+        assert (err.value.key, err.value.line) == ("velocity.histogram_file", 5)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # [numerics] lists pad_factor before tail_eps
+            ("[numerics]\ntail_eps = 0\npad_factor = 0\n", "numerics.pad_factor"),
+            # the histogram file loads after every table row is read
+            ("[velocity]\nhistogram_file = nope.txt\n[run]\nworkers = 0\n", "run.workers"),
+        ],
+    )
+    def test_two_faults_report_the_first_in_table_order(self, tmp_path, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, base_dir=tmp_path)
+        assert err.value.key == key
+
+
+class TestIniSyntaxErrorLines:
+    """configparser's own errors keep their text and gain a line number."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (
+                "[beam]\npower_w = 1\npower_w = 2\n",
+                3,
+                "option 'power_w' in section 'beam' already exists",
+            ),
+            (
+                "[beam]\npower_w = 1\n[run]\n[beam]\nwaist_y_mm = 1\n",
+                4,
+                "section 'beam' already exists",
+            ),
+            ("power_w = 1\n", 1, "File contains no section headers."),
+        ],
+        ids=["duplicate-option", "duplicate-section", "missing-section-header"],
+    )
+    def test_line_of_syntax_error(self, text, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line
+        assert err.value.key is None
+        assert message in str(err.value)
+        assert str(err.value) == str(err.value.__cause__)
+
+
+# Non-default values that each kind of row accepts.  Text never holds " #"
+# or " ;", which the INI reader takes for an inline comment, nor leading or
+# trailing blanks, which it strips.
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12
+).filter(lambda s: s == s.strip() and " #" not in f" {s}" and " ;" not in f" {s}")
+_CHOICES = {"kernel": ("tophat",), "mode": ("orders",), "normalization": ("peak",)}
+
+
+def _values(row):
+    if row.key in _CHOICES:
+        return st.sampled_from(_CHOICES[row.key])
+    if row.codec is config._BOOL:
+        return st.booleans()
+    if row.codec is config._TEXT:
+        return _TEXT
+    if row.codec is config._PATH:
+        return st.text("abcxyz019_-. ", min_size=1, max_size=12).filter(
+            lambda s: s == s.strip() and s not in (".", "..")
+        )
+    if row.codec is config._INT:
+        if row.check is config._multiple_of_4:
+            return st.integers(1, 10**5).map(lambda n: 4 * n)
+        return st.integers(1, 10**6)
+    if row.check is config._open_unit:
+        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    positive = row.check is not config._nonnegative
+    return st.floats(min_value=0.0, exclude_min=positive, allow_infinity=False)
+
+
+def _valid(row, value):
+    try:
+        row.check(f"{row.section}.{row.key}", value)
+    except ValueError:
+        return False
+    return value != attrgetter(row.path)(SimulationConfig())
+
+
+@pytest.mark.parametrize("row", config._KEYS, ids=lambda row: f"{row.section}.{row.key}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_key_round_trips(row, data):
+    value = data.draw(_values(row).filter(lambda v: _valid(row, v)))
+    if row.key == "histogram_file":
+        with tempfile.TemporaryDirectory() as base_dir:
+            (Path(base_dir) / value).write_text(HISTOGRAM, encoding="utf-8")
+            cfg = parse_config(f"[velocity]\nhistogram_file = {value}\n", base_dir=base_dir)
+            assert cfg.velocity_histogram_file == value
+            assert parse_config(serialize_config(cfg), base_dir=base_dir) == cfg
+        return
+    group, attr = row.path.split(".")
+    cfg = SimulationConfig()
+    cfg = replace(cfg, **{group: replace(getattr(cfg, group), **{attr: value})})
+    cfg = replace(cfg, vertical=replace(cfg.vertical, laser_waist=cfg.beam.waist_y))
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert serialize_config(again) == serialize_config(cfg)
+
+
+class TestReadmeExample:
+    @pytest.fixture(scope="class")
+    def block(self):
+        return re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+
+    def test_parses_to_the_defaults(self, block):
+        assert parse_config(block) == SimulationConfig()
+
+    def test_names_every_key(self, block):
+        for section, keys in config._SCHEMA.items():
+            assert f"[{section}]" in block
+            for key in keys:
+                assert re.search(rf"^#?{key} *=", block, re.M), key
