@@ -20,22 +20,12 @@ from .grating import (
     ComplexPhase,
     GratingBeam,
     GridSpec,
-    TransmissionChannel,
-    channel_set,
     compute_phi,
-    mean_photon_number,
     poisson_weight,
     raman_nath_diagnostic,
     truncation_order,
 )
-from .orders import (
-    OrderSpectrum,
-    absorbed_fractions,
-    bessel_j,
-    incoherent_order_intensities,
-    pure_phase_orders,
-    zero_order_null,
-)
+from .orders import OrderSpectrum, absorbed_fractions, incoherent_order_intensities
 from .distributions import DetectorModel, VelocityDistribution, VerticalProfile
 from .beamline import (
     BeamlineGeometry,
@@ -43,10 +33,8 @@ from .beamline import (
     compare_patterns,
     ensemble_pattern,
     ensemble_patterns,
-    farfield_peak_positions,
     order_slot_spacing,
     pattern_metrics,
-    peak_positions,
 )
 from .config import (
     ConfigError,
@@ -72,19 +60,13 @@ __all__ = [
     "ComplexPhase",
     "GratingBeam",
     "GridSpec",
-    "TransmissionChannel",
-    "channel_set",
     "compute_phi",
-    "mean_photon_number",
     "poisson_weight",
     "raman_nath_diagnostic",
     "truncation_order",
     "OrderSpectrum",
     "absorbed_fractions",
-    "bessel_j",
     "incoherent_order_intensities",
-    "pure_phase_orders",
-    "zero_order_null",
     "DetectorModel",
     "VelocityDistribution",
     "VerticalProfile",
@@ -93,10 +75,8 @@ __all__ = [
     "compare_patterns",
     "ensemble_pattern",
     "ensemble_patterns",
-    "farfield_peak_positions",
     "order_slot_spacing",
     "pattern_metrics",
-    "peak_positions",
     "ConfigError",
     "SimulationConfig",
     "config_digest",

@@ -1,7 +1,8 @@
 """NumPy implementations of the hot kernels.
 
-Absorption-channel sampling, in-place |psi|^2 accumulation and the direct
-Fresnel quadrature that serves as the oracle for spectral propagation.
+Absorption-channel sampling and in-place |psi|^2 accumulation.  The
+direct Fresnel quadrature that checks the spectral propagator is a test
+oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -63,22 +64,3 @@ def accumulate_weighted_abs2(fields: np.ndarray, weight: float, out: np.ndarray)
     s = np.einsum("ij,ij->j", flat, flat)
     out += weight * (s[0::2] + s[1::2])
 
-
-def direct_fresnel_sum(
-    field: np.ndarray,
-    x_in: np.ndarray,
-    weights: np.ndarray,
-    x_out: np.ndarray,
-    kfac: float,
-) -> np.ndarray:
-    """Brute-force Fresnel quadrature sum(w * f * exp(1j*kfac*(xo - xi)^2)).
-
-    ``kfac`` is k/(2L).  Output points are processed one at a time so no
-    (len(x_out), len(x_in)) matrix is ever materialised.
-    """
-    wf = weights * field
-    out = np.empty(x_out.size, dtype=np.complex128)
-    for i, xo in enumerate(x_out):
-        d = xo - x_in
-        out[i] = np.sum(wf * np.exp(1j * (kfac * d * d)))
-    return out

@@ -1,23 +1,24 @@
 """Source -> collimator -> grating -> detector: the full beamline average.
 
 Wave mode sums the absorption channels and the vertical positions in
-closed form: per velocity, the grating is the mixed state of
-``grating.grating_coherence``, compressed by ``grating.effective_channels``
-into the few field rows it needs.  One call factorizes the states of all
-velocity nodes of a run, before the worker threads start; the workers
-only propagate.  The rows of each velocity are Fresnel-propagated in one
-FFT batch and their intensities add.  The fields are even about the slit
-centre, so the batch transforms only the L nonzero samples right of it,
-at the 5-smooth length M >= 2L: one FFT per row gives the power spectrum
-of the whole field (a DCT-II by Makhoul's method), and one inverse
-transform its autocorrelation.  A source point only adds a linear phase
-ramp, which multiplies each lag of the field autocorrelation by a phase;
-so the incoherent average over the source nodes is one kernel on the lags
-of that single-source intensity, exact for the midpoint source rule.  This
-equals the channel-by-channel, source-by-source quadrature of
-``point_source_pattern`` up to the probability the rows drop (at most
-``tail_eps`` per grating point).  ``numerics.pad_factor`` sets only the
-output bins, one transform of the folded lags per velocity.
+closed form: per velocity, the grating is a mixed state, compressed by
+``grating.effective_channels`` into the few field rows it needs.  One
+call factorizes the states of all velocity nodes of a run, before the
+worker threads start; the workers only propagate.  The rows of each
+velocity are Fresnel-propagated in one FFT batch and their intensities
+add.  The fields are even about the slit centre, so the batch transforms
+only the L nonzero samples right of it, at the 5-smooth length M >= 2L
+(``next_smooth``): one FFT per row gives the power spectrum of the whole
+field (a DCT-II by Makhoul's method), and one inverse transform its
+autocorrelation.  A source point only adds a linear phase ramp, which
+multiplies each lag of the field autocorrelation by a phase; so the
+incoherent average over the source nodes is one kernel on the lags of
+that single-source intensity, exact for the midpoint source rule.  This
+equals the channel-by-channel, source-by-source Fresnel quadrature (a
+test oracle, in ``tests/oracles.py``) up to the probability the rows drop
+(at most ``tail_eps`` per grating point).
+``numerics.pad_factor`` sets only the output bins, one transform of the
+folded lags per velocity.
 The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
 run warns when the grating state may put more than 1% beyond them.
 Orders mode projects the same effective rows onto the diffraction orders
@@ -65,16 +66,8 @@ from .distributions import (
     velocity_quadrature,
     vertical_phi_scales,
 )
-from .grating import (
-    GratingBeam,
-    GridSpec,
-    ParityRows,
-    TransmissionChannel,
-    compute_phi,
-    effective_channels,
-)
+from .grating import GratingBeam, GridSpec, ParityRows, compute_phi, effective_channels
 from .orders import mixed_order_spectra, tail_order
-from .propagation import next_pow2, next_smooth, propagate_spectral
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
 if TYPE_CHECKING:
@@ -133,18 +126,6 @@ def order_slot_spacing(
     if not velocity > 0.0:
         raise ValueError("velocity must be positive")
     return HBAR * beam.k_laser / (species.mass_kg * velocity) * geom.L2D
-
-
-def farfield_peak_positions(
-    species: MoleculeSpecies,
-    velocity: float,
-    beam: GratingBeam,
-    geom: BeamlineGeometry,
-    m_max: int = 5,
-) -> np.ndarray:
-    """Principal (even-slot) far-field peak positions m*(2 hbar k/Mv)*L2D."""
-    spacing = 2.0 * order_slot_spacing(species, velocity, beam, geom)
-    return np.arange(-m_max, m_max + 1) * spacing
 
 
 def _trapezoid(geom: BeamlineGeometry) -> tuple[float, float]:
@@ -283,48 +264,21 @@ def source_quadrature(geom: BeamlineGeometry, n_nodes: int) -> tuple[np.ndarray,
     return nodes, np.full(n_nodes, 1.0 / n_nodes)
 
 
-def point_source_pattern(
-    source_x: float,
-    wavelength: float,
-    channels: list[TransmissionChannel],
-    geom: BeamlineGeometry,
-    pad_factor: int = 4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detector-plane intensity of one coherent point source.
+def next_pow2(n: int) -> int:
+    return 1 << max(0, (n - 1).bit_length())
 
-    The cylindrical wave from ``source_x`` in slit1 reaches the grating
-    plane (coplanar with slit2) as a quadratic phase front; it is clipped
-    by slit2, multiplied by every absorption-channel transmission, each
-    product is Fresnel-propagated over L2D, and the channel intensities
-    add incoherently.  Returns the native spectral output grid and the
-    intensity per unit length on it.
-    """
-    if abs(source_x) > 0.5 * geom.slit1:
-        raise ValueError("source point outside slit1")
-    if not channels:
-        raise ValueError("need at least one transmission channel")
-    grid = channels[0].grid
-    x = grid.positions()
-    mask = aperture_mask(x, grid.spacing, geom.slit2)
-    k = 2.0 * math.pi / wavelength
-    chirp = np.exp(1j * (0.5 * k / geom.L12) * (x - source_x) ** 2)
-    total: np.ndarray | None = None
-    x_out: np.ndarray | None = None
-    for channel in channels:
-        if channel.grid is not grid and channel.grid != grid:
-            raise ValueError("all channels must share one grid")
-        x_out, psi = propagate_spectral(
-            chirp * mask * channel.samples,
-            grid.spacing,
-            wavelength,
-            geom.L2D,
-            float(x[0]),
-            pad_factor,
-        )
-        contribution = psi.real**2 + psi.imag**2
-        total = contribution if total is None else total + contribution
-    assert total is not None and x_out is not None
-    return x_out, total
+
+def next_smooth(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length at which an FFT is fast."""
+    best = next_pow2(n)
+    fives = 1
+    while fives < best:
+        odd = fives  # 3^b 5^c
+        while odd < best:
+            best = min(best, odd * next_pow2(-(-n // odd)))
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def _scan_grid(geom: BeamlineGeometry, step: float) -> np.ndarray:
@@ -722,42 +676,6 @@ def pattern_metrics(pattern: DiffractionPattern, spacing: float) -> PatternMetri
     high, low = float(region.max()), float(region.min())
     visibility = (high - low) / (high + low) if high + low > 0.0 else 0.0
     return PatternMetrics(efficiencies=efficiencies, visibility=visibility, window=spacing)
-
-
-def peak_positions(
-    pattern: DiffractionPattern, spacing: float, min_efficiency: float = 0.02
-) -> dict[int, float]:
-    """Sub-grid peak centres near each momentum slot that carries weight.
-
-    A slot is reported only when its window holds a genuine local maximum
-    (the in-window argmax is interior, not pinned at a window edge): a
-    weak order riding on the flank of a stronger neighbour is a shoulder,
-    not a peak.  Centres are refined by quadratic interpolation through
-    the three samples around the maximum; slots below ``min_efficiency``
-    are omitted.
-    """
-    metrics = pattern_metrics(pattern, spacing)
-    positions = pattern.positions
-    intensity = pattern.intensity
-    step = pattern.step
-    peaks: dict[int, float] = {}
-    for m, efficiency in metrics.efficiencies.items():
-        if efficiency < min_efficiency:
-            continue
-        center = m * spacing
-        window = np.where(
-            (positions >= center - 0.5 * spacing) & (positions < center + 0.5 * spacing)
-        )[0]
-        if window.size < 3:
-            continue
-        peak_idx = int(window[np.argmax(intensity[window])])
-        if peak_idx in (int(window[0]), int(window[-1])):
-            continue
-        left, mid, right = intensity[peak_idx - 1 : peak_idx + 2]
-        denom = left - 2.0 * mid + right
-        offset = 0.5 * (left - right) / denom if denom != 0.0 else 0.0
-        peaks[m] = float(positions[peak_idx] + np.clip(offset, -1.0, 1.0) * step)
-    return peaks
 
 
 def compare_patterns(a: DiffractionPattern, b: DiffractionPattern) -> tuple[float, float]:

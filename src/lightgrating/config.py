@@ -2,9 +2,9 @@
 
 The format is flat-sectioned INI.  Every key has a default equal to the
 reference apparatus value, so an empty file is a complete, valid
-configuration.  Unknown sections or keys are fatal errors carrying the
-offending line number: a no-free-parameter model deserves loud config
-mistakes, not silently ignored typos.
+configuration.  Unknown sections (``[DEFAULT]`` among them) or keys are
+fatal errors carrying the offending line number: a no-free-parameter
+model deserves loud config mistakes, not silently ignored typos.
 
 A key is one row of ``_KEYS``: its section and name, the
 ``SimulationConfig`` attribute it sets, a (parser, formatter) codec and a
@@ -20,6 +20,7 @@ import configparser
 import hashlib
 import io
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
@@ -62,6 +63,22 @@ class NumericsSpec:
     internal_step: float = 0.25e-6
 
 
+def _one_line(name: str, value: str) -> None:
+    """Raise ValueError unless ``key = value`` reads back as ``value`` from a config file.
+
+    The INI reader strips blanks, ends a value at a line break, and takes
+    '#' or ';' after whitespace (the blank after '=' included) for an
+    inline comment.
+    """
+    line_break = value.splitlines() not in ([], [value])
+    if value != value.strip() or line_break or re.search(r"(^|\s)[#;]", value):
+        raise ValueError(
+            f"{name} {value!r} would not read back from a config file: it must not "
+            "start or end with whitespace, hold a line break, or hold '#' or ';' at "
+            "its start or after whitespace"
+        )
+
+
 @dataclass(frozen=True)
 class RunSpec:
     mode: str = "wave"
@@ -70,6 +87,10 @@ class RunSpec:
     convergence_check: bool = False
     out_dir: str = "."
     prefix: str = "run"
+
+    def __post_init__(self) -> None:
+        _one_line("run.out_dir", self.out_dir)
+        _one_line("run.prefix", self.prefix)
 
 
 @dataclass(frozen=True)
@@ -215,8 +236,8 @@ _KEYS: tuple[_Key, ...] = (
     _Key("run", "normalization", "run.normalization", _TEXT, _one_of("sum", "peak")),
     _Key("run", "workers", "run.workers", _INT, _positive),
     _Key("run", "convergence_check", "run.convergence_check", _BOOL),
-    _Key("run", "out_dir", "run.out_dir", _TEXT),
-    _Key("run", "prefix", "run.prefix", _TEXT),
+    _Key("run", "out_dir", "run.out_dir", _TEXT, _one_line),
+    _Key("run", "prefix", "run.prefix", _TEXT, _one_line),
 )
 
 # the three fields of a custom species, with their validators
@@ -263,9 +284,10 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
     velocity histogram file); it defaults to the working directory.
     Keys are read and checked in table order; the first fault raises.
     """
+    # default_section "" matches no header, so [DEFAULT] is an unknown section
     parser = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#", ";"), inline_comment_prefixes=("#", ";"),
-        strict=True, interpolation=None,
+        strict=True, interpolation=None, default_section="",
     )
     try:
         parser.read_string(text)
@@ -376,5 +398,14 @@ def serialize_config(cfg: SimulationConfig) -> str:
 
 
 def config_digest(cfg: SimulationConfig) -> str:
-    """SHA-256 of the canonical serialization; stamped into outputs."""
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical serialization; stamped into outputs.
+
+    The serialization names a velocity histogram only by its file, so a
+    histogram config also hashes the rows it loaded: one line
+    ``repr(velocity) repr(weight)`` per row, in velocity order, after the
+    serialization.
+    """
+    text = serialize_config(cfg)
+    if cfg.velocity.shape == "histogram":
+        text += "".join(f"{v!r} {w!r}\n" for v, w in zip(*cfg.velocity.histogram))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -158,16 +158,6 @@ def fold_vertical_rule(scales, weights) -> tuple[np.ndarray, np.ndarray]:
     return scales[:half], folded
 
 
-def mean_vertical_scale(profile: VerticalProfile) -> float:
-    """Closed-form average of exp(-2 y^2/w^2) over the vertical Gaussian.
-
-    Equals 1/sqrt(1 + 4 sigma_y^2 / w_y^2); used as a convergence oracle
-    for ``vertical_phi_scales``.
-    """
-    sigma = profile.beam_fwhm / FWHM_TO_SIGMA
-    return 1.0 / math.sqrt(1.0 + 4.0 * sigma**2 / profile.laser_waist**2)
-
-
 def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
     """Odd-length unit-sum convolution kernel for the detector resolution.
 

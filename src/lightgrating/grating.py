@@ -11,6 +11,10 @@ The grating is treated as thin (Raman-Nath regime): it acts purely as a
 multiplicative transmission function on the incoming matter wave.  The
 ``raman_nath_diagnostic`` operation estimates how well that assumption
 holds for a given configuration.
+
+The run path never samples the channels one by one: ``effective_channels``
+factorizes their closed-form sum.  The sampled channel set and the dense
+closed-form state are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
 # The per-photon-number outputs (``orders.incoherent_order_intensities``,
 # the orders table, the run summary) keep every photon number up to the
 # ``truncation_order`` of the requested tail.  Wave and orders mode sum
-# every channel in closed form (``grating_coherence``).
+# every channel in closed form (``effective_channels``).
 DEFAULT_TAIL_EPS = 1e-10
 
 
@@ -145,15 +149,6 @@ class GridSpec:
         return (np.arange(n) + 0.5) * self.spacing - 0.5 * self.window
 
 
-@dataclass(frozen=True)
-class TransmissionChannel:
-    """Sampled transmission amplitude for the n-photon subensemble."""
-
-    photon_count: int
-    samples: np.ndarray
-    grid: GridSpec
-
-
 def compute_phi(species: MoleculeSpecies, beam: GratingBeam, velocity: float) -> ComplexPhase:
     """Complex phase parameter for a molecule crossing the standing wave.
 
@@ -176,16 +171,6 @@ def compute_phi(species: MoleculeSpecies, beam: GratingBeam, velocity: float) ->
         HBAR * C_LIGHT * EPS0 * beam.waist_y * velocity
     )
     return ComplexPhase(scale * alpha.real, scale * alpha.imag)
-
-
-def mean_photon_number(phi: ComplexPhase, x, k_laser: float):
-    """Mean number of absorbed photons at transverse position x.
-
-    nbar(x) = 4 * Im(Phi) * cos^2(k x).  Accepts scalars or arrays.
-    """
-    c = np.cos(k_laser * np.asarray(x, dtype=np.float64))
-    out = 4.0 * phi.im * c * c
-    return float(out) if out.ndim == 0 else out
 
 
 def poisson_weight(nbar, n: int):
@@ -266,32 +251,6 @@ def scale_weight_arrays(scales, weights) -> tuple[np.ndarray, np.ndarray]:
     return scales, weights
 
 
-def grating_coherence(
-    phi: ComplexPhase,
-    k_laser: float,
-    x: np.ndarray,
-    x_prime: np.ndarray,
-    scales=(1.0,),
-    weights=(1.0,),
-) -> np.ndarray:
-    """Mixed grating state R(x, x') = sum_n t_n(x) t_n(x')^*, shape (len(x), len(x')).
-
-    With c = cos(k x) the channel sum is exact over every photon number:
-
-        R = exp(2i Re(Phi) (c^2 - c'^2) - 2 Im(Phi) (c - c')^2),
-
-    so R(x, x) = 1.  Phi is scaled by each vertical ``scales`` entry and
-    the states are averaged with ``weights``.  This is the closed form
-    that ``effective_channels`` factorizes, and the oracle its columns are
-    tested against; nothing on the run path calls it.
-    """
-    scales, weights = scale_weight_arrays(scales, weights)
-    c = np.cos(k_laser * np.asarray(x, dtype=np.float64))[:, None]
-    c_prime = np.cos(k_laser * np.asarray(x_prime, dtype=np.float64))[None, :]
-    exponent = 2j * phi.re * (c * c - c_prime * c_prime) - 2.0 * phi.im * (c - c_prime) ** 2
-    return np.einsum("s,sij->ij", weights, np.exp(scales[:, None, None] * exponent))
-
-
 @dataclass(frozen=True)
 class ParityRows:
     """The effective rows of one grating state, stored once per value of |c|.
@@ -349,10 +308,18 @@ def effective_channels(
 ) -> tuple[list[ParityRows], np.ndarray]:
     """The fewest rows u_j(x) with sum_j u_j(x) u_j(x')^* ~ the averaged grating state.
 
-    Factorizes ``grating_coherence`` for every phase in ``phis`` at once,
-    by one pivoted Cholesky with a leading phase axis.  The rows live on
-    the canonical laser period ``GridSpec(2, samples_per_period)``: 2 spp
-    midpoints x_i with c_i = cos(k x_i); the state repeats with that period.
+    The mixed grating state sums the channels of ``channel_amplitudes``
+    over every photon number in closed form: with c = cos(k x),
+
+        R(x, x') = sum_n t_n(x) t_n(x')^*
+                 = exp(2i Re(Phi) (c^2 - c'^2) - 2 Im(Phi) (c - c')^2),
+
+    so R(x, x) = 1; Phi is scaled by each vertical ``scales`` entry and the
+    states are averaged with ``weights``.  This factorizes R for every
+    phase in ``phis`` at once, by one pivoted Cholesky with a leading phase
+    axis.  The rows live on the canonical laser period
+    ``GridSpec(2, samples_per_period)``: 2 spp midpoints x_i with
+    c_i = cos(k x_i); the state repeats with that period.
 
     R depends on x only through c, and R(-c, -c') = R(c, c').  The 2 spp
     points take only spp/2 values a = |c|, so the state splits into an even
@@ -440,16 +407,6 @@ def effective_channels(
         odd -= power * block[:, None]
         rank += 1
     return out, dropped
-
-
-def channel_set(
-    phi: ComplexPhase, grid: GridSpec, tail_eps: float = DEFAULT_TAIL_EPS
-) -> list[TransmissionChannel]:
-    """All channels up to the truncation order for the requested tail."""
-    n_max = truncation_order(phi, tail_eps)
-    k_laser = 2.0 * math.pi / grid.wavelength
-    amps = channel_amplitudes(phi, n_max, k_laser, grid.positions())
-    return [TransmissionChannel(n, amps[n], grid) for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Far-field peaks sit at transverse momenta m*hbar*k_laser.  A coherent phase
 grating only populates even m (the intensity period is half the laser
 wavelength); molecules that absorbed an odd number of photons land on odd m.
 This module turns sampled transmission channels, or the effective rows of
-the mixed grating state, into order intensities, provides the analytic
-Bessel result for the pure phase grating as an oracle, and finds the phase
-that switches off the zero order.
+the mixed grating state, into order intensities.  For the pure phase
+grating they are the Bessel intensities J_j(Re Phi)^2 on the even slots
+m = 2j; the tests hold them against that result (a test oracle, in
+``tests/oracles.py``).
 
 Both kinds of row depend on x only through c = cos(k x), evenly or oddly
 (Hornberger et al., Rev. Mod. Phys. 84, 157 (2012), on absorption
@@ -36,69 +37,6 @@ from .grating import (
 )
 
 DEFAULT_M_MAX = 20
-BESSEL_MAX_X = 50.0
-
-
-def bessel_j(m: int, x: float) -> float:
-    """Bessel function of the first kind J_m(x) for integer m >= 0, |x| <= 50.
-
-    Uses Miller's downward recurrence normalised with the identity
-    J_0 + 2*sum_k J_{2k} = 1, which is numerically stable for all orders
-    (upward recurrence is not once m exceeds |x|).  Absolute error is well
-    below 1e-12 over the admitted range.
-    """
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    if abs(x) > BESSEL_MAX_X:
-        raise ValueError(f"|x| must be <= {BESSEL_MAX_X}")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    sign = -1.0 if (x < 0.0 and m % 2 == 1) else 1.0
-    ax = abs(x)
-    # For tiny arguments the recurrence factor 2k/x can overflow between
-    # rescales; the power series is exact to machine precision there.
-    if ax < 0.25:
-        return sign * _bessel_series(m, ax)
-    # Start the recurrence far enough above both m and |x| that the error in
-    # the arbitrary seed has decayed away by the time order m is reached.
-    start = int(max(m, ax)) + 40
-    if start % 2 == 1:
-        start += 1
-    j_above = 0.0  # J_{k+1}
-    j_k = 1e-30  # J_k, arbitrary seed scale (normalisation removes it)
-    norm = 2.0 * j_k  # start is even and > 0
-    result = j_k if m == start else 0.0
-    for k in range(start, 0, -1):
-        j_below = (2.0 * k / ax) * j_k - j_above
-        j_above = j_k
-        j_k = j_below
-        order = k - 1
-        if order == 0:
-            norm += j_k
-        elif order % 2 == 0:
-            norm += 2.0 * j_k
-        if order == m:
-            result = j_k
-        if abs(j_k) > 1e100:
-            j_k *= 1e-100
-            j_above *= 1e-100
-            result *= 1e-100
-            norm *= 1e-100
-    return sign * result / norm
-
-
-def _bessel_series(m: int, x: float, terms: int = 40) -> float:
-    """Power-series evaluation of J_m(x); accurate for small |x| (< ~2).
-
-    Independent cross-check of the recurrence implementation.
-    """
-    half = 0.5 * x
-    term = half**m / math.factorial(m)
-    total = term
-    for k in range(1, terms):
-        term *= -(half * half) / (k * (m + k))
-        total += term
-    return total
 
 
 @dataclass
@@ -144,8 +82,9 @@ DEFAULT_M_MAX_TAIL = 1e-9
 def tail_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Order B beyond which the grating state at ``phi`` holds less than ``tail_eps``.
 
-    The grating state R(x, x') (``grating.grating_coherence``) is entire in
-    k*x.  Shifting x and x' by -/+ i*sigma/k bounds every order intensity,
+    The grating state R(x, x') = exp(2i Re(Phi) (c^2 - c'^2) - 2 Im(Phi)
+    (c - c')^2), c = cos(k x) (``grating.effective_channels``), is entire
+    in k*x.  Shifting x and x' by -/+ i*sigma/k bounds every order intensity,
     channels summed or single, by
     I_m <= exp(2 |Re Phi| sinh(2 sigma) + 8 Im Phi sinh(sigma)^2 - 2 |m| sigma),
     so the mass beyond |m| = B is below ``tail_eps`` for the B minimised
@@ -177,21 +116,6 @@ def samples_per_laser_period(
     """
     band = max(m_max, tail_order(phi, tail_eps), 2)
     return 1 << (4 * band - 1).bit_length()
-
-
-def pure_phase_orders(phi_re: float, m_max: int = DEFAULT_M_MAX) -> OrderSpectrum:
-    """Analytic order intensities of the lossless phase grating.
-
-    The imprint exp(2i*phi_re*cos^2(kx)) puts J_j(phi_re)^2 into the even
-    slot m = 2j and nothing into odd slots.
-    """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    intensities = np.zeros(2 * m_max + 1)
-    for j in range(-(m_max // 2), m_max // 2 + 1):
-        value = bessel_j(abs(j), phi_re) ** 2
-        intensities[2 * j + m_max] = value
-    return OrderSpectrum(m_max=m_max, intensities=intensities)
 
 
 def _order_power(rows: ParityRows, m_max: int) -> np.ndarray:
@@ -282,38 +206,6 @@ def mixed_order_spectra(
     if kept.any():
         intensities[kept] = np.add.reduceat(power, (np.cumsum(ranks) - ranks)[kept], axis=0)
     return intensities, ranks.tolist(), dropped
-
-
-def mixed_order_intensities(
-    phi: ComplexPhase,
-    m_max: int,
-    scales=(1.0,),
-    weights=(1.0,),
-    tail_eps: float = DEFAULT_TAIL_EPS,
-) -> tuple[np.ndarray, int, float]:
-    """``mixed_order_spectra`` of the one phase ``phi``.
-
-    Returns (intensities, row count, largest residual diagonal).
-    """
-    intensities, ranks, dropped = mixed_order_spectra([phi], m_max, scales, weights, tail_eps)
-    return intensities[0], ranks[0], float(dropped[0])
-
-
-def zero_order_null() -> float:
-    """The grating phase that extinguishes the zero order: first root of J_0.
-
-    Bisection on [2, 3] (J_0 changes sign there) to an interval of 1e-10.
-    """
-    lo, hi = 2.0, 3.0
-    f_lo = bessel_j(0, lo)
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        f_mid = bessel_j(0, mid)
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.0,)) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Config parsing, validation diagnostics, serialization, and digests."""
 
+import hashlib
 import math
 import re
+import string
 import tempfile
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightgrating import config
@@ -228,6 +230,18 @@ class TestDigest:
         assert config_digest(parse_config("[beam]\npower_w = 9.6\n")) != base
         assert config_digest(parse_config("[run]\nworkers = 2\n")) != base
 
+    def test_digest_covers_histogram_weights(self, tmp_path):
+        # two files of one name and one peak velocity: equal serializations
+        configs = []
+        for weights in ((0.2, 0.5, 0.3), (0.1, 0.5, 0.4)):
+            rows = "".join(f"{v} {w}\n" for v, w in zip((100, 120, 140), weights))
+            (tmp_path / "v.txt").write_text(rows, encoding="utf-8")
+            configs.append(parse_config("[velocity]\nhistogram_file = v.txt\n", base_dir=tmp_path))
+        a, b = configs
+        assert a.velocity.histogram != b.velocity.histogram
+        assert serialize_config(a) == serialize_config(b)
+        assert config_digest(a) != config_digest(b)
+
 
 class TestHistogramWiring:
     def write_histogram(self, tmp_path, name="beamvel.txt"):
@@ -289,8 +303,37 @@ class TestHistogramWiring:
         assert parse_config(text, base_dir=tmp_path) == cfg
 
 
-# config_digest of a config that sets one key, recorded before the config
-# became a table of keys.  The text is '[section]\nkey = value\n'.
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def histogram_rows(text):
+    """The lines a digest adds for a histogram file's text: 'repr(v) repr(w)', by velocity."""
+    rows = sorted(
+        tuple(float(field) for field in line.split())
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+    return "".join(f"{v!r} {w!r}\n" for v, w in rows)
+
+
+def pinned_digest(cfg, serialization_digest):
+    """The digest ``cfg`` must have, given the pinned SHA-256 of its serialization.
+
+    The two are one for every config but a histogram one, whose digest also
+    hashes the rows of its file, the ``HISTOGRAM`` text here.
+    """
+    if cfg.velocity.shape != "histogram":
+        return serialization_digest
+    text = serialize_config(cfg)
+    assert sha256(text) == serialization_digest
+    return sha256(text + histogram_rows(HISTOGRAM))
+
+
+# SHA-256 of the serialization of a config that sets one key, recorded
+# before the config became a table of keys; the config_digest too, except
+# for the histogram file (see ``pinned_digest``).  The text is
+# '[section]\nkey = value\n'.
 ONE_KEY_DIGESTS = {
     ("species", "name", "C70"):
         "71428e65925979768fab44808a6c96adb386955981b50e940368cd76973d267f",
@@ -483,6 +526,9 @@ def orders_sweep_text(species, power, nodes):
 class TestPinnedDigests:
     """The serialization, and so the digest, of each config is frozen."""
 
+    def test_histogram_digest_adds_the_rows(self):
+        assert histogram_rows(HISTOGRAM) == "100.0 0.2\n120.0 0.5\n140.0 0.3\n"
+
     @pytest.fixture
     def base_dir(self, tmp_path):
         (tmp_path / "hist.txt").write_text(HISTOGRAM, encoding="utf-8")
@@ -496,7 +542,7 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("section, key, value", list(ONE_KEY_DIGESTS))
     def test_one_key(self, base_dir, section, key, value):
         cfg = parse_config(f"[{section}]\n{key} = {value}\n", base_dir=base_dir)
-        assert config_digest(cfg) == ONE_KEY_DIGESTS[section, key, value]
+        assert config_digest(cfg) == pinned_digest(cfg, ONE_KEY_DIGESTS[section, key, value])
 
     def test_every_key_is_pinned(self):
         pinned = {(section, key) for section, key, _ in ONE_KEY_DIGESTS}
@@ -536,7 +582,8 @@ class TestPinnedDigests:
         ],
     )
     def test_whole_configs(self, base_dir, text, digest):
-        assert config_digest(parse_config(text, base_dir=base_dir)) == digest
+        cfg = parse_config(text, base_dir=base_dir)
+        assert config_digest(cfg) == pinned_digest(cfg, digest)
 
     @pytest.mark.parametrize("species, power, nodes", list(ORDERS_SWEEP_DIGESTS))
     def test_orders_sweep(self, species, power, nodes):
@@ -557,7 +604,8 @@ class TestPinnedErrors:
     def test_every_key_has_a_pinned_error(self):
         pinned = {(section, key) for section, key, _, _ in ONE_KEY_ERRORS}
         rows = {(row.section, row.key) for row in config._KEYS}
-        # out_dir and prefix accept any text; test_bad_histogram_file has the file
+        # out_dir and prefix refuse only text that 'key = value' cannot hold
+        # (test_species_and_schema_faults); test_bad_histogram_file has the file
         unpinned = {("run", "out_dir"), ("run", "prefix"), ("velocity", "histogram_file")}
         assert pinned == rows - unpinned
 
@@ -603,6 +651,26 @@ class TestPinnedErrors:
             ),
             ("[beam]\npower_w = 1\n\n[lasers]\nx = 1\n", "unknown section [lasers]", "lasers", 4),
             ("[beam]\npower_watts = 1\n", "unknown key", "beam.power_watts", 2),
+            ("[DEFAULT]\nfoo = 1\npower_w = 3\n", "unknown section [DEFAULT]", "DEFAULT", 1),
+            # its keys do not leak into the other sections
+            ("[DEFAULT]\nfoo = 1\n[beam]\npower_w = 3\n", "unknown section [DEFAULT]", "DEFAULT", 1),
+            ("[beam]\npower_w = 3\n\n[DEFAULT]\n", "unknown section [DEFAULT]", "DEFAULT", 4),
+            (
+                "[run]\nprefix =#x\n",
+                "run.prefix '#x' would not read back from a config file: it must not start "
+                "or end with whitespace, hold a line break, or hold '#' or ';' at its start "
+                "or after whitespace",
+                "run.prefix",
+                2,
+            ),
+            (
+                "[run]\nout_dir =;x\n",
+                "run.out_dir ';x' would not read back from a config file: it must not start "
+                "or end with whitespace, hold a line break, or hold '#' or ';' at its start "
+                "or after whitespace",
+                "run.out_dir",
+                2,
+            ),
         ],
     )
     def test_species_and_schema_faults(self, text, message, key, line):
@@ -727,6 +795,29 @@ def test_every_key_round_trips(row, data):
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert serialize_config(again) == serialize_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["prefix", "out_dir"])
+@pytest.mark.parametrize("value", ["a #b", "a ;b", "a\t#b", "#a", ";a", " a", "a ", "a\nb", "a\r"])
+def test_text_that_would_not_read_back_is_refused(key, value):
+    with pytest.raises(ValueError, match=f"run.{key} .* would not read back"):
+        replace(SimulationConfig().run, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["prefix", "out_dir"])
+@settings(max_examples=200, deadline=None)
+@given(value=st.text(st.sampled_from(string.printable)) | st.text())
+@example(value="a #b")
+@example(value="a#b;c")
+@example(value=" a")
+@example(value="")
+def test_text_values_round_trip_or_are_refused(key, value):
+    cfg = SimulationConfig()
+    try:
+        cfg = replace(cfg, run=replace(cfg.run, **{key: value}))
+    except ValueError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestReadmeExample:

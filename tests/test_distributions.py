@@ -15,10 +15,10 @@ from lightgrating.distributions import (
     detector_kernel,
     fold_vertical_rule,
     load_velocity_histogram,
-    mean_vertical_scale,
     velocity_quadrature,
     vertical_phi_scales,
 )
+from oracles import mean_vertical_scale
 
 
 class TestVelocityDistribution:

@@ -19,11 +19,8 @@ from lightgrating.grating import (
     GridSpec,
     ParityRows,
     channel_amplitudes,
-    channel_set,
     compute_phi,
     effective_channels,
-    grating_coherence,
-    mean_photon_number,
     parity_angles,
     poisson_weight,
     raman_nath_diagnostic,
@@ -31,6 +28,7 @@ from lightgrating.grating import (
     truncation_order,
 )
 from lightgrating.species import C60, C70, HBAR, C_LIGHT, EPS0, polarizability_si
+from oracles import channel_set, grating_coherence, mean_photon_number
 
 HALF_PERIOD_GRID = GridSpec(periods=2, samples_per_period=64)
 

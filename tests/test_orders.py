@@ -1,4 +1,4 @@
-"""Diffraction-order decomposition, Bessel oracle, and zero-order root."""
+"""Diffraction-order decomposition against the Bessel result and the zero-order root."""
 
 import math
 
@@ -15,7 +15,6 @@ from lightgrating.grating import (
     GratingBeam,
     GridSpec,
     ParityRows,
-    channel_set,
     compute_phi,
     effective_channels,
     parity_angles,
@@ -27,55 +26,14 @@ from lightgrating.orders import (
     OrderSpectrum,
     _order_power,
     absorbed_fractions,
-    bessel_j,
     default_m_max,
     incoherent_order_intensities,
-    mixed_order_intensities,
-    pure_phase_orders,
+    mixed_order_spectra,
     samples_per_laser_period,
-    zero_order_null,
 )
 from lightgrating.distributions import VerticalProfile, vertical_phi_scales
 from lightgrating.species import C60, C70
-
-
-class TestBessel:
-    def test_against_scipy_dense_grid(self):
-        xs = np.linspace(-50.0, 50.0, 401)
-        worst = 0.0
-        for m in range(0, 41):
-            for x in xs:
-                worst = max(worst, abs(bessel_j(m, x) - scipy.special.jv(m, x)))
-        assert worst < 1e-13
-
-    def test_known_values(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(1, 0.0) == 0.0
-        assert bessel_j(0, 2.404825557695773) == pytest.approx(0.0, abs=1e-12)
-        assert bessel_j(1, 2.404825557695773) == pytest.approx(
-            0.5191474972894669, rel=1e-12
-        )
-
-    def test_negative_argument_parity(self):
-        # J_m(-x) = (-1)^m J_m(x)
-        for m in (0, 1, 2, 5):
-            assert bessel_j(m, -3.7) == pytest.approx(
-                (-1.0) ** m * bessel_j(m, 3.7), rel=1e-13
-            )
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_j(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, 51.0)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        m=st.integers(min_value=0, max_value=30),
-        x=st.floats(min_value=-50.0, max_value=50.0),
-    )
-    def test_matches_scipy_property(self, m, x):
-        assert bessel_j(m, x) == pytest.approx(scipy.special.jv(m, x), abs=1e-13)
+from oracles import channel_set, pure_phase_orders
 
 
 class TestOrderSpectrum:
@@ -132,7 +90,7 @@ class TestPurePhaseOrders:
             assert spec.total == pytest.approx(1.0, abs=1e-12)
 
     def test_first_order_at_zero_order_null(self):
-        root = zero_order_null()
+        root = scipy.special.jn_zeros(0, 1)[0]
         spec = pure_phase_orders(root, m_max=10)
         assert spec.intensity(0) == pytest.approx(0.0, abs=1e-15)
         # about 27% of the beam lands in each first-order peak at the null
@@ -341,7 +299,7 @@ class TestMixedOrderIntensities:
     @pytest.mark.parametrize("phi", [SLOW_C60, compute_phi(C60, GratingBeam(), 120.0), SLOW_C70_50W])
     def test_matches_scale_weighted_per_channel_spectra(self, phi):
         # the per-channel oracle needs ~40 photon channels at C70 50 W
-        intensities, rank, dropped = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)
+        (intensities,), (rank,), (dropped,) = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)
         reference = sum(
             w * incoherent_order_intensities(phi.scaled(float(s)), 20).intensities
             for s, w in zip(SCALES, SCALE_WEIGHTS)
@@ -351,18 +309,18 @@ class TestMixedOrderIntensities:
 
     @pytest.mark.parametrize("phi", [SLOW_C60, SLOW_C70_50W])
     def test_doubling_the_sampling_changes_nothing(self, monkeypatch, phi):
-        intensities = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)[0]
+        intensities = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0][0]
         sized = lightgrating.orders.samples_per_laser_period
         monkeypatch.setattr(
             lightgrating.orders, "samples_per_laser_period", lambda *args: 2 * sized(*args)
         )
-        doubled = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)[0]
+        doubled = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0][0]
         assert np.max(np.abs(doubled - intensities)) <= 1e-12
 
     def test_per_channel_and_mixed_totals_agree(self):
         # ~40 photon numbers at the antinode; both keep every one of them
         per_channel = incoherent_order_intensities(SLOW_C70_50W, 80)
-        mixed = mixed_order_intensities(SLOW_C70_50W, 80)[0].sum()
+        mixed = mixed_order_spectra([SLOW_C70_50W], 80)[0][0].sum()
         assert len(per_channel.per_channel) > 13
         assert abs(per_channel.total - mixed) < 1e-9 and abs(mixed - 1.0) < 1e-9
 
@@ -375,7 +333,7 @@ class TestMixedOrderIntensities:
     def test_conservation_and_parity_property(self, re, im, m_max):
         tail_eps = 1e-10
         phi = ComplexPhase(re, im)
-        intensities, _, _ = mixed_order_intensities(phi, m_max, SCALES, SCALE_WEIGHTS, tail_eps)
+        (intensities,), _, _ = mixed_order_spectra([phi], m_max, SCALES, SCALE_WEIGHTS, tail_eps)
         assert intensities.min() >= 0.0
         assert intensities.sum() <= 1.0 + 1e-12
         if im == 0.0:
@@ -396,7 +354,7 @@ class TestMixedOrderSpectra:
         assert intensities.shape == (len(phis), 41)
         assert len({samples_per_laser_period(phi, 20) for phi in phis}) == 3
         for phi, row, rank, drop in zip(phis, intensities, ranks, dropped):
-            single, _, single_drop = mixed_order_intensities(phi, 20, SCALES, SCALE_WEIGHTS)
+            (single,), _, (single_drop,) = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)
             assert np.max(np.abs(row - single)) <= 1e-12
             assert rank >= 1 and 0.0 <= drop <= 1e-10 and 0.0 <= single_drop <= 1e-10
 
@@ -412,17 +370,9 @@ class TestMixedOrderSpectra:
 
 
 class TestZeroOrderNull:
-    def test_root_value(self):
-        root = zero_order_null()
-        assert root == pytest.approx(2.40483, abs=1e-4)
-        assert abs(scipy.special.jv(0, root)) < 1e-9
-
-    def test_bracketed(self):
-        assert 2.0 < zero_order_null() < 3.0
-
     def test_null_power_for_c60(self):
         phi_unit = compute_phi(C60, GratingBeam(power=1.0), 120.0)
-        p_null = zero_order_null() / phi_unit.re
+        p_null = scipy.special.jn_zeros(0, 1)[0] / phi_unit.re
         assert p_null == pytest.approx(11.712072224475481, rel=1e-10)
 
 

@@ -1,4 +1,4 @@
-"""Fresnel propagation: unitarity, oracle agreement, and grid safety."""
+"""Fresnel propagation oracles and FFT lengths: unitarity, oracle agreement, grid safety."""
 
 import math
 
@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from lightgrating.grating import ComplexPhase, GridSpec, channel_set
-from lightgrating.propagation import (
+from lightgrating.beamline import next_pow2, next_smooth
+from lightgrating.grating import ComplexPhase, GridSpec
+from lightgrating.species import C60, de_broglie_wavelength
+from oracles import (
     AliasingError,
-    fresnel_propagate,
-    midpoint_weights,
-    next_pow2,
-    next_smooth,
+    channel_set,
     propagate_direct,
     propagate_spectral,
     simpson_weights,
 )
-from lightgrating.species import C60, de_broglie_wavelength
 
 LAMBDA_DB = de_broglie_wavelength(C60, 120.0)  # 4.618 pm
 DISTANCE = 1.2
@@ -44,13 +42,6 @@ def quad_oracle(x_lo, x_hi, wavelength, distance, x_out):
 
 
 class TestWeights:
-    def test_midpoint_integrates_quadratic(self):
-        n, spacing = 400, 1.0 / 400
-        x = (np.arange(n) + 0.5) * spacing
-        w = midpoint_weights(n, spacing)
-        assert w.sum() == pytest.approx(1.0, rel=1e-12)
-        assert float(np.dot(w, x**2)) == pytest.approx(1.0 / 3.0, abs=1e-6)
-
     def test_simpson_integrates_cubic_exactly(self):
         n = 51
         spacing = 1.0 / (n - 1)
@@ -128,7 +119,7 @@ class TestSpectralPropagation:
 class TestDirectPropagation:
     def test_matches_spectral_on_native_grid(self):
         field, x, spacing = slit_field(n=250)
-        weights = midpoint_weights(x.size, spacing)
+        weights = np.full(x.size, spacing)  # midpoint rule
         x_out, spectral = propagate_spectral(field, spacing, LAMBDA_DB, DISTANCE, x[0])
         probe = np.where(np.abs(x_out) < 5e-6)[0]
         direct = propagate_direct(
@@ -141,26 +132,8 @@ class TestDirectPropagation:
         x_out = np.linspace(-3e-4, 3e-4, 11)
         with pytest.raises(AliasingError):
             propagate_direct(
-                field, x, midpoint_weights(x.size, spacing), LAMBDA_DB, DISTANCE, x_out
+                field, x, np.full(x.size, spacing), LAMBDA_DB, DISTANCE, x_out
             )
-
-    def test_dispatcher(self):
-        field, x, spacing = slit_field(n=250)
-        x_native, spectral = fresnel_propagate(field, x, LAMBDA_DB, DISTANCE)
-        probe = x_native[np.abs(x_native) < 3e-6]
-        x_d, direct = fresnel_propagate(
-            field, x, LAMBDA_DB, DISTANCE, x_out=probe, method="direct"
-        )
-        assert np.array_equal(x_d, probe)
-        sel = np.isin(x_native, probe)
-        assert np.allclose(direct, spectral[sel], rtol=1e-9, atol=1e-12)
-
-    def test_dispatcher_rejects_bad_combinations(self):
-        field, x, spacing = slit_field(n=16)
-        with pytest.raises(ValueError):
-            fresnel_propagate(field, x, LAMBDA_DB, DISTANCE, x_out=x, method="spectral")
-        with pytest.raises(ValueError):
-            fresnel_propagate(field, x, LAMBDA_DB, DISTANCE, method="direct")
 
 
 class TestGratingFarField:
