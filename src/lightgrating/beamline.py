@@ -29,9 +29,13 @@ the geometric shadow envelope instead of propagating; it is faster and
 serves as the cross-check of the wave pipeline's propagation.  The order
 weights are even in m and the detector grid is mirror-symmetric, so one
 call per power places the orders m >= 0 of every velocity node and the
-mirror image adds the rest (``_place_orders``); the in-span share of each
-order is the closed-form mass of its shadow (``_envelope_mass``).  Orders
-mode runs on the calling thread; worker threads serve wave mode only.
+mirror image adds the rest (``_place_orders``).  That call is one
+vectorized pass: one ``geometric_envelope`` evaluation over the spans of
+every (node, order) shadow that meets the grid and one ``bincount`` into
+a row per node, the rows then added in node order (``_envelope_sum``).
+The in-span share of each order is the closed-form mass of its shadow
+(``_envelope_mass``).  Orders mode runs on the calling thread; worker
+threads serve wave mode only.
 The vertical midpoint rule is mirror-symmetric and the grating scale
 depends on y^2 only, so both modes factorize the states over its
 ceil(n/2) distinct scales, each mirror pair with its summed weight
@@ -141,17 +145,16 @@ def geometric_envelope(geom: BeamlineGeometry, x: np.ndarray) -> np.ndarray:
 
     A uniform incoherent source across slit1 projected through slit2 gives
     the convolution of two top-hats: widths slit2*(1+r) and slit1*r with
-    r = L2D/L12 — a trapezoid.  Evaluated pointwise at ``x``.
+    r = L2D/L12 — a trapezoid.  Evaluated pointwise at ``x`` as the capped
+    ramp clip((base - |x|) / (wide narrow), 0, 1/wide), base = (wide +
+    narrow)/2: it reaches the cap 1/wide at |x| = (wide - narrow)/2.
     """
-    x = np.asarray(x, dtype=np.float64)
     wide, narrow = _trapezoid(geom)
-    if narrow <= 0.0:
-        return np.where(np.abs(x) <= 0.5 * wide, 1.0 / wide, 0.0)
-    ax = np.abs(x)
-    flat = 0.5 * (wide - narrow)
-    base = 0.5 * (wide + narrow)
-    ramp = (base - ax) / (wide * narrow)
-    return np.where(ax <= flat, 1.0 / wide, np.where(ax < base, ramp, 0.0))
+    envelope = np.array(x, dtype=np.float64)  # the one buffer, also for a scalar x
+    np.abs(envelope, out=envelope)
+    np.subtract(0.5 * (wide + narrow), envelope, out=envelope)
+    envelope /= wide * narrow
+    return np.clip(envelope, 0.0, 1.0 / wide, out=envelope)
 
 
 def _envelope_mass(geom: BeamlineGeometry, y: np.ndarray) -> np.ndarray:
@@ -178,13 +181,16 @@ def _envelope_sum(
 ) -> np.ndarray:
     """sum_i weights[i] * geometric_envelope(geom, x - centers[i]) on the uniform grid x.
 
-    2-D ``centers`` and ``weights`` (node x order) are placed one row at a
-    time and the rows add in order, so the temporaries stay one row's size.
     Each trapezoid is evaluated only on the grid points it covers, plus one
     on either side, on ``x`` padded by the trapezoid's width: a trapezoid
     that meets the grid lies wholly on the padded one, so no index is
-    clipped, and one that misses the grid is skipped.  Within a row the
-    terms add in the order of ``centers``.
+    clipped, and one that misses the grid is skipped.  2-D ``centers`` and
+    ``weights`` (node x order) are evaluated in one pass: one
+    ``geometric_envelope`` call over the spans of every trapezoid that
+    meets the grid, and one ``bincount`` into a (node x padded grid) array.
+    Within a row the terms add in the order of ``centers``, and the rows
+    then add in node order, so the sum is bit for bit that of one call per
+    row added in turn.
     """
     wide, narrow = _trapezoid(geom)
     half = 0.5 * (wide + narrow)  # ``geometric_envelope`` is zero beyond it
@@ -193,16 +199,20 @@ def _envelope_sum(
     margin = np.arange(1, span.size) * step
     # the middle of the padded grid is x itself
     padded = np.concatenate([x[0] - margin[::-1], x, x[-1] + margin])
+    centers = np.atleast_2d(centers)
+    first = np.searchsorted(padded, centers - half) - 1
+    # the trapezoids whose points [first, first + span.size) meet x, row by row
+    rows, columns = np.nonzero((first >= 0) & (first < margin.size + x.size))
+    index = first[rows, columns][:, None] + span
+    values = geometric_envelope(geom, padded[index] - centers[rows, columns][:, None])
+    values *= np.atleast_2d(weights)[rows, columns][:, None]
+    index += (rows * padded.size)[:, None]
+    per_row = np.bincount(
+        index.ravel(), weights=values.ravel(), minlength=centers.shape[0] * padded.size
+    ).reshape(centers.shape[0], padded.size)
     total = np.zeros(padded.size)
-    for row_centers, row_weights in zip(np.atleast_2d(centers), np.atleast_2d(weights)):
-        first = np.searchsorted(padded, row_centers - half) - 1
-        # the trapezoids whose points [first, first + span.size) meet x
-        hits = (first >= 0) & (first < margin.size + x.size)
-        index = first[hits, None] + span
-        values = row_weights[hits, None] * geometric_envelope(
-            geom, padded[index] - row_centers[hits, None]
-        )
-        total += np.bincount(index.ravel(), weights=values.ravel(), minlength=padded.size)
+    for row in per_row:
+        total += row
     return total[margin.size : margin.size + x.size]
 
 
@@ -216,7 +226,8 @@ def _place_orders(
     ``mixed_order_spectra`` returns them, and x mirror-symmetric, as
     ``_internal_grid`` builds it.  Then the orders m < 0 are the mirror
     image of the orders m > 0, so only m = 0 .. m_max are placed, the
-    centre at half weight, and the image is added.
+    centre at half weight, in one ``_envelope_sum`` pass over every node,
+    and the image is added.
     """
     m_max = weights.shape[1] // 2
     half = weights[:, m_max:].copy()
@@ -647,9 +658,9 @@ def pattern_metrics(pattern: DiffractionPattern, spacing: float) -> PatternMetri
     """Window-integrated efficiencies on the momentum-slot ladder.
 
     Windows of width ``spacing`` are centred on every multiple of
-    ``spacing`` that fits the scan; efficiency is window counts over total
-    counts (normalization-independent).  Visibility is (max-min)/(max+min)
-    over the central two slots.
+    ``spacing`` that fits the ascending scan; efficiency is window counts
+    over total counts (normalization-independent).  Visibility is
+    (max-min)/(max+min) over the central two slots.
     """
     if not spacing > 0.0:
         raise ValueError("spacing must be positive")
@@ -660,17 +671,24 @@ def pattern_metrics(pattern: DiffractionPattern, spacing: float) -> PatternMetri
             f"resolution ({detector_width * 1e6:.2f} um) would overlap"
         )
     positions = pattern.positions
+    if not np.all(positions[1:] > positions[:-1]):
+        raise ValueError("pattern positions must be strictly ascending")
     intensity = pattern.intensity
     total = float(intensity.sum())
     if total <= 0.0:
         raise ValueError("pattern carries no intensity")
     half_extent = float(positions[-1])
     m_limit = int(math.floor((half_extent + 0.5 * pattern.step - 0.5 * spacing) / spacing))
-    efficiencies: dict[int, float] = {}
-    for m in range(-m_limit, m_limit + 1):
-        center = m * spacing
-        window = (positions >= center - 0.5 * spacing) & (positions < center + 0.5 * spacing)
-        efficiencies[m] = float(intensity[window].sum()) / total
+    # window m holds the points m spacing - spacing/2 <= x < m spacing + spacing/2,
+    # one slice of the ascending scan
+    orders = np.arange(-m_limit, m_limit + 1)
+    centers = orders * spacing
+    starts = np.searchsorted(positions, centers - 0.5 * spacing).tolist()
+    stops = np.searchsorted(positions, centers + 0.5 * spacing).tolist()
+    efficiencies = {
+        m: float(intensity[start:stop].sum()) / total
+        for m, start, stop in zip(orders.tolist(), starts, stops)
+    }
     central = np.abs(positions) <= 2.0 * spacing
     region = intensity[central]
     high, low = float(region.max()), float(region.min())

@@ -32,7 +32,7 @@ from .beamline import BeamlineGeometry
 from .distributions import DetectorModel, VelocityDistribution, VerticalProfile
 from .distributions import load_velocity_histogram
 from .grating import GratingBeam
-from .species import CATALOG, ComplexPolarizability, MoleculeSpecies
+from .species import CATALOG, ComplexPolarizability, MoleculeSpecies, check_one_line
 
 
 class ConfigError(ValueError):
@@ -63,22 +63,6 @@ class NumericsSpec:
     internal_step: float = 0.25e-6
 
 
-def _one_line(name: str, value: str) -> None:
-    """Raise ValueError unless ``key = value`` reads back as ``value`` from a config file.
-
-    The INI reader strips blanks, ends a value at a line break, and takes
-    '#' or ';' after whitespace (the blank after '=' included) for an
-    inline comment.
-    """
-    line_break = value.splitlines() not in ([], [value])
-    if value != value.strip() or line_break or re.search(r"(^|\s)[#;]", value):
-        raise ValueError(
-            f"{name} {value!r} would not read back from a config file: it must not "
-            "start or end with whitespace, hold a line break, or hold '#' or ';' at "
-            "its start or after whitespace"
-        )
-
-
 @dataclass(frozen=True)
 class RunSpec:
     mode: str = "wave"
@@ -89,8 +73,8 @@ class RunSpec:
     prefix: str = "run"
 
     def __post_init__(self) -> None:
-        _one_line("run.out_dir", self.out_dir)
-        _one_line("run.prefix", self.prefix)
+        check_one_line("run.out_dir", self.out_dir)
+        check_one_line("run.prefix", self.prefix)
 
 
 @dataclass(frozen=True)
@@ -236,8 +220,8 @@ _KEYS: tuple[_Key, ...] = (
     _Key("run", "normalization", "run.normalization", _TEXT, _one_of("sum", "peak")),
     _Key("run", "workers", "run.workers", _INT, _positive),
     _Key("run", "convergence_check", "run.convergence_check", _BOOL),
-    _Key("run", "out_dir", "run.out_dir", _TEXT, _one_line),
-    _Key("run", "prefix", "run.prefix", _TEXT, _one_line),
+    _Key("run", "out_dir", "run.out_dir", _TEXT, check_one_line),
+    _Key("run", "prefix", "run.prefix", _TEXT, check_one_line),
 )
 
 # the three fields of a custom species, with their validators
@@ -262,18 +246,22 @@ def parse_value(section: str, key: str, raw: str):
 
 
 def _line_map(text: str) -> dict[tuple[str | None, str], int]:
-    """Map (section, key) pairs to 1-based line numbers for error reports."""
+    """Map (section, key) pairs to 1-based line numbers for error reports.
+
+    Each line is read as the INI reader reads it: a comment starts at '#'
+    or ';' at the line's start or after whitespace, and a section header
+    is named by what its brackets hold, blanks included.
+    """
     out: dict[tuple[str | None, str], int] = {}
     section: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("#", ";")):
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
+        stripped = re.split(r"(?:^|(?<=\s))[#;]", line, maxsplit=1)[0].strip()
+        header = configparser.ConfigParser.SECTCRE.match(stripped)
+        if header:
+            section = header.group("header")
             out[(None, section)] = lineno
-        elif "=" in line:
-            out[(section, line.split("=", 1)[0].strip().lower())] = lineno
+        elif "=" in stripped:
+            out[(section, stripped.split("=", 1)[0].strip().lower())] = lineno
     return out
 
 
@@ -332,7 +320,8 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
             with blame("species", key):
                 check(f"species.{key}", custom[key])
         polarizability = ComplexPolarizability(custom["alpha_re_a3"], custom["alpha_im_a3"])
-        species = MoleculeSpecies(name, custom["mass_amu"], polarizability)
+        with blame("species", "name"):
+            species = MoleculeSpecies(name, custom["mass_amu"], polarizability)
     elif name in CATALOG:
         species = CATALOG[name]
     else:

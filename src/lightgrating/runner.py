@@ -60,12 +60,13 @@ def write_pattern_csv(path: str | Path, pattern: DiffractionPattern) -> None:
 def read_pattern_csv(path: str | Path) -> DiffractionPattern:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != PATTERN_HEADER:
+    # blank lines are skipped; errors name the line of the file
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines or lines[0][1].strip() != PATTERN_HEADER:
         raise ValueError(f"{path}: expected header {PATTERN_HEADER!r}")
     positions = []
     intensity = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected two comma-separated columns")

@@ -8,6 +8,7 @@ molecular beams, and converted to SI (C m^2/V) only at the point of use.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 # SI defining constants (CODATA 2018).  h is stored as 2*pi*hbar so that the
@@ -22,6 +23,22 @@ AMU = 1.66053906660e-27  # kg
 # 4*pi*eps0 converts a polarizability volume (m^3) to SI units (C m^2 / V).
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0  # F / m
 ANGSTROM3 = 1e-30  # m^3
+
+
+def check_one_line(name: str, value: str) -> None:
+    """Raise ValueError unless ``key = value`` reads back as ``value`` from a config file.
+
+    The INI reader strips blanks, ends a value at a line break, and takes
+    '#' or ';' after whitespace (the blank after '=' included) for an
+    inline comment.
+    """
+    line_break = value.splitlines() not in ([], [value])
+    if value != value.strip() or line_break or re.search(r"(^|\s)[#;]", value):
+        raise ValueError(
+            f"{name} {value!r} would not read back from a config file: it must not "
+            "start or end with whitespace, hold a line break, or hold '#' or ';' at "
+            "its start or after whitespace"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,6 +77,8 @@ class MoleculeSpecies:
     polarizability: ComplexPolarizability
 
     def __post_init__(self) -> None:
+        # a config file stores the name as ``name = <name>``
+        check_one_line("species.name", self.name)
         if not self.mass_amu > 0.0:
             raise ValueError("mass must be positive")
 

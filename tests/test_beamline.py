@@ -137,6 +137,15 @@ class TestGeometricEnvelope:
         env = geometric_envelope(GEOM, x)
         assert np.allclose(env, env[::-1], atol=1e-15)
 
+    def test_scalar_and_list_arguments_leave_input_untouched(self):
+        wide, narrow = _trapezoid(GEOM)
+        assert geometric_envelope(GEOM, 0.0) == 1.0 / wide
+        assert geometric_envelope(GEOM, [0.5 * (wide + narrow)]).tolist() == [0.0]
+        x = self.fine_grid(half=1e-5, step=1e-7)
+        copy = x.copy()
+        geometric_envelope(GEOM, x)
+        assert np.array_equal(x, copy)
+
 
 class TestEnvelopeMass:
     def test_matches_cumulative_sum(self):
@@ -906,6 +915,52 @@ class TestEnsembleOrdersMode:
         placed = _place_orders(geom, x, slots, weights)
         assert np.max(np.abs(placed - reference)) <= 1e-15 * reference.max()
 
+    def many_node_orders(self):
+        """64 nodes of the orders -120 .. 120, weights even in m; the outer
+        orders of every node lie past both edges of the default grid."""
+        cfg = SimulationConfig()
+        x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+        rng = np.random.default_rng(64)
+        slots = rng.uniform(1.5, 6.0, 64) * float(x[-1]) / 120
+        positive = rng.uniform(0.0, 1.0, (slots.size, 121))
+        weights = np.concatenate([positive[:, :0:-1], positive], axis=1)
+        return cfg.geometry, x, slots, weights
+
+    def test_many_nodes_match_full_grid(self):
+        geom, x, slots, weights = self.many_node_orders()
+        centers = np.multiply.outer(slots, np.arange(-120, 121))
+        assert np.all(centers[:, 0] < x[0]) and np.all(centers[:, -1] > x[-1])
+        reference = sum(
+            full_grid_envelopes(geom, x, row_centers, row_weights)
+            for row_centers, row_weights in zip(centers, weights)
+        )
+        result = _envelope_sum(geom, x, centers, weights)
+        assert np.max(np.abs(result - reference)) <= 1e-15 * reference.max()
+        placed = _place_orders(geom, x, slots, weights)
+        assert np.max(np.abs(placed - reference)) <= 1e-15 * reference.max()
+
+    def test_many_node_rows_add_like_separate_calls(self):
+        geom, x, slots, weights = self.many_node_orders()
+        centers = np.multiply.outer(slots, np.arange(-120, 121))
+        expected = 0.0
+        for row_centers, row_weights in zip(centers, weights):
+            expected = expected + _envelope_sum(geom, x, row_centers, row_weights)
+        assert np.array_equal(_envelope_sum(geom, x, centers, weights), expected)
+
+    @pytest.mark.parametrize("powers", [[9.5], [0.0, 9.5, 30.0]])
+    def test_one_envelope_pass_per_power(self, monkeypatch, powers):
+        calls = {"_envelope_sum": 0, "geometric_envelope": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(lightgrating.beamline, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lightgrating.beamline, name, counted)
+        cfg = SimulationConfig()  # 16 velocity nodes
+        ensemble_patterns(replace(cfg, run=replace(cfg.run, mode="orders")), powers)
+        assert calls == {"_envelope_sum": len(powers), "geometric_envelope": len(powers)}
+
     def test_orders_mode_starts_no_worker_threads(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("orders mode started a thread pool")
@@ -1078,6 +1133,26 @@ class TestPatternMetrics:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
             pattern_metrics(self.synthetic(np.zeros(41)), 10e-6)
+
+    def test_positions_out_of_order_rejected(self):
+        pattern = self.synthetic(np.ones(41))
+        pattern.positions[[3, 4]] = pattern.positions[[4, 3]]
+        with pytest.raises(ValueError, match="ascending"):
+            pattern_metrics(pattern, 10e-6)
+
+    # window edges on grid points (10 um), between them, and windows wider
+    # than half the scan
+    @pytest.mark.parametrize("spacing", [10e-6, 7.3e-6, 2e-6, 37.1e-6, 120e-6])
+    def test_windows_sum_the_points_of_a_mask(self, spacing):
+        rng = np.random.default_rng(23)
+        pattern = self.synthetic(rng.random(151))
+        x = pattern.positions
+        metrics = pattern_metrics(pattern, spacing)
+        assert metrics.efficiencies
+        total = float(pattern.intensity.sum())
+        for m, efficiency in metrics.efficiencies.items():
+            window = (x >= m * spacing - 0.5 * spacing) & (x < m * spacing + 0.5 * spacing)
+            assert efficiency == float(pattern.intensity[window].sum()) / total
 
 
 class TestPeakPositions:

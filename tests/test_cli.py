@@ -161,6 +161,27 @@ class TestSimulate:
         big = pattern.intensity > 1e-6
         assert big.any()
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("\n\n-1.0,0.5\n0.0,oops\n", 5),
+            ("-1.0,0.5\n\n  \n0.0,1.0,2.0\n", 5),
+            ("\n-1.0,0.5\n\n0.0,0.5\n\n1.0,nan?\n", 7),
+        ],
+    )
+    def test_bad_row_reported_at_its_file_line(self, tmp_path, rows, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("position_um,intensity\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:{line}: "):
+            read_pattern_csv(bad)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        csv = tmp_path / "blank.csv"
+        csv.write_text("\nposition_um,intensity\n\n-1.0,0.5\n\n1.0,0.25\n\n", encoding="utf-8")
+        pattern = read_pattern_csv(csv)
+        assert np.array_equal(pattern.positions, [-1e-6, 1e-6])
+        assert np.array_equal(pattern.intensity, [0.5, 0.25])
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         for sub in ("a", "b"):

@@ -22,7 +22,7 @@ from lightgrating.config import (
     parse_config,
     serialize_config,
 )
-from lightgrating.species import CATALOG
+from lightgrating.species import CATALOG, ComplexPolarizability, MoleculeSpecies
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HISTOGRAM = "# velocity  weight\n100 0.2\n120 0.5\n140 0.3\n"
@@ -649,12 +649,26 @@ class TestPinnedErrors:
                 "species.name",
                 2,
             ),
+            # a continuation line puts a line break into the name
+            (
+                "[species]\nname = a\n  b\nmass_amu = 100\nalpha_re_a3 = 50\nalpha_im_a3 = 1\n",
+                "species.name 'a\\nb' would not read back from a config file: it must not "
+                "start or end with whitespace, hold a line break, or hold '#' or ';' at its "
+                "start or after whitespace",
+                "species.name",
+                2,
+            ),
             ("[beam]\npower_w = 1\n\n[lasers]\nx = 1\n", "unknown section [lasers]", "lasers", 4),
             ("[beam]\npower_watts = 1\n", "unknown key", "beam.power_watts", 2),
             ("[DEFAULT]\nfoo = 1\npower_w = 3\n", "unknown section [DEFAULT]", "DEFAULT", 1),
             # its keys do not leak into the other sections
             ("[DEFAULT]\nfoo = 1\n[beam]\npower_w = 3\n", "unknown section [DEFAULT]", "DEFAULT", 1),
             ("[beam]\npower_w = 3\n\n[DEFAULT]\n", "unknown section [DEFAULT]", "DEFAULT", 4),
+            # the INI reader keeps the blanks inside a header's brackets
+            ("[ beam ]\npower_w = 3\n", "unknown section [ beam ]", " beam ", 1),
+            ("[beam]\npower_w = 3\n\n[beam ]  \n", "unknown section [beam ]", "beam ", 4),
+            # and ends a header line at an inline comment
+            ("[beam] # laser\npower_w = x\n", "not a number: 'x'", "beam.power_w", 2),
             (
                 "[run]\nprefix =#x\n",
                 "run.prefix '#x' would not read back from a config file: it must not start "
@@ -817,6 +831,20 @@ def test_text_values_round_trip_or_are_refused(key, value):
         cfg = replace(cfg, run=replace(cfg.run, **{key: value}))
     except ValueError:
         return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.text(st.sampled_from(string.printable)) | st.text())
+@example(name="a #b")
+@example(name="a#b;c")
+@example(name=" a")
+def test_species_names_round_trip_or_are_refused(name):
+    try:
+        species = MoleculeSpecies(name, 123.5, ComplexPolarizability(77.7, 0.1))
+    except ValueError:
+        return
+    cfg = replace(SimulationConfig(), species=species)
     assert parse_config(serialize_config(cfg)) == cfg
 
 

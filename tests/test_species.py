@@ -77,6 +77,17 @@ class TestSpecies:
         with pytest.raises(ValueError):
             MoleculeSpecies("X", -5.0, ComplexPolarizability(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "name", ["a #b", "a ;b", "a\t#b", "#a", ";a", " a", "a ", "a\nb", "a\r"]
+    )
+    def test_name_that_would_not_read_back_is_refused(self, name):
+        with pytest.raises(ValueError, match="species.name .* would not read back"):
+            MoleculeSpecies(name, 100.0, ComplexPolarizability(1.0, 0.0))
+
+    @pytest.mark.parametrize("name", [*CATALOG, "a#b", "a;b", "C60 (hot)", ""])
+    def test_names_that_read_back_are_accepted(self, name):
+        assert MoleculeSpecies(name, 100.0, ComplexPolarizability(1.0, 0.0)).name == name
+
 
 class TestAbsorptionCrossSection:
     K_514 = 2.0 * math.pi / 514.5e-9
