@@ -17,8 +17,9 @@ that single-source intensity, exact for the midpoint source rule.  This
 equals the channel-by-channel, source-by-source Fresnel quadrature (a
 test oracle, in ``tests/oracles.py``) up to the probability the rows drop
 (at most ``tail_eps`` per grating point).
-``numerics.pad_factor`` sets only the output bins, one transform of the
-folded lags per velocity.
+``numerics.pad_factor`` sets only the output bins: the folded lags go
+through the output transform, one row per power, in batches of a
+velocity node's powers of at most ``MAX_OUTPUT_SAMPLES`` output samples.
 The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
 run warns when the grating state may put more than 1% beyond them.
 Orders mode projects the same effective rows onto the diffraction orders
@@ -48,7 +49,9 @@ grating window, the detector grid and, in wave mode, one pool of worker
 threads.  In wave mode one batch factorizes the states of every (power,
 velocity) pair, up to ``MAX_BATCH_STATES`` of them, and one worker task
 per velocity node builds that node's chirp and source kernel once and
-propagates its rows at every power of the batch.  Each power's pattern is
+propagates its rows at every power of the batch: one row transform per
+power, then the lag and output transforms of all its powers together, in
+batches bounded by ``MAX_OUTPUT_SAMPLES``.  Each power's pattern is
 bit-identical to a run at that power alone.  Orders mode sizes its grid
 by each power's strongest phase, so it factorizes once per power.
 """
@@ -83,6 +86,10 @@ if TYPE_CHECKING:
 # powers holding at most this many states, so that the temporaries of one
 # batch stay bounded however many powers a scan has.
 MAX_BATCH_STATES = 64
+# Wave mode runs the output transforms of a velocity node's powers in
+# batches of at most this many output samples (powers x FFT length), so that
+# a scan with few velocity nodes holds a bounded number of output rows.
+MAX_OUTPUT_SAMPLES = 65536
 
 
 @dataclass(frozen=True)
@@ -336,6 +343,15 @@ def _wave_velocity_slice(
     one FFT V of length M >= 2L of g in Makhoul's order (IEEE Trans. ASSP
     28, 27 (1980)), and the inverse transform of S is the field
     autocorrelation A(d), real and even, over all its lags |d| < 2L.
+
+    Each power's rows are transformed on their own, since their count
+    varies with the power; the spectra S of all powers are then stacked,
+    and the lag transform, the source kernel, the fold and the output
+    transform run once per batch of powers, one row each.  A batch holds
+    at most ``MAX_OUTPUT_SAMPLES`` output samples (8 powers at n_fft = 8192)
+    and at least one power, so a scan with few nodes and many powers holds
+    a bounded output.  A transform treats its rows independently, so each
+    power's intensity is bit for bit that of a batch of one.
     """
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
@@ -389,9 +405,9 @@ def _wave_velocity_slice(
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
 
-    intensities = []
-    coverages = []
-    for block in rows:
+    # S on 2M bins, one row per power
+    spectra = np.empty((len(rows), m_len + 1))
+    for spectrum_2m, block in zip(spectra, rows):
         period = block.period()
         v = np.zeros((block.rank, m_len), dtype=np.complex128)
         v[:, : even_base.size] = period[:, even_columns] * even_base
@@ -400,27 +416,45 @@ def _wave_velocity_slice(
         del v  # before the next power's rows are spread
         power = np.zeros(m_len)  # P(k) = sum_r |V_r(k)|^2
         backend.accumulate_weighted_abs2(spectrum, 1.0, power)
-        # Q(k) = sum_r V_r(k) V_r(M - k)^*
-        cross = np.einsum("rk,rk->k", spectrum[:, : half + 1], spectrum[:, mirror].conj())
-        del spectrum
+        # Q(k) = sum_r V_r(k) V_r(M - k)^*, conjugated in place to hold one
+        # copy of the mirrored spectrum less
+        mirrored = spectrum[:, mirror]
+        cross = np.einsum("rk,rk->k", spectrum[:, : half + 1], np.conj(mirrored, out=mirrored))
+        del mirrored, spectrum
         paired = power[: half + 1] + power[mirror]
         twisted = 2.0 * (twist * cross).real
-        spectrum_2m = np.empty(m_len + 1)
         spectrum_2m[: half + 1] = paired + twisted
         spectrum_2m[half:] = (paired - twisted)[::-1]  # S(M - k)
         spectrum_2m[m_len] = 0.0
-        lags = np.fft.irfft(spectrum_2m, 2 * m_len)[:n_lags] * kernel
+
+    # the output side, one row per power, at most MAX_OUTPUT_SAMPLES at a time
+    per_batch = max(1, MAX_OUTPUT_SAMPLES // n_fft)
+    intensities = []
+    coverages = []
+    for first in range(0, len(rows), per_batch):
+        lags = np.fft.irfft(spectra[first : first + per_batch], 2 * m_len, axis=-1)
+        lags = lags[:, :n_lags] * kernel
         # lag -d lands on bin n_fft - d, which overlaps the positive lags
         # only when n_fft < 4L - 1
-        folded = np.zeros(n_fft, dtype=np.complex128)
-        folded[:n_lags] = lags
-        folded[n_fft - n_lags + 1 :] += lags[:0:-1].conj()
-        intensity = np.fft.fftshift(np.fft.fft(folded).real * out_scale)
-        total = float(intensity.sum() * out_spacing)
-        intensities.append(intensity)
-        coverages.append(
-            float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
-        )
+        folded = np.zeros((lags.shape[0], n_fft), dtype=np.complex128)
+        folded[:, :n_lags] = lags
+        folded[:, n_fft - n_lags + 1 :] += lags[:, :0:-1].conj()
+        del lags
+        transformed = np.fft.fft(folded, axis=-1)
+        del folded
+        # fftshift, written straight into the one real output array, which
+        # holds one (powers, n_fft) array less than np.fft.fftshift
+        shift = n_fft // 2
+        batch = np.empty(transformed.shape)
+        np.multiply(transformed.real[:, n_fft - shift :], out_scale, out=batch[:, :shift])
+        np.multiply(transformed.real[:, : n_fft - shift], out_scale, out=batch[:, shift:])
+        del transformed
+        for intensity in batch:
+            total = float(intensity.sum() * out_spacing)
+            intensities.append(intensity)
+            coverages.append(
+                float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
+            )
     return x_native, intensities, power_in, coverages
 
 

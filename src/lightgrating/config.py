@@ -250,7 +250,9 @@ def _line_map(text: str) -> dict[tuple[str | None, str], int]:
 
     Each line is read as the INI reader reads it: a comment starts at '#'
     or ';' at the line's start or after whitespace, and a section header
-    is named by what its brackets hold, blanks included.
+    is named by what its brackets hold, blanks included.  The INI reader
+    ignores any text after a header's ']'; that text raises ConfigError at
+    its line here.
     """
     out: dict[tuple[str | None, str], int] = {}
     section: str | None = None
@@ -259,6 +261,13 @@ def _line_map(text: str) -> dict[tuple[str | None, str], int]:
         header = configparser.ConfigParser.SECTCRE.match(stripped)
         if header:
             section = header.group("header")
+            rest = stripped[header.end() :].lstrip()
+            if rest:
+                raise ConfigError(
+                    f"text {rest!r} after the section header [{section}]",
+                    key=section,
+                    line=lineno,
+                )
             out[(None, section)] = lineno
         elif "=" in stripped:
             out[(section, stripped.split("=", 1)[0].strip().lower())] = lineno
@@ -277,11 +286,11 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
         delimiters=("=",), comment_prefixes=("#", ";"), inline_comment_prefixes=("#", ";"),
         strict=True, interpolation=None, default_section="",
     )
+    lines = _line_map(text)  # before the INI reader, which reads '[beam]x' as [beam]
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc), line=getattr(exc, "lineno", None)) from exc
-    lines = _line_map(text)
 
     for section in parser.sections():
         if section not in _SCHEMA:

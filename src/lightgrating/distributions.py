@@ -91,7 +91,9 @@ def velocity_quadrature(
     ``VELOCITY_FLOOR`` * v_peak, and a warning says so when that floor cuts
     it (``fwhm_ratio`` >= 0.4): the grating phase grows as 1/v, so the
     slowest nodes then carry the strongest gratings of the run.  Histogram
-    shape: the tabulated rows are the rule and ``n_nodes`` is ignored.
+    shape: the tabulated rows of nonzero weight are the rule and
+    ``n_nodes`` is ignored.  A row of weight 0 adds nothing to a pattern,
+    so it costs no node here, while the config digest still hashes it.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
@@ -99,7 +101,8 @@ def velocity_quadrature(
         assert dist.histogram is not None
         nodes = np.asarray(dist.histogram[0], dtype=np.float64)
         weights = np.asarray(dist.histogram[1], dtype=np.float64)
-        return nodes, weights / weights.sum()
+        kept = weights != 0.0
+        return nodes[kept], weights[kept] / weights[kept].sum()
     half_span = SPAN_FWHM * dist.fwhm_ratio * dist.v_peak
     floor = VELOCITY_FLOOR * dist.v_peak
     if dist.v_peak - half_span < floor:

@@ -746,6 +746,43 @@ class TestEnsemblePatterns:
             assert np.array_equal(a.intensity, b.intensity)
             assert a.metadata == b.metadata
 
+    def test_output_transforms_batched_over_powers(self, monkeypatch):
+        # each node transforms its rows once per power, then its lags and its
+        # output once, one row per power
+        cfg = fast_config()
+        powers = self.POWERS[:3]
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        m_len = smooth_even_length(2 * half_support(grid, mask))
+        n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
+        counting = CountingNumpy()
+        monkeypatch.setattr(lightgrating.beamline, "np", counting)
+        ensemble_patterns(cfg, powers)
+        per_node = [("fft", m_len)] * 3 + [("irfft", 2 * m_len), ("fft", n_fft)]
+        assert counting.transforms == per_node * cfg.quadrature.velocity_nodes
+        shapes = [np.shape(a) for a in counting.inputs]
+        assert shapes[3::5] == [(3, m_len + 1)] * cfg.quadrature.velocity_nodes
+        assert shapes[4::5] == [(3, n_fft)] * cfg.quadrature.velocity_nodes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budget, batches", [(3, [3, 1]), (1, [1] * 4), (0.5, [1] * 4)])
+    def test_output_budget_splits_the_powers(self, monkeypatch, workers, budget, batches):
+        # a budget of `budget` output rows: at least one power per batch
+        cfg = fast_config()
+        cfg = replace(cfg, run=replace(cfg.run, workers=workers))
+        grid, _ = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
+        counting = CountingNumpy()
+        monkeypatch.setattr(lightgrating.beamline, "MAX_OUTPUT_SAMPLES", int(budget * n_fft))
+        monkeypatch.setattr(lightgrating.beamline, "np", counting)
+        patterns = ensemble_patterns(cfg, self.POWERS)
+        monkeypatch.undo()
+        rows = [np.shape(a)[0] for a in counting.inputs if np.shape(a)[-1] == n_fft]
+        assert sorted(rows) == sorted(batches * cfg.quadrature.velocity_nodes)
+        for power, pattern in zip(self.POWERS, patterns):
+            alone = ensemble_pattern(replace(cfg, beam=replace(cfg.beam, power=power)))
+            assert np.array_equal(pattern.intensity, alone.intensity)
+            assert pattern.metadata == alone.metadata
+
 
 class TestEnsembleOrdersMode:
     @pytest.mark.parametrize("species, power", [(C60, 9.5), (C70, 50.0)])

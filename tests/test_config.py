@@ -669,6 +669,17 @@ class TestPinnedErrors:
             ("[beam]\npower_w = 3\n\n[beam ]  \n", "unknown section [beam ]", "beam ", 4),
             # and ends a header line at an inline comment
             ("[beam] # laser\npower_w = x\n", "not a number: 'x'", "beam.power_w", 2),
+            ("[beam]  # note\npower_w = x\n", "not a number: 'x'", "beam.power_w", 2),
+            # but the INI reader would drop any other text after the ']'
+            (
+                "[run]\nworkers = 1\n[beam] extra words\npower_w = 3\n",
+                "text 'extra words' after the section header [beam]",
+                "beam",
+                3,
+            ),
+            ("[beam]x\npower_w = 3\n", "text 'x' after the section header [beam]", "beam", 1),
+            # a comment starts only at the line's start or after whitespace
+            ("[beam];x\npower_w = 3\n", "text ';x' after the section header [beam]", "beam", 1),
             (
                 "[run]\nprefix =#x\n",
                 "run.prefix '#x' would not read back from a config file: it must not start "

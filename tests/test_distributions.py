@@ -18,6 +18,7 @@ from lightgrating.distributions import (
     velocity_quadrature,
     vertical_phi_scales,
 )
+from lightgrating.runner import run_simulate
 from oracles import mean_vertical_scale
 
 
@@ -110,6 +111,13 @@ class TestVelocityQuadrature:
         rows = ((100.0, 130.0, 160.0), (1.0, 2.0, 1.0))
         dist = VelocityDistribution(shape="histogram", histogram=rows)
         nodes, weights = velocity_quadrature(dist, 99)  # node count ignored
+        assert nodes.tolist() == [100.0, 130.0, 160.0]
+        assert weights.tolist() == [0.25, 0.5, 0.25]
+
+    def test_histogram_rows_of_zero_weight_cost_no_node(self):
+        rows = ((0.5, 100.0, 130.0, 145.0, 160.0), (0.0, 1.0, 2.0, 0.0, 1.0))
+        dist = VelocityDistribution(shape="histogram", histogram=rows)
+        nodes, weights = velocity_quadrature(dist, 1)
         assert nodes.tolist() == [100.0, 130.0, 160.0]
         assert weights.tolist() == [0.25, 0.5, 0.25]
 
@@ -265,6 +273,24 @@ class TestLoadVelocityHistogram:
         assert nodes.tolist() == [80.0, 120.0]
         assert weights.tolist() == [2.0 / 3.0, 1.0 / 3.0]
         assert dist.v_peak == 80.0
+
+    @pytest.mark.parametrize("mode", ["wave", "orders"])
+    def test_zero_weight_row_leaves_the_pattern_unchanged(self, tmp_path, mode):
+        # the 0.5 m/s row would set orders mode's grid for every node
+        rows = "100 0.2\n120 0.5\n140 0.3\n"
+        written = []
+        for name, text in (("kept", rows), ("zero", "0.5 0\n" + rows)):
+            (tmp_path / f"{name}.txt").write_text(text)
+            cfg = parse_config(
+                f"[species]\nname = C70\n[velocity]\nhistogram_file = {name}.txt\n"
+                f"[quadrature]\nvertical_nodes = 4\nsource_nodes = 4\n"
+                f"[run]\nmode = {mode}\nprefix = {name}\n",
+                base_dir=tmp_path,
+            )
+            pattern, _ = run_simulate(cfg, tmp_path)
+            assert len(pattern.metadata["channels_per_velocity"]) == 3
+            written.append((tmp_path / f"{name}_pattern.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_rejects_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
