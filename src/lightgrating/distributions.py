@@ -28,7 +28,9 @@ class VelocityDistribution:
     The default shape is a Gaussian parameterised by the most probable
     velocity and the relative FWHM spread.  A measured histogram (two
     columns: velocity, relative weight) can be supplied instead; it is then
-    used verbatim as the quadrature rule.
+    used verbatim as the quadrature rule.  Its columns must have equal
+    lengths, its velocities be finite and positive, and its weights be
+    finite and nonnegative with a positive sum.
     """
 
     v_peak: float = 120.0
@@ -37,6 +39,16 @@ class VelocityDistribution:
     histogram: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
+        if self.histogram is not None:
+            velocities, weights = self.histogram
+            if len(velocities) != len(weights):
+                raise ValueError("histogram columns must have equal lengths")
+            velocities = np.asarray(velocities, dtype=np.float64)
+            weights = np.asarray(weights, dtype=np.float64)
+            if not np.all(np.isfinite(velocities) & (velocities > 0.0)):
+                raise ValueError("histogram velocities must be positive")
+            if not (np.all(np.isfinite(weights) & (weights >= 0.0)) and weights.sum() > 0.0):
+                raise ValueError("histogram weights must be nonnegative with positive sum")
         if not self.v_peak > 0.0:
             raise ValueError("v_peak must be positive")
         if not 0.0 < self.fwhm_ratio < 1.0:
@@ -186,15 +198,15 @@ def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
 
 
 def load_velocity_histogram(path: str | Path) -> VelocityDistribution:
-    """Read a two-column (velocity m/s, relative weight) text file."""
+    """Read a two-column (velocity m/s, relative weight) text file.
+
+    The rows are sorted by velocity, and ``v_peak`` is the velocity of the
+    largest weight; ``VelocityDistribution`` checks the rows.
+    """
     data = np.loadtxt(path, dtype=np.float64, ndmin=2)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("histogram file must have exactly two columns")
     v, w = data[:, 0], data[:, 1]
-    if not np.all(v > 0.0):
-        raise ValueError("histogram velocities must be positive")
-    if np.any(w < 0.0) or w.sum() <= 0.0:
-        raise ValueError("histogram weights must be nonnegative with positive sum")
     order = np.argsort(v)
     v, w = v[order], w[order]
     v_peak = float(v[np.argmax(w)])

@@ -48,13 +48,22 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _pattern_rows(pattern: DiffractionPattern) -> list[str]:
+    """The data rows of the pattern CSV, one ``position_um,intensity`` per sample."""
+    # Python floats format faster than NumPy scalars, to the same text
+    return [
+        f"{x * 1e6:.6f},{value:.20f}"
+        for x, value in zip(pattern.positions.tolist(), pattern.intensity.tolist())
+    ]
+
+
+def _write_pattern_rows(path: Path, rows: list[str]) -> None:
+    _atomic_write(path, "\n".join([PATTERN_HEADER, *rows]) + "\n")
+
+
 def write_pattern_csv(path: str | Path, pattern: DiffractionPattern) -> None:
     """Fixed-decimal two-column CSV (positions in um), LF line endings."""
-    lines = [PATTERN_HEADER]
-    # Python floats format faster than NumPy scalars, to the same text
-    for x, value in zip(pattern.positions.tolist(), pattern.intensity.tolist()):
-        lines.append(f"{x * 1e6:.6f},{value:.20f}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    _write_pattern_rows(Path(path), _pattern_rows(pattern))
 
 
 def read_pattern_csv(path: str | Path) -> DiffractionPattern:
@@ -148,18 +157,22 @@ def run_simulate(
     exit status while the artifacts remain inspectable.
     """
     pattern = ensemble_pattern(cfg)
-    return pattern, _write_run(cfg, pattern, _resolve_out_dir(cfg, out_dir))
+    out = _resolve_out_dir(cfg, out_dir)
+    return pattern, _write_run(cfg, pattern, out, _pattern_rows(pattern))
 
 
-def _write_run(cfg: SimulationConfig, pattern: DiffractionPattern, out: Path) -> dict:
+def _write_run(
+    cfg: SimulationConfig, pattern: DiffractionPattern, out: Path, rows: list[str]
+) -> dict:
     """Stamp, summarize and write the pattern of ``cfg``; return its summary.
 
-    Raises :class:`ConvergenceError` after writing when the pattern's
-    convergence check failed.
+    ``rows`` are the pattern's ``_pattern_rows``.  Raises
+    :class:`ConvergenceError` after writing when the pattern's convergence
+    check failed.
     """
     summary = summarize(cfg, pattern)
     pattern.metadata["config_digest"] = summary["config_digest"]
-    write_pattern_csv(out / f"{cfg.run.prefix}_pattern.csv", pattern)
+    _write_pattern_rows(out / f"{cfg.run.prefix}_pattern.csv", rows)
     _atomic_write(
         out / f"{cfg.run.prefix}_summary.json",
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -229,9 +242,12 @@ def run_power_scan(
             beam=replace(cfg.beam, power=power),
             run=replace(cfg.run, prefix=f"{cfg.run.prefix}_p{index:02d}"),
         )
-        summary = _write_run(sub, pattern, out)
-        for x, value in zip(pattern.positions.tolist(), pattern.intensity.tolist()):
-            combined.append(f"{power:.6f},{x * 1e6:.6f},{value:.20f}")
+        pattern_rows = _pattern_rows(pattern)
+        summary = _write_run(sub, pattern, out, pattern_rows)
+        # each number is formatted once: the scan row is the pattern row
+        # after the power
+        lead = f"{power:.6f},"
+        combined.extend([lead + row for row in pattern_rows])
         efficiencies = summary["order_efficiencies"]
         rows.append(
             {

@@ -379,6 +379,19 @@ class TestScanMatchesSimulate:
         assert [row["power_w"] for row in rows] == self.POWERS
 
     @pytest.mark.parametrize("mode", ["wave", "orders"])
+    def test_scan_table_rows_are_the_pattern_rows(self, tmp_path, mode):
+        # each row of the combined table is the power, then that power's
+        # pattern row, byte for byte
+        cfg = parse_config(TINY + f"[run]\nmode = {mode}\n")
+        run_power_scan(cfg, self.POWERS, tmp_path)
+        expected = [b"power_w,position_um,intensity"]
+        for index, power in enumerate(self.POWERS):
+            rows = (tmp_path / f"run_p{index:02d}_pattern.csv").read_bytes().splitlines()[1:]
+            assert len(rows) == 61
+            expected += [f"{power:.6f},".encode() + row for row in rows]
+        assert (tmp_path / "run_scan.csv").read_bytes() == b"\n".join(expected) + b"\n"
+
+    @pytest.mark.parametrize("mode", ["wave", "orders"])
     def test_convergence_failure_at_the_same_power(self, tmp_path, mode):
         # 0 W passes the check, 5 W does not: the scan stops after writing
         # the 5 W files, as the per-power simulate runs do

@@ -43,6 +43,26 @@ class TestVelocityDistribution:
         with pytest.raises(ValueError):
             VelocityDistribution(shape="histogram")
 
+    @pytest.mark.parametrize(
+        "histogram, message",
+        [
+            (((100.0, 120.0), (-1.0, 3.0)), "weights must be nonnegative with positive sum"),
+            (((100.0, 120.0), (0.0, 0.0)), "weights must be nonnegative with positive sum"),
+            (((100.0, 120.0), (1.0, math.nan)), "weights must be nonnegative with positive sum"),
+            (((100.0, 120.0), (1.0, math.inf)), "weights must be nonnegative with positive sum"),
+            (((), ()), "weights must be nonnegative with positive sum"),
+            (((100.0, -120.0), (1.0, 3.0)), "velocities must be positive"),
+            (((0.0, 120.0), (1.0, 3.0)), "velocities must be positive"),
+            (((100.0, math.nan), (1.0, 3.0)), "velocities must be positive"),
+            (((100.0, math.inf), (1.0, 3.0)), "velocities must be positive"),
+            (((100.0, 120.0), (1.0,)), "columns must have equal lengths"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", ["histogram", "gaussian"])
+    def test_histogram_rows_checked_when_built_directly(self, histogram, message, shape):
+        with pytest.raises(ValueError, match=f"^histogram {message}$"):
+            VelocityDistribution(shape=shape, histogram=histogram)
+
 
 class TestVelocityQuadrature:
     def test_single_node_is_peak(self):
@@ -263,6 +283,23 @@ class TestLoadVelocityHistogram:
         path = tmp_path / "bad.txt"
         path.write_text("80 0.0\n120 0.0\n")
         with pytest.raises(ValueError):
+            load_velocity_histogram(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1.0\n120 2.0\n", "histogram velocities must be positive"),
+            # the row of the largest weight sets v_peak: the rows are checked first
+            ("80 1.0\n-120 2.0\n", "histogram velocities must be positive"),
+            ("80 1.0\n120 -2.0\n", "histogram weights must be nonnegative with positive sum"),
+            ("80 0.0\n120 0.0\n", "histogram weights must be nonnegative with positive sum"),
+            ("80 1.0\n120 nan\n", "histogram weights must be nonnegative with positive sum"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_velocity_histogram(path)
 
     def test_sorts_rows_on_load(self, tmp_path):

@@ -1,5 +1,6 @@
 """Diffraction-order decomposition against the Bessel result and the zero-order root."""
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from lightgrating.grating import (
 from lightgrating.orders import (
     DEFAULT_M_MAX,
     OrderSpectrum,
+    _FRACTION_BLOCK,
+    _fraction_samples,
     _order_power,
     absorbed_fractions,
     default_m_max,
@@ -376,6 +379,22 @@ class TestZeroOrderNull:
         assert p_null == pytest.approx(11.712072224475481, rel=1e-10)
 
 
+# Im Phi of the phases whose absorbed fractions meet the scipy oracle
+ORACLE_PHASES = (0.01, 1.0, 10.0, 50.0, 400.0)
+
+
+@functools.cache
+def scipy_fraction_oracle(im):
+    """Period averages of scipy's Poisson pmf at 4 Im Phi cos^2, n = 0 .. truncation order.
+
+    Midpoint rule on 8192 points of one standing-wave period.
+    """
+    x = (np.arange(8192) + 0.5) / 8192.0  # phase fraction of one period
+    nbar = 4.0 * im * np.cos(math.pi * x) ** 2
+    n_max = truncation_order(ComplexPhase(1.0, im))
+    return np.array([np.mean(scipy.stats.poisson.pmf(n, nbar)) for n in range(n_max + 1)])
+
+
 class TestAbsorbedFraction:
     def test_no_absorption(self):
         assert absorbed_fractions(ComplexPhase(1.0, 0.0), 2).tolist() == [1.0, 0.0, 0.0]
@@ -404,10 +423,16 @@ class TestAbsorbedFraction:
         assert np.max(np.abs(absorbed_fractions(phi, n_max, scales, weights) - expected)) < 1e-14
 
     @staticmethod
-    def per_n_poisson_weight_loop(phi, n_max, scales, weights):
-        """The fractions from one ``poisson_weight`` call per n, summed as the summary does."""
+    def per_n_poisson_weight_loop(phi, n_max, scales, weights, samples=None):
+        """The fractions from one ``poisson_weight`` call per n, summed as the summary does.
+
+        The rule has ``samples`` midpoints on the half period, by default
+        as many as ``absorbed_fractions`` takes at the strongest scale.
+        """
+        if samples is None:
+            samples = _fraction_samples(4.0 * phi.im * float(np.max(scales)))
         weights = weights / weights.sum()
-        theta = (np.arange(1024) + 0.5) * (0.5 * math.pi / 1024)
+        theta = (np.arange(samples) + 0.5) * (0.5 * math.pi / samples)
         nbar = 4.0 * phi.im * np.multiply.outer(scales, np.cos(theta) ** 2)
         means = np.array([np.mean(poisson_weight(nbar, n), axis=-1) for n in range(n_max + 1)])
         return sum(weight * column for weight, column in zip(weights, means.T))
@@ -421,6 +446,65 @@ class TestAbsorbedFraction:
             scales, weights = vertical_phi_scales(VerticalProfile(), nodes)
             expected = self.per_n_poisson_weight_loop(phi, n_max, scales, weights)
             assert np.array_equal(absorbed_fractions(phi, n_max, scales, weights), expected)
+
+    @pytest.mark.parametrize("n_max", [63, 64, 65, 128, 129, 200])
+    def test_blocks_of_photon_numbers(self, n_max):
+        # the rows n >= 1 are evaluated in blocks of 64: one block, one
+        # row past it, two blocks, and more
+        assert _FRACTION_BLOCK == 64
+        phi = ComplexPhase(1.0, 30.0)
+        scales, weights = vertical_phi_scales(VerticalProfile(), 5)
+        expected = self.per_n_poisson_weight_loop(phi, n_max, scales, weights)
+        fractions = absorbed_fractions(phi, n_max, scales, weights)
+        assert fractions.size == n_max + 1 and np.array_equal(fractions, expected)
+        assert expected[-1] > 0.0
+
+    @pytest.mark.parametrize("species", [C60, C70], ids=["C60", "C70"])
+    def test_zero_power_equals_the_1024_point_loop(self, species):
+        # at nbar = 0 each fraction is the running sum of the vertical
+        # weights, whatever the sample count, so the summary's probability
+        # check at 0 W sees the values it saw on 1024 samples
+        phi = compute_phi(species, GratingBeam(power=0.0), 120.0)
+        assert phi.im == 0.0
+        n_max = truncation_order(phi)
+        for nodes in range(1, 40):
+            scales, weights = vertical_phi_scales(VerticalProfile(), nodes)
+            expected = self.per_n_poisson_weight_loop(phi, n_max, scales, weights, 1024)
+            assert np.array_equal(absorbed_fractions(phi, n_max, scales, weights), expected)
+
+    def test_fraction_samples(self):
+        sizes = [_fraction_samples(nbar) for nbar in (0.0, 1.3, 8.1, 100.0, 1600.0, 1e4)]
+        assert sizes == [6, 9, 17, 48, 187, 470]
+
+    @pytest.mark.parametrize("im", ORACLE_PHASES)
+    def test_matches_the_scipy_pmf_average_to_round_off(self, im):
+        # Both sides evaluate exp(n log nbar - nbar - log n!), whose exponent
+        # carries a round-off of about eps times its terms: at Im Phi = 400
+        # the pmf average itself sits 2.3e-15 from one in extended precision,
+        # so a flat 1e-15 holds only while those terms are small.
+        oracle = scipy_fraction_oracle(im)
+        n = np.arange(oracle.size)
+        terms = n * abs(math.log(4.0 * im)) + 4.0 * im + scipy.special.gammaln(n + 1)
+        bound = 1e-15 + np.finfo(float).eps * terms * oracle
+        fractions = absorbed_fractions(ComplexPhase(1.0, im), n.size - 1)
+        assert np.all(np.abs(fractions - oracle) <= bound)
+
+    @pytest.mark.parametrize("im", ORACLE_PHASES)
+    def test_sized_rule_matches_a_dense_rule(self, monkeypatch, im):
+        # the aliasing alone: the same evaluation on 8192 midpoints of the period
+        phi = ComplexPhase(1.0, im)
+        n_max = truncation_order(phi)
+        fractions = absorbed_fractions(phi, n_max)
+        monkeypatch.setattr(lightgrating.orders, "_fraction_samples", lambda nbar_max: 4096)
+        assert np.max(np.abs(fractions - absorbed_fractions(phi, n_max))) <= 1e-15
+
+    def test_fraction_samples_are_not_loose(self, monkeypatch):
+        # half the rule sized at nbar = 1600 misses the oracle far beyond round-off
+        phi = ComplexPhase(1.0, 400.0)
+        samples = _fraction_samples(1600.0)
+        monkeypatch.setattr(lightgrating.orders, "_fraction_samples", lambda nbar_max: samples // 2)
+        fractions = absorbed_fractions(phi, truncation_order(phi))
+        assert np.max(np.abs(fractions - scipy_fraction_oracle(400.0))) > 1e-12
 
     def test_negative_mean_photon_number_rejected(self):
         with pytest.raises(ValueError, match="mean photon number"):
