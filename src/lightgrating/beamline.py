@@ -22,12 +22,14 @@ through the output transform, one row per power, in batches of a
 velocity node's powers of at most ``MAX_OUTPUT_SAMPLES`` output samples.
 The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
 run warns when the grating state may put more than 1% beyond them.
-Orders mode projects the same effective rows onto the diffraction orders
-(``orders.mixed_order_spectra``: one factorization of all velocity nodes
-on one grid, sized by the slowest node; no photon cap; a cosine sum over
-the stored values of |cos kx|, no FFT) and places each order's weight on
-the geometric shadow envelope instead of propagating; it is faster and
-serves as the cross-check of the wave pipeline's propagation.  The order
+Orders mode reads the order intensities straight off the same closed-form
+state (``orders.mixed_order_spectra``: the diagonal of the momentum-basis
+density matrix for all velocity nodes on one grid, sized from its
+aliasing bound at the slowest node; nothing factorized, no photon cap; a
+cosine sum over the values of |cos kx|, no FFT) and places each order's
+weight on the geometric shadow envelope instead of propagating; it is
+faster and serves as the cross-check of the wave pipeline's
+factorization and propagation.  The order
 weights are even in m and the detector grid is mirror-symmetric, so one
 call per power places the orders m >= 0 of every velocity node and the
 mirror image adds the rest (``_place_orders``).  That call is one
@@ -38,7 +40,7 @@ The in-span share of each order is the closed-form mass of its shadow
 (``_envelope_mass``).  Orders mode runs on the calling thread; worker
 threads serve wave mode only.
 The vertical midpoint rule is mirror-symmetric and the grating scale
-depends on y^2 only, so both modes factorize the states over its
+depends on y^2 only, so both modes sum the states over its
 ceil(n/2) distinct scales, each mirror pair with its summed weight
 (``distributions.fold_vertical_rule``); the run summary keeps the full
 rule.
@@ -53,7 +55,7 @@ propagates its rows at every power of the batch: one row transform per
 power, then the lag and output transforms of all its powers together, in
 batches bounded by ``MAX_OUTPUT_SAMPLES``.  Each power's pattern is
 bit-identical to a run at that power alone.  Orders mode sizes its grid
-by each power's strongest phase, so it factorizes once per power.
+by each power's strongest phase, so it builds one kernel per power.
 """
 
 from __future__ import annotations
@@ -549,7 +551,7 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
     grid_metadata: dict = {}  # wave mode: the grating samples and the FFT length
     patterns: list[DiffractionPattern] = []
 
-    def finish(p: int, sums: tuple, n_channels: list[int], dropped: np.ndarray) -> None:
+    def finish(p: int, sums: tuple, n_channels: list[int] | None, dropped: float) -> None:
         accumulated, total_probability, coverage = sums
         c = configs[p]
         phi_peak = compute_phi(c.species, c.beam, c.velocity.v_peak)
@@ -563,7 +565,7 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
             **grid_metadata,
             "phi_per_velocity": [[v, phi.re, phi.im] for v, phi in zip(velocities, phis[p])],
             "channels_per_velocity": n_channels,
-            "dropped_probability": float(dropped.max()),
+            "dropped_probability": dropped,
             "total_probability": total_probability,
             "scan_coverage": coverage,
         }
@@ -581,7 +583,7 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
         in_span -= _envelope_mass(cfg.geometry, -half_span - centers)
         # one grid per power, sized by that power's strongest phase
         for p, node_phis in enumerate(phis):
-            intensities, n_channels, dropped = mixed_order_spectra(
+            intensities = mixed_order_spectra(
                 node_phis, m_max, scales, scale_weights, cfg.numerics.tail_eps
             )
             placed = _place_orders(cfg.geometry, common_x, slots, v_weights[:, None] * intensities)
@@ -603,7 +605,8 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
                     f"of the molecules at {powers[p]} W; raise numerics.m_max",
                     stacklevel=4,
                 )
-            finish(p, (placed, probability, coverage), n_channels, dropped)
+            # nothing is factorized, so there are no channels and no dropped mass
+            finish(p, (placed, probability, coverage), None, 0.0)
         return patterns
 
     def node_sums(per_node: Iterable[list[tuple]], count: int) -> list[tuple]:
@@ -681,7 +684,7 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
             for i, p in enumerate(group):
                 states = slice(i * n_nodes, (i + 1) * n_nodes)
                 n_channels = [block.rank for block in rows[states]]
-                finish(p, sums[i], n_channels, dropped[states])
+                finish(p, sums[i], n_channels, float(dropped[states].max()))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -12,8 +12,10 @@ multiplicative transmission function on the incoming matter wave.  The
 ``raman_nath_diagnostic`` operation estimates how well that assumption
 holds for a given configuration.
 
-The run path never samples the channels one by one: ``effective_channels``
-factorizes their closed-form sum.  The sampled channel set and the dense
+The run path never samples the channels one by one: wave mode propagates
+the rows into which ``effective_channels`` factorizes their closed-form
+sum, and orders mode reads the order intensities off that closed form
+(``orders.mixed_order_spectra``).  The sampled channel set and the dense
 closed-form state are test oracles, in ``tests/oracles.py``.
 """
 

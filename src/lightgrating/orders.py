@@ -3,18 +3,24 @@
 Far-field peaks sit at transverse momenta m*hbar*k_laser.  A coherent phase
 grating only populates even m (the intensity period is half the laser
 wavelength); molecules that absorbed an odd number of photons land on odd m.
-This module turns sampled transmission channels, or the effective rows of
-the mixed grating state, into order intensities.  For the pure phase
-grating they are the Bessel intensities J_j(Re Phi)^2 on the even slots
-m = 2j; the tests hold them against that result (a test oracle, in
+This module turns sampled transmission channels, or the closed-form mixed
+grating state, into order intensities.  For the pure phase grating they
+are the Bessel intensities J_j(Re Phi)^2 on the even slots m = 2j; the
+tests hold them against that result (a test oracle, in
 ``tests/oracles.py``).
 
-Both kinds of row depend on x only through c = cos(k x), evenly or oddly
-(Hornberger et al., Rev. Mod. Phys. 84, 157 (2012), on absorption
-gratings as mixed momentum-space states).  So they are kept at the spp/2
-values of |c| of one laser period (``grating.ParityRows``), and their
-order amplitudes are real cosine sums over those values, one matrix
-product for all rows: no FFT and no spread over the period.
+Both the channels and the state depend on x only through c = cos(k x),
+evenly or oddly (Hornberger et al., Rev. Mod. Phys. 84, 157 (2012), on
+absorption gratings as mixed momentum-space states).  So they are taken
+at the n/4 values of |c| on a grid of n points per laser period, and the
+order amplitudes are real cosine sums over those values: no FFT and no
+spread over the period.  A channel's order intensities come from one
+matrix product for all channels (``_order_power``); the mixed state's
+are the diagonal <m|rho|m> of its momentum-basis density matrix, one
+quadratic form of the cosine table per order, read straight off the
+closed form with nothing factorized (``mixed_order_spectra``).  The
+grid is the smallest whose aliasing bound meets the requested tail
+(``samples_per_laser_period``).
 """
 
 from __future__ import annotations
@@ -30,13 +36,18 @@ from .grating import (
     ComplexPhase,
     ParityRows,
     channel_amplitudes,
-    effective_channels,
     parity_angles,
     scale_weight_arrays,
     truncation_order,
 )
 
 DEFAULT_M_MAX = 20
+# Bytes that the kernel arrays of ``mixed_order_spectra`` hold at once, so
+# that its temporaries stay bounded at any grating strength.
+MAX_KERNEL_BYTES = 1 << 21
+# Arrays of one block's shape that ``mixed_order_spectra`` holds at once,
+# counting the two exponent tables, which have one node's shape.
+_KERNEL_ARRAYS = 7
 
 
 @dataclass
@@ -82,6 +93,15 @@ _STRIP = np.geomspace(1e-3, 4.0, 200)
 DEFAULT_M_MAX_TAIL = 1e-9
 
 
+def _log_order_bound(phi: ComplexPhase) -> np.ndarray:
+    """C(sigma) = 2 |Re Phi| sinh(2 sigma) + 8 Im Phi sinh(sigma)^2 on the sigma of ``_STRIP``.
+
+    Every order intensity of the grating state at ``phi``, channels summed
+    or single, obeys I_m <= exp(C(sigma) - 2 |m| sigma) (``tail_order``).
+    """
+    return 2.0 * abs(phi.re) * np.sinh(2.0 * _STRIP) + 8.0 * phi.im * np.sinh(_STRIP) ** 2
+
+
 def tail_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Order B beyond which the grating state at ``phi`` holds less than ``tail_eps``.
 
@@ -96,8 +116,7 @@ def tail_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")
-    log_tail = 2.0 * abs(phi.re) * np.sinh(2.0 * _STRIP) + 8.0 * phi.im * np.sinh(_STRIP) ** 2
-    log_tail += np.log(2.0 / -np.expm1(-2.0 * _STRIP)) - math.log(tail_eps)
+    log_tail = _log_order_bound(phi) + np.log(2.0 / -np.expm1(-2.0 * _STRIP)) - math.log(tail_eps)
     return math.ceil(float(np.min(log_tail / (2.0 * _STRIP))))
 
 
@@ -111,21 +130,43 @@ def samples_per_laser_period(
 ) -> int:
     """Samples per laser period for projecting the grating at ``phi`` onto orders.
 
-    Returns the smallest power of two n >= 4 max(m_max, B), with B the
-    ``tail_order`` of ``phi``: the top half of the bins (|m| >= n/4) holds
-    less than ``tail_eps``, and the slots |m| <= m_max alias only with
-    orders |m| >= 3n/4.  Pass the largest phase the state holds (vertical
-    scales included).
+    On n midpoints per laser period (n a multiple of 8) the computed
+    amplitude of order m is sum_l (-1)^l u(m + l n), so the alias partners
+    of the slots |m| <= m_max sit at |m + l n| >= |l| n - m_max.  For a
+    positive semidefinite state |rho(p, q)| <= sqrt(I_p I_q), so the error
+    on I_m is at most 2 sqrt(I_m) S + S^2, with S the sum of sqrt(I_p) over
+    the partners p.  ``tail_order``'s bound I_p <= exp(C(sigma) - 2 |p|
+    sigma) gives S <= exp(C(sigma)/2 - (n - m_max) sigma) 2/(1 - e^(-8 sigma))
+    for n >= 8.  Returns the smallest multiple of 8 with S <= tail_eps/2,
+    that is
+
+        n - m_max >= [C(sigma) + 2 log(2/(1 - e^(-8 sigma))) - 2 log(tail_eps/2)] / (2 sigma),
+
+    minimised in closed form over the sigma of ``_STRIP``: the error on
+    each I_m stays below tail_eps sqrt(I_m) + tail_eps^2/4, and n - m_max
+    clears the order where the bound on I_p reaches about tail_eps^2.  The
+    rule does not need n > 2 m_max: slots |m| > n/2 share their partners
+    with lower ones, but every partner lies beyond n - m_max, where the
+    state holds next to nothing.  n is 32 at Phi = 0 and m_max = 20, 64 at
+    C60 9.5 W and 120 at C70 50 W (72 m/s).  Pass the largest phase the
+    state holds (vertical scales included).
     """
-    band = max(m_max, tail_order(phi, tail_eps), 2)
-    return 1 << (4 * band - 1).bit_length()
+    if not tail_eps > 0.0:
+        raise ValueError("tail_eps must be positive")
+    log_alias = _log_order_bound(phi)
+    log_alias += 2.0 * (np.log(2.0 / -np.expm1(-8.0 * _STRIP)) - math.log(0.5 * tail_eps))
+    clearance = math.ceil(float(np.min(log_alias / (2.0 * _STRIP))))
+    return 8 * max(1, -(-(m_max + clearance) // 8))
 
 
 def _order_power(rows: ParityRows, m_max: int) -> np.ndarray:
     """|u_j(m)|^2 for each row u_j and m = -m_max .. m_max, shape (rank, 2 m_max + 1).
 
     u_j(m) = (1/n) sum_x u_j(x) exp(-i m k x) over the n = 2 spp midpoints
-    of the canonical laser period, with n > 2 m_max.  A row depends on x
+    of the canonical laser period.  n > 2 m_max is not needed: the grid of
+    ``samples_per_laser_period`` puts every alias partner of the slots
+    |m| <= m_max, those of slots |m| > n/2 included, beyond n - m_max,
+    where the state holds next to nothing.  A row depends on x
     only through c = cos(k x), evenly or oddly, and the points x, -x,
     pi/k - x and pi/k + x share one |c|.  So u_j(m) vanishes for m of the
     other parity, and for m of the row's own parity it is the cosine sum
@@ -137,13 +178,17 @@ def _order_power(rows: ParityRows, m_max: int) -> np.ndarray:
     rotates the phases of u_j(m).
     """
     n_points = rows.values.shape[1]
-    orders = np.arange(m_max + 1)
-    table = np.cos(np.multiply.outer(parity_angles(2 * n_points), orders)) / n_points
+    table = _order_table(n_points, m_max)
     real = rows.values.real @ table
     imag = rows.values.imag @ table
     power = real * real + imag * imag
-    power *= rows.odd[:, None] == (orders % 2 == 1)
+    power *= rows.odd[:, None] == (np.arange(m_max + 1) % 2 == 1)
     return np.concatenate([power[:, :0:-1], power], axis=1)
+
+
+def _order_table(n_points: int, m_max: int) -> np.ndarray:
+    """T_im = cos(m theta_i) / n_points for the n_points stored values of |c| and m = 0 .. m_max."""
+    return np.cos(np.multiply.outer(parity_angles(2 * n_points), np.arange(m_max + 1))) / n_points
 
 
 def incoherent_order_intensities(
@@ -177,38 +222,107 @@ def mixed_order_spectra(
     scales=(1.0,),
     weights=(1.0,),
     tail_eps: float = DEFAULT_TAIL_EPS,
-) -> tuple[np.ndarray, list[int], np.ndarray]:
+) -> np.ndarray:
     """Order intensities of the mixed grating state at each phase of ``phis``.
 
-    One ``grating.effective_channels`` call factorizes the vertically
-    averaged states of all phases on one laser-period grid, sized by
-    ``samples_per_laser_period`` at the largest |Re Phi| and Im Phi of the
-    batch times the largest scale, so it resolves every phase.  The rows
-    of all phases are stacked and projected at once by ``_order_power``,
-    a cosine sum over their spp/2 stored values of |c|, with no FFT and
-    no spread over the period; I_m = sum_j |u_j(m)|^2 over the rows of
-    each phase, for m = -m_max .. m_max.  This equals the scale-averaged
-    ``incoherent_order_intensities`` up to the residual of the rows (at
-    most ``tail_eps`` per grating point) and the Poisson tail that one
-    leaves out.  Returns (intensities of shape (len(phis), 2 m_max + 1),
-    row count of each phase, largest residual diagonal of each phase).
+    I_m is the diagonal <m|rho|m> of the momentum-basis density matrix,
+    read straight off the closed-form state R(x, x') = exp(2i Re(Phi)
+    (c^2 - c'^2) - 2 Im(Phi) (c - c')^2), c = cos(k x)
+    (``grating.effective_channels``), with Phi scaled by each vertical
+    ``scales`` entry and the states averaged with ``weights``.  The grid
+    holds n = ``samples_per_laser_period`` points per laser period, sized
+    at the largest |Re Phi| and Im Phi of the batch times the largest
+    scale, so it resolves every phase.  Its points take the n/4 values
+    a_i = cos(theta_i) of |c| (``grating.parity_angles``); the even block
+    of the state carries the even orders and the odd block the odd ones,
+    so for m of parity +/-
+
+        I_m = sum_ij T_im T_jm K+/-(a_i, a_j),   T_im = cos(m theta_i) / (n/4),
+        K+/-(a, a') = sum_s w_s [exp(-2 Im Phi_s (a - a')^2)
+                                 +/- exp(-2 Im Phi_s (a + a')^2)] / 2
+                              * cos(2 Re Phi_s (a^2 - a'^2)).
+
+    The sine of the phase is odd in (a, a') and cancels from the symmetric
+    sum; both exponents are <= 0, so nothing overflows at any Phi.  One
+    weighted sum over the scales builds K+ and K- for a block of velocity
+    nodes, and one real matrix product per parity projects every node of
+    the block.  A block's kernel arrays hold at most ``MAX_KERNEL_BYTES``:
+    the nodes are split into blocks, and the points of one node too when
+    it alone is larger.  Nothing is factorized or dropped, so this equals
+    the scale-averaged ``incoherent_order_intensities`` up to aliasing
+    (``samples_per_laser_period``) and the Poisson tail that one leaves
+    out.  The intensities are clipped at 0, and I_{-m} = I_m bit for bit.
+    Returns the intensities, shape (len(phis), 2 m_max + 1).
     """
     scales, weights = scale_weight_arrays(scales, weights)
     strongest = ComplexPhase(max(abs(phi.re) for phi in phis), max(phi.im for phi in phis))
-    n = samples_per_laser_period(strongest.scaled(float(np.max(scales))), m_max, tail_eps)
-    rows, dropped = effective_channels(phis, n // 2, scales, weights, tail_eps)
-    ranks = np.array([block.rank for block in rows])
-    stacked = ParityRows(
-        np.concatenate([block.values for block in rows]),
-        np.concatenate([block.odd for block in rows]),
-    )
-    power = _order_power(stacked, m_max)
-    intensities = np.zeros((len(rows), 2 * m_max + 1))
-    # a phase without rows (weights summing to <= tail_eps) adds nothing
-    kept = ranks > 0
-    if kept.any():
-        intensities[kept] = np.add.reduceat(power, (np.cumsum(ranks) - ranks)[kept], axis=0)
-    return intensities, ranks.tolist(), dropped
+    n_points = samples_per_laser_period(strongest.scaled(float(np.max(scales))), m_max, tail_eps) // 4
+    a = np.cos(parity_angles(2 * n_points))
+    table = _order_table(n_points, m_max)
+    re = np.array([phi.re for phi in phis], dtype=np.float64)
+    im = np.array([phi.im for phi in phis], dtype=np.float64)
+    half = np.zeros((len(phis), m_max + 1))
+    # rows of n_points doubles that each of the block's kernel arrays holds
+    block_rows = max(1, MAX_KERNEL_BYTES // (_KERNEL_ARRAYS * 8 * n_points))
+    nodes = max(1, block_rows // n_points)
+    rows = min(n_points, block_rows)
+    for first in range(0, len(phis), nodes):
+        block = slice(first, first + nodes)
+        for start in range(0, n_points, rows):
+            points = slice(start, start + rows)
+            half[block] += _block_orders(re[block], im[block], a, points, scales, weights, table)
+    np.maximum(half, 0.0, out=half)
+    return np.concatenate([half[:, :0:-1], half], axis=1)
+
+
+def _block_orders(
+    re: np.ndarray,
+    im: np.ndarray,
+    a: np.ndarray,
+    points: slice,
+    scales: np.ndarray,
+    weights: np.ndarray,
+    table: np.ndarray,
+) -> np.ndarray:
+    """The terms i in ``points`` of sum_ij T_im T_jm K+/-(a_i, a_j) for the phases (re, im).
+
+    See ``mixed_order_spectra``.  Returns shape (len(re), m_max + 1); the
+    ``_KERNEL_ARRAYS`` arrays it holds at once are freed on return.
+    """
+    # the exponents per unit Im Phi_s, <= 0
+    near_sq = np.subtract.outer(a[points], a)
+    near_sq *= near_sq
+    near_sq *= -2.0
+    far_sq = np.add.outer(a[points], a)
+    far_sq *= far_sq
+    far_sq *= -2.0
+    shape = (re.size, near_sq.shape[0], a.size)
+    even = np.zeros(shape)
+    odd = np.zeros(shape)
+    for scale, weight in zip(scales.tolist(), weights.tolist()):
+        phase = np.multiply.outer((2.0 * scale) * re, a * a)
+        cos, sin = np.cos(phase), np.sin(phase)
+        # cos(2 Re Phi_s (a_i^2 - a_j^2)) w_s / 2
+        kernel = cos[:, points, None] * cos[:, None, :]
+        # ``near`` holds the sine product first, so that no further array is made
+        near = np.multiply(sin[:, points, None], sin[:, None, :])
+        kernel += near
+        kernel *= 0.5 * weight
+        damping = (scale * im)[:, None, None]
+        np.exp(np.multiply(damping, near_sq, out=near), out=near)
+        near *= kernel
+        far = np.multiply(damping, far_sq)
+        np.exp(far, out=far)
+        far *= kernel
+        even += near
+        even += far
+        odd += near
+        odd -= far
+    half = np.empty((re.size, table.shape[1]))
+    for parity, summed in ((0, even), (1, odd)):
+        t = table[:, parity::2]
+        half[:, parity::2] = np.einsum("vim,im->vm", summed @ t, t[points])
+    return half
 
 
 def _fraction_samples(nbar_max: float) -> int:

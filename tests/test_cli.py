@@ -121,14 +121,13 @@ class TestSimulate:
         assert csv.splitlines()[0] == "position_um,intensity"
         assert "channels" not in csv and "dropped" not in csv
 
-    def test_summary_effective_channels_in_orders_mode(self, tmp_path):
-        # orders mode projects the same effective rows onto the orders
+    def test_summary_reports_no_channels_in_orders_mode(self, tmp_path):
+        # orders mode reads the order intensities off the closed-form state
         cfg = write_config(tmp_path, TINY + "\n[run]\nmode = orders\n")
         assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "run_summary.json").read_text())
-        channels = summary["channels_per_velocity"]
-        assert len(channels) == 2 and all(isinstance(n, int) and n >= 1 for n in channels)
-        assert 0.0 <= summary["dropped_probability"] <= 1e-10
+        assert summary["channels_per_velocity"] is None
+        assert summary["dropped_probability"] == 0.0
         assert summary["total_probability"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["wave", "orders"])

@@ -325,7 +325,7 @@ class TestLoadVelocityHistogram:
                 base_dir=tmp_path,
             )
             pattern, _ = run_simulate(cfg, tmp_path)
-            assert len(pattern.metadata["channels_per_velocity"]) == 3
+            assert len(pattern.metadata["phi_per_velocity"]) == 3
             written.append((tmp_path / f"{name}_pattern.csv").read_bytes())
         assert written[0] == written[1]
 

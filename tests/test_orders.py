@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from lightgrating.grating import (
     GridSpec,
     ParityRows,
     compute_phi,
-    effective_channels,
     parity_angles,
     poisson_weight,
     truncation_order,
@@ -36,7 +36,7 @@ from lightgrating.orders import (
 )
 from lightgrating.distributions import VerticalProfile, vertical_phi_scales
 from lightgrating.species import C60, C70
-from oracles import channel_set, pure_phase_orders
+from oracles import channel_set, grating_coherence, pure_phase_orders
 
 
 class TestOrderSpectrum:
@@ -275,55 +275,121 @@ SCALES = np.array([1.0, 0.62, 0.21])
 SCALE_WEIGHTS = np.array([0.45, 0.35, 0.2])
 
 
+def with_samples(monkeypatch, factor):
+    """Make ``samples_per_laser_period`` return ``factor`` times its own n."""
+    sized = lightgrating.orders.samples_per_laser_period
+    monkeypatch.setattr(
+        lightgrating.orders, "samples_per_laser_period", lambda *args: factor * sized(*args)
+    )
+
+
+def alias_bound_samples(phi, m_max, tail_eps):
+    """The smallest multiple of 8 whose alias sum S meets tail_eps / 2, by search.
+
+    S(n) = exp(C(sigma)/2 - (n - m_max) sigma) 2/(1 - exp(-n sigma)),
+    minimised over sigma on a dense grid: the sum over l != 0 of the
+    bound sqrt(I_p) <= exp(C(sigma)/2 - |p| sigma) at the partners
+    |p| >= |l| n - m_max.
+    """
+    sigma = np.geomspace(1e-3, 4.0, 4000)
+    log_c = 2.0 * abs(phi.re) * np.sinh(2.0 * sigma) + 8.0 * phi.im * np.sinh(sigma) ** 2
+    n = 8
+    while True:
+        log_s = 0.5 * log_c - (n - m_max) * sigma + np.log(2.0 / -np.expm1(-n * sigma))
+        if np.min(log_s) <= math.log(0.5 * tail_eps):
+            return n
+        n += 8
+
+
+def dense_order_intensities(phi, n, m_max, scales, weights):
+    """<m|rho|m> of the dense closed-form state on n midpoints of one laser period."""
+    kx = 2.0 * math.pi * (np.arange(n) + 0.5) / n - math.pi
+    state = grating_coherence(phi, 1.0, kx, kx, scales, weights)
+    waves = np.exp(1j * np.multiply.outer(np.arange(-m_max, m_max + 1), kx)) / n
+    return np.einsum("mi,ij,mj->m", waves.conj(), state, waves).real
+
+
 class TestSamplesPerLaserPeriod:
+    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-4])
     @pytest.mark.parametrize(
         "phi",
         [ComplexPhase(0.0, 0.0), ComplexPhase(2.3, 0.2), SLOW_C60, SLOW_C70_50W,
          ComplexPhase(-30.0, 0.5), ComplexPhase(40.0, 8.0)],
     )
-    def test_top_bins_hold_less_than_tail_eps(self, phi):
-        n = samples_per_laser_period(phi, 20)
-        assert n & (n - 1) == 0 and n >= 4 * 20
-        # the state's spectrum on four times finer sampling
-        fine = GridSpec(periods=2, samples_per_period=2 * n)
-        (rows,), _ = effective_channels([phi], 2 * n, (1.0,), (1.0,), 1e-10)
-        power = np.abs(np.fft.fft(rows.period(), axis=-1) / fine.size) ** 2
-        m = np.abs(np.fft.fftfreq(fine.size, 1.0 / fine.size))
-        assert power[:, m >= n // 4].sum() < 1e-10
+    def test_sized_grid_matches_four_times_the_samples(self, monkeypatch, phi, tail_eps):
+        n = samples_per_laser_period(phi, 20, tail_eps)
+        assert n % 8 == 0
+        sized = mixed_order_spectra([phi], 20, tail_eps=tail_eps)
+        with_samples(monkeypatch, 4)
+        fine = mixed_order_spectra([phi], 20, tail_eps=tail_eps)
+        assert np.max(np.abs(sized - fine)) <= 2.0 * tail_eps
+
+    def test_closed_form_pins(self):
+        # n - m_max clears the order where the bound on I_p reaches tail_eps^2
+        assert samples_per_laser_period(ComplexPhase(0.0, 0.0), 20) == 32
+        assert samples_per_laser_period(SLOW_C60, 20) == 64
+        assert samples_per_laser_period(SLOW_C70_50W, 20) == 120
 
     def test_grows_with_phase_order_cap_and_precision(self):
-        assert samples_per_laser_period(ComplexPhase(1.0, 0.1), 20) == 128
-        assert samples_per_laser_period(ComplexPhase(1.0, 0.1), 40) == 256
-        assert samples_per_laser_period(SLOW_C70_50W, 20) == 512
-        assert samples_per_laser_period(SLOW_C70_50W, 20, 1e-4) == 256
+        assert samples_per_laser_period(ComplexPhase(1.0, 0.1), 20) == 48
+        assert samples_per_laser_period(ComplexPhase(1.0, 0.1), 40) == 72
+        assert samples_per_laser_period(SLOW_C70_50W, 20, 1e-4) == 96
+        # no n > 2 m_max is needed: every alias partner lies beyond n - m_max
+        assert samples_per_laser_period(ComplexPhase(0.0, 0.0), 1) == 8
+        assert samples_per_laser_period(ComplexPhase(0.0, 0.0), 200) == 208
+
+    @pytest.mark.parametrize("m_max", [1, 20, 60])
+    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-4])
+    @pytest.mark.parametrize(
+        "phi", [ComplexPhase(0.0, 0.0), SLOW_C60, SLOW_C70_50W, ComplexPhase(-400.0, 68.0)]
+    )
+    def test_closed_form_is_the_smallest_multiple_of_8(self, phi, tail_eps, m_max):
+        # the search's finer sigma grid may find an n one step lower (it
+        # does at Phi = -400 + 68i and tail_eps 1e-4)
+        n = samples_per_laser_period(phi, m_max, tail_eps)
+        assert n - alias_bound_samples(phi, m_max, tail_eps) in (0, 8)
+
+    def test_rejects_nonpositive_tail(self):
+        with pytest.raises(ValueError):
+            samples_per_laser_period(SLOW_C60, 20, 0.0)
 
 
 class TestMixedOrderIntensities:
-    @pytest.mark.parametrize("phi", [SLOW_C60, compute_phi(C60, GratingBeam(), 120.0), SLOW_C70_50W])
-    def test_matches_scale_weighted_per_channel_spectra(self, phi):
-        # the per-channel oracle needs ~40 photon channels at C70 50 W
-        (intensities,), (rank,), (dropped,) = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)
+    @pytest.mark.parametrize(
+        "phi",
+        [SLOW_C60, compute_phi(C60, GratingBeam(), 120.0), SLOW_C70_50W, ComplexPhase(-7.0, 1.2)],
+    )
+    def test_matches_scale_weighted_per_channel_spectra(self, monkeypatch, phi):
+        # the per-channel oracle on four times the samples, its Poisson tail
+        # cut at 1e-16; nothing is dropped from the mixed state
+        intensities = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0]
+        with_samples(monkeypatch, 4)
         reference = sum(
-            w * incoherent_order_intensities(phi.scaled(float(s)), 20).intensities
+            w * incoherent_order_intensities(phi.scaled(float(s)), 20, 1e-16).intensities
             for s, w in zip(SCALES, SCALE_WEIGHTS)
         )
-        assert np.max(np.abs(intensities - reference)) <= 1e-10
-        assert 1 <= rank < 64 and 0.0 <= dropped <= 1e-10
+        assert np.max(np.abs(intensities - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 24, 64])
+    @pytest.mark.parametrize("phi", [SLOW_C60, ComplexPhase(-7.0, 1.2), ComplexPhase(2.0, 0.0)])
+    def test_matches_the_dense_state_on_the_same_grid(self, monkeypatch, phi, n):
+        # the same grid: aliasing included, the two agree to round-off
+        monkeypatch.setattr(lightgrating.orders, "samples_per_laser_period", lambda *args: n)
+        intensities = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0]
+        dense = dense_order_intensities(phi, n, 20, SCALES, SCALE_WEIGHTS)
+        assert np.max(np.abs(intensities - np.maximum(dense, 0.0))) <= 1e-14
 
     @pytest.mark.parametrize("phi", [SLOW_C60, SLOW_C70_50W])
     def test_doubling_the_sampling_changes_nothing(self, monkeypatch, phi):
-        intensities = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0][0]
-        sized = lightgrating.orders.samples_per_laser_period
-        monkeypatch.setattr(
-            lightgrating.orders, "samples_per_laser_period", lambda *args: 2 * sized(*args)
-        )
-        doubled = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0][0]
+        intensities = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0]
+        with_samples(monkeypatch, 2)
+        doubled = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)[0]
         assert np.max(np.abs(doubled - intensities)) <= 1e-12
 
     def test_per_channel_and_mixed_totals_agree(self):
         # ~40 photon numbers at the antinode; both keep every one of them
         per_channel = incoherent_order_intensities(SLOW_C70_50W, 80)
-        mixed = mixed_order_spectra([SLOW_C70_50W], 80)[0][0].sum()
+        mixed = mixed_order_spectra([SLOW_C70_50W], 80)[0].sum()
         assert len(per_channel.per_channel) > 13
         assert abs(per_channel.total - mixed) < 1e-9 and abs(mixed - 1.0) < 1e-9
 
@@ -336,12 +402,43 @@ class TestMixedOrderIntensities:
     def test_conservation_and_parity_property(self, re, im, m_max):
         tail_eps = 1e-10
         phi = ComplexPhase(re, im)
-        (intensities,), _, _ = mixed_order_spectra([phi], m_max, SCALES, SCALE_WEIGHTS, tail_eps)
+        (intensities,) = mixed_order_spectra([phi], m_max, SCALES, SCALE_WEIGHTS, tail_eps)
         assert intensities.min() >= 0.0
         assert intensities.sum() <= 1.0 + 1e-12
         if im == 0.0:
             # no absorbed photon, no odd momentum transfer
             assert intensities[(m_max + 1) % 2 :: 2].max(initial=0.0) < tail_eps
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        phases=st.lists(
+            st.tuples(
+                st.floats(min_value=-60.0, max_value=60.0),
+                st.floats(min_value=0.0, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        rule=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda rule: sum(w for _, w in rule) > 0.0),
+        m_max=st.integers(min_value=1, max_value=60),
+    )
+    def test_nonnegative_even_and_bounded_property(self, phases, rule, m_max):
+        scales, weights = (np.array(column) for column in zip(*rule))
+        weights = weights / weights.sum()
+        phis = [ComplexPhase(re, im) for re, im in phases]
+        intensities = mixed_order_spectra(phis, m_max, scales, weights)
+        assert intensities.shape == (len(phis), 2 * m_max + 1)
+        assert intensities.min() >= 0.0
+        # I_{-m} = I_m bit for bit, as _place_orders assumes
+        assert np.array_equal(intensities, intensities[:, ::-1])
+        assert intensities.sum(axis=1).max() <= 1.0 + 1e-12
 
 
 class TestMixedOrderSpectra:
@@ -351,25 +448,50 @@ class TestMixedOrderSpectra:
         # C70 a grid sized by the fastest node is off by 2.4e-4
         beam = GratingBeam(power=power)
         phis = [compute_phi(species, beam, v) for v in (30.0, 72.0, 400.0)]
-        intensities, ranks, dropped = lightgrating.orders.mixed_order_spectra(
-            phis, 20, SCALES, SCALE_WEIGHTS
-        )
+        intensities = lightgrating.orders.mixed_order_spectra(phis, 20, SCALES, SCALE_WEIGHTS)
         assert intensities.shape == (len(phis), 41)
         assert len({samples_per_laser_period(phi, 20) for phi in phis}) == 3
-        for phi, row, rank, drop in zip(phis, intensities, ranks, dropped):
-            (single,), _, (single_drop,) = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)
+        for phi, row in zip(phis, intensities):
+            (single,) = mixed_order_spectra([phi], 20, SCALES, SCALE_WEIGHTS)
             assert np.max(np.abs(row - single)) <= 1e-12
-            assert rank >= 1 and 0.0 <= drop <= 1e-10 and 0.0 <= single_drop <= 1e-10
 
-    def test_states_without_rows_have_no_orders(self):
-        # weights summing below tail_eps leave every phase without rows
+    def test_small_weights_scale_the_orders(self):
+        # nothing is dropped: weights summing below tail_eps still give
+        # their share of every order
         phis = [ComplexPhase(1.3, 0.4), ComplexPhase(2.0, 0.1)]
-        intensities, ranks, dropped = lightgrating.orders.mixed_order_spectra(
-            phis, 5, [1.0], [1e-12]
-        )
-        assert ranks == [0, 0]
-        assert intensities.shape == (2, 11) and not intensities.any()
-        assert dropped.tolist() == [1e-12, 1e-12]
+        unit = lightgrating.orders.mixed_order_spectra(phis, 5, [1.0], [1.0])
+        small = lightgrating.orders.mixed_order_spectra(phis, 5, [1.0], [1e-12])
+        assert small.shape == (2, 11) and small.any()
+        assert np.max(np.abs(small - 1e-12 * unit)) <= 1e-27
+
+    @pytest.mark.parametrize("rows", [1, 40, 2 * 256, 5 * 256])
+    def test_kernel_budget_splits_nodes_and_points(self, monkeypatch, rows):
+        # C70 at 1 kW: 256 stored points per node, 5 nodes; the budgets give
+        # blocks of one point row, of 40 rows, of 2 nodes and of all 5 nodes
+        budget = lightgrating.orders._KERNEL_ARRAYS * 8 * 256 * rows
+        beam = GratingBeam(power=1000.0)
+        phis = [compute_phi(C70, beam, v) for v in (72.0, 100.0, 140.0, 200.0, 300.0)]
+        assert samples_per_laser_period(phis[0].scaled(1.0), 20) == 1024
+        whole = mixed_order_spectra(phis, 20, SCALES, SCALE_WEIGHTS)
+        monkeypatch.setattr(lightgrating.orders, "MAX_KERNEL_BYTES", budget)
+        split = mixed_order_spectra(phis, 20, SCALES, SCALE_WEIGHTS)
+        assert np.max(np.abs(split - whole)) <= 1e-15
+        assert np.array_equal(split, split[:, ::-1])
+
+    def test_kernel_arrays_stay_within_the_budget(self, monkeypatch):
+        # unsplit, the kernel arrays of 16 nodes at 256 points would take
+        # 58 MB; beyond the budget lie the ufunc buffers and small tables
+        beam = GratingBeam(power=1000.0)
+        phis = [compute_phi(C70, beam, v) for v in np.linspace(72.0, 300.0, 16)]
+        budget = 1 << 22
+        monkeypatch.setattr(lightgrating.orders, "MAX_KERNEL_BYTES", budget)
+        tracemalloc.start()
+        try:
+            mixed_order_spectra(phis, 20, SCALES, SCALE_WEIGHTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * budget
 
 
 class TestZeroOrderNull:
