@@ -16,7 +16,6 @@ custom fields) and the velocity histogram load are written out by hand.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import io
 import math
@@ -28,11 +27,11 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .beamline import BeamlineGeometry
+from .beamline import BeamlineGeometry, _check_scan_step
 from .distributions import DetectorModel, VelocityDistribution, VerticalProfile
 from .distributions import load_velocity_histogram
 from .grating import GratingBeam
-from .species import CATALOG, ComplexPolarizability, MoleculeSpecies, check_one_line
+from .species import CATALOG, COMMENT, ComplexPolarizability, MoleculeSpecies, check_one_line
 
 
 class ConfigError(ValueError):
@@ -41,10 +40,10 @@ class ConfigError(ValueError):
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
         self.key = key
         self.line = line
-        prefix = ""
+        where = f"line {line}" if line is not None else ""
         if key is not None:
-            prefix = f"{key} (line {line}): " if line is not None else f"{key}: "
-        super().__init__(prefix + message)
+            where = f"{key} ({where})" if where else key
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 @dataclass(frozen=True)
@@ -245,33 +244,51 @@ def parse_value(section: str, key: str, raw: str):
     return value
 
 
-def _line_map(text: str) -> dict[tuple[str | None, str], int]:
-    """Map (section, key) pairs to 1-based line numbers for error reports.
+def _read_ini(text: str) -> tuple[dict[tuple[str, str], str], dict[tuple[Any, str], int]]:
+    """Each key's raw value and its 1-based line, by (section, key), in one pass.
 
-    Each line is read as the INI reader reads it: a comment starts at '#'
-    or ';' at the line's start or after whitespace, and a section header
-    is named by what its brackets hold, blanks included.  The INI reader
-    ignores any text after a header's ']'; that text raises ConfigError at
-    its line here.
+    Lines end at '\n'; ``species.COMMENT`` starts a comment; a header is named
+    by all its brackets hold, blanks kept; '=' is the only delimiter.  Lines
+    indented deeper than a key, and blank (not comment) lines, continue its value.
     """
-    out: dict[tuple[str | None, str], int] = {}
-    section: str | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = re.split(r"(?:^|(?<=\s))[#;]", line, maxsplit=1)[0].strip()
-        header = configparser.ConfigParser.SECTCRE.match(stripped)
+    parts: dict[tuple[str, str], list[str]] = {}
+    lines: dict[tuple[Any, str], int] = {}  # a header's line at (None, section)
+    section = key = None
+    key_indent = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        comment = COMMENT.search(line)
+        content = line[: comment.start() if comment else None].strip()
+        indent = len(line) - len(line.lstrip())
+        if key is not None and (indent > key_indent if content else comment is None):
+            parts[section, key].append(content)
+            continue
+        if not content:
+            continue
+        header = re.match(r"\[(.+)\]", content)  # the name runs to the last ']'
         if header:
-            section = header.group("header")
-            rest = stripped[header.end() :].lstrip()
-            if rest:
-                raise ConfigError(
-                    f"text {rest!r} after the section header [{section}]",
-                    key=section,
-                    line=lineno,
-                )
-            out[(None, section)] = lineno
-        elif "=" in stripped:
-            out[(section, stripped.split("=", 1)[0].strip().lower())] = lineno
-    return out
+            section, key = header.group(1), None
+            if rest := content[header.end() :].lstrip():
+                message = f"text {rest!r} after the section header [{section}]"
+                raise ConfigError(message, key=section, line=lineno)
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown section [{section}]", key=section, line=lineno)
+            if (None, section) in lines:
+                raise ConfigError(f"section {section!r} already exists", line=lineno)
+            lines[None, section] = lineno
+            continue
+        if section is None:
+            raise ConfigError("File contains no section headers.", line=lineno)
+        name, equals, value = content.partition("=")
+        key = name.rstrip().lower()
+        if not (equals and key):
+            raise ConfigError(f"no 'key = value' or [section] in {content!r}", line=lineno)
+        if key not in _SCHEMA[section]:
+            raise ConfigError("unknown key", key=f"{section}.{key}", line=lineno)
+        if (section, key) in lines:
+            message = f"option {key!r} in section {section!r} already exists"
+            raise ConfigError(message, line=lineno)
+        parts[section, key], lines[section, key], key_indent = [value.strip()], lineno, indent
+    return {at: "\n".join(value).rstrip() for at, value in parts.items()}, lines
 
 
 def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationConfig:
@@ -279,29 +296,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
 
     ``base_dir`` anchors relative paths referenced by the config (the
     velocity histogram file); it defaults to the working directory.
-    Keys are read and checked in table order; the first fault raises.
+    Faults of the text raise in file order, then faults of values in table order.
     """
-    # default_section "" matches no header, so [DEFAULT] is an unknown section
-    parser = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#", ";"), inline_comment_prefixes=("#", ";"),
-        strict=True, interpolation=None, default_section="",
-    )
-    lines = _line_map(text)  # before the INI reader, which reads '[beam]x' as [beam]
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc), line=getattr(exc, "lineno", None)) from exc
-
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(
-                f"unknown section [{section}]", key=section, line=lines.get((None, section))
-            )
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    "unknown key", key=f"{section}.{key}", line=lines.get((section, key))
-                )
+    raw, lines = _read_ini(text)
 
     @contextmanager
     def blame(section: str, key: str):
@@ -309,17 +306,16 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
         try:
             yield
         except (OSError, ValueError) as exc:
-            raise ConfigError(
-                str(exc), key=f"{section}.{key}", line=lines.get((section, key))
-            ) from exc
+            line = lines.get((section, key))
+            raise ConfigError(str(exc), key=f"{section}.{key}", line=line) from exc
 
     # --- species: a catalog name, or all three custom fields -----------
-    name = parser.get("species", "name", fallback=_DEFAULT.species.name).strip()
+    name = raw.get(("species", "name"), _DEFAULT.species.name)
     custom = {}
     for key in _CUSTOM_SPECIES:
-        if parser.has_option("species", key):
+        if ("species", key) in raw:
             with blame("species", key):
-                custom[key] = _parse_float(parser.get("species", key))
+                custom[key] = _parse_float(raw["species", key])
     if custom:
         missing = [key for key in _CUSTOM_SPECIES if key not in custom]
         with blame("species", next(iter(custom))):
@@ -343,9 +339,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
     # --- every other key: one table row each; unset groups stay default --
     given: dict[str, dict[str, Any]] = {"": {}}
     for row in _KEYS:
-        if parser.has_option(row.section, row.key):
+        if (row.section, row.key) in raw:
             with blame(row.section, row.key):
-                value = parse_value(row.section, row.key, parser.get(row.section, row.key))
+                value = parse_value(row.section, row.key, raw[row.section, row.key])
             group, _, attr = row.path.rpartition(".")
             given.setdefault(group, {})[attr] = value
     if "waist_y" in given.get("beam", {}):  # the vertical average spans the laser's waist
@@ -361,7 +357,11 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
         fwhm_ratio = fields.get("velocity", _DEFAULT.velocity).fwhm_ratio
         fields["velocity"] = replace(loaded, fwhm_ratio=fwhm_ratio)
 
-    return replace(_DEFAULT, species=species, **fields)
+    cfg = replace(_DEFAULT, species=species, **fields)
+    step_given = ("detector", "step_um") in raw  # a one-point scan grid: blame step_um first
+    with blame("detector", "step_um") if step_given else blame("geometry", "detector_span_um"):
+        _check_scan_step(cfg.geometry, cfg.detector.step)
+    return cfg
 
 
 def load_config_file(path: str | Path) -> SimulationConfig:

@@ -101,7 +101,7 @@ def summarize(cfg: SimulationConfig, pattern: DiffractionPattern) -> dict:
     fractions = absorbed_fractions(phi, n_max, scales, weights).tolist()
     total_fraction = float(sum(fractions))
     if not all(0.0 <= f <= 1.0 for f in fractions) or total_fraction > 1.0 + 1e-9:
-        raise AssertionError("absorbed fractions violate probability bounds")
+        raise RuntimeError("absorbed fractions violate probability bounds")
     check = raman_nath_diagnostic(cfg.species, cfg.beam, cfg.velocity.v_peak, phi)
     slot = order_slot_spacing(cfg.species, cfg.velocity.v_peak, cfg.beam, cfg.geometry)
     try:

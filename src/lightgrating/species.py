@@ -25,15 +25,19 @@ FOUR_PI_EPS0 = 4.0 * math.pi * EPS0  # F / m
 ANGSTROM3 = 1e-30  # m^3
 
 
+# A config comment starts at '#' or ';' at a line's start or after whitespace.
+COMMENT = re.compile(r"(?:^|(?<=\s))[#;]")
+
+
 def check_one_line(name: str, value: str) -> None:
     """Raise ValueError unless ``key = value`` reads back as ``value`` from a config file.
 
     The INI reader strips blanks, ends a value at a line break, and takes
     '#' or ';' after whitespace (the blank after '=' included) for an
-    inline comment.
+    inline comment (``COMMENT``).
     """
     line_break = value.splitlines() not in ([], [value])
-    if value != value.strip() or line_break or re.search(r"(^|\s)[#;]", value):
+    if value != value.strip() or line_break or COMMENT.search(value):
         raise ValueError(
             f"{name} {value!r} would not read back from a config file: it must not "
             "start or end with whitespace, hold a line break, or hold '#' or ';' at "

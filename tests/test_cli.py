@@ -228,6 +228,13 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_probability_bound_failure_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lightgrating.runner, "absorbed_fractions", lambda *_: np.array([1.5]))
+        cfg = write_config(tmp_path, TINY + "\n[run]\nmode = orders\n")
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: absorbed fractions violate probability bounds\n"
+
     def test_convergence_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY + "\n[run]\nconvergence_check = true\n")
         with pytest.warns(UserWarning, match="not converged"):
@@ -336,6 +343,38 @@ class TestScan:
         with pytest.raises(ValueError, match="finite"):
             run_power_scan(cfg, [2.0, bad], tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "powers, message", [([2.0, -1.0], "powers must be >= 0"), ([], "at least one power")]
+    )
+    def test_run_power_scan_rejects_negative_or_no_power(self, tmp_path, powers, message):
+        with pytest.raises(ValueError, match=message):
+            run_power_scan(parse_config(TINY), powers, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def orders_scan(tmp_path, v_peak):
+        text = f"[velocity]\nv_peak = {v_peak}\n[quadrature]\nvelocity_nodes = 4\n"
+        text += "vertical_nodes = 4\nsource_nodes = 4\n[run]\nmode = orders\n"
+        rows = run_power_scan(parse_config(text), [0.0, 5.0], tmp_path)
+        lines = (tmp_path / "run_scan_summary.csv").read_text().splitlines()
+        summary = json.loads((tmp_path / "run_p01_summary.json").read_text())
+        return rows, [line.split(",")[3:] for line in lines[1:]], summary
+
+    def test_slot_narrower_than_the_detector_reads_nan(self, tmp_path):
+        # at 400 m/s the 3.2 um order slot is narrower than the 6 um detector
+        rows, columns, summary = self.orders_scan(tmp_path, 400)
+        assert summary["order_efficiencies"] == {} and summary["visibility"] is None
+        assert columns == [["nan"] * 4] * 2
+        assert all(row[key] is None for row in rows for key in ("eff_0", "eff_1", "visibility"))
+
+    def test_order_pair_with_one_side_missing_reads_nan(self, tmp_path):
+        # at 20 m/s the window holds the orders -1, 0 and 1 only
+        rows, columns, summary = self.orders_scan(tmp_path, 20)
+        assert sorted(summary["order_efficiencies"]) == ["-1", "0", "1"]
+        assert [row["eff_2"] for row in rows] == [None, None]
+        assert [column[2] for column in columns] == ["nan", "nan"]
+        assert rows[1]["eff_1"] == pytest.approx(2 * summary["order_efficiencies"]["1"])
 
 
 

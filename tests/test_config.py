@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightgrating import config
+from lightgrating.beamline import _scan_grid
 from lightgrating.config import (
     ConfigError,
     SimulationConfig,
@@ -734,8 +735,40 @@ class TestPinnedErrors:
         assert err.value.key == key
 
 
+class TestScanGrid:
+    """A detector step above half the detector span leaves one scan point."""
+
+    MESSAGE = "the scan grid would hold one point"
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("[detector]\nstep_um = 160\n", "detector.step_um", 2),
+            ("[detector]\nstep_um = 400\n", "detector.step_um", 2),
+            ("[geometry]\ndetector_span_um = 3.9\n", "geometry.detector_span_um", 2),
+            # the file sets both: the step is blamed
+            ("[detector]\nstep_um = 3\n[geometry]\ndetector_span_um = 5\n", "detector.step_um", 2),
+        ],
+    )
+    def test_one_point_grid_is_refused_at_the_key_the_file_sets(self, text, key, line):
+        with pytest.raises(ConfigError, match=self.MESSAGE) as err:
+            parse_config(text)
+        assert (err.value.key, err.value.line) == (key, line)
+
+    @pytest.mark.parametrize(
+        "text", ["[detector]\nstep_um = 150\n", "[geometry]\ndetector_span_um = 4\n"]
+    )
+    def test_three_points_are_accepted(self, text):
+        cfg = parse_config(text)
+        assert len(_scan_grid(cfg.geometry, cfg.detector.step)) == 3
+
+    def test_library_callers_get_a_value_error(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            _scan_grid(SimulationConfig().geometry, 160e-6)
+
+
 class TestIniSyntaxErrorLines:
-    """configparser's own errors keep their text and gain a line number."""
+    """The reader's own faults name their line and no key."""
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -751,8 +784,10 @@ class TestIniSyntaxErrorLines:
                 "section 'beam' already exists",
             ),
             ("power_w = 1\n", 1, "File contains no section headers."),
+            ("[beam]\nwaist_y_mm\n", 2, "no 'key = value' or [section] in 'waist_y_mm'"),
+            ("[beam]\n = 3\n", 2, "no 'key = value' or [section] in '= 3'"),
         ],
-        ids=["duplicate-option", "duplicate-section", "missing-section-header"],
+        ids=["duplicate-option", "duplicate-section", "missing-section-header", "no-equals", "no-key"],
     )
     def test_line_of_syntax_error(self, text, line, message):
         with pytest.raises(ConfigError) as err:
@@ -760,7 +795,37 @@ class TestIniSyntaxErrorLines:
         assert err.value.line == line
         assert err.value.key is None
         assert message in str(err.value)
-        assert str(err.value) == str(err.value.__cause__)
+        assert str(err.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_breaks_other_than_lf_do_not_shift_lines(self, char):
+        # str.splitlines() breaks at these; the reader breaks at '\n' only
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# note{char}x\n[beam]\npower_w = z\n")
+        assert (err.value.key, err.value.line) == ("beam.power_w", 3)
+
+    @pytest.mark.parametrize(
+        "text, raw",
+        [
+            ("[beam]\nPower_W=5\n", {("beam", "power_w"): "5"}),
+            # '#' and ';' open a comment only at a line's start or after whitespace
+            ("[run]\nprefix = a#b;c ;d #e\n", {("run", "prefix"): "a#b;c"}),
+            # deeper lines continue the value; blank lines do too, comment lines not
+            ("[run]\nprefix = a\n\n  # c\n  b\n\n", {("run", "prefix"): "a\n\nb"}),
+            ("[run]\nprefix = a\n  [beam]\n", {("run", "prefix"): "a\n[beam]"}),
+            (" [run]\n prefix = a\n out_dir = b\n", {("run", "prefix"): "a", ("run", "out_dir"): "b"}),
+        ],
+    )
+    def test_raw_values(self, text, raw):
+        assert config._read_ini(text)[0] == raw
+
+    def test_crlf_text_parses_like_lf_text(self):
+        text = "[species]\nname = C70\n\n[beam]  # laser\npower_w = 5\n[run]\nprefix = scan\n"
+        crlf = text.replace("\n", "\r\n")
+        assert parse_config(crlf) == parse_config(text) != SimulationConfig()
+        with pytest.raises(ConfigError) as err:
+            parse_config(crlf + "workers = 0\r\n")
+        assert (err.value.key, err.value.line) == ("run.workers", 8)
 
 
 # Non-default values that each kind of row accepts.  Text never holds " #"
@@ -797,6 +862,11 @@ def _valid(row, value):
     try:
         row.check(f"{row.section}.{row.key}", value)
     except ValueError:
+        return False
+    # the scan grid needs a point either side of its centre (span 300 um, step 2 um)
+    if row.key == "step_um" and value > 150e-6:
+        return False
+    if row.key == "detector_span_um" and value < 4e-6:
         return False
     return value != attrgetter(row.path)(SimulationConfig())
 
