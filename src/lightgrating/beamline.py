@@ -2,24 +2,23 @@
 
 Wave mode sums the absorption channels and the vertical positions in
 closed form: per velocity, the grating is a mixed state, compressed by
-``grating.effective_channels`` into the few field rows it needs.  One
-call factorizes the states of all velocity nodes of a run, before the
-worker threads start; the workers only propagate.  The rows of each
-velocity are Fresnel-propagated in one FFT batch and their intensities
-add.  The fields are even about the slit centre, so the batch transforms
-only the L nonzero samples right of it, at the 5-smooth length M >= 2L
-(``next_smooth``): one FFT per row gives the power spectrum of the whole
-field (a DCT-II by Makhoul's method), and one inverse transform its
-autocorrelation.  A source point only adds a linear phase ramp, which
-multiplies each lag of the field autocorrelation by a phase; so the
-incoherent average over the source nodes is one kernel on the lags of
-that single-source intensity, exact for the midpoint source rule.  This
-equals the channel-by-channel, source-by-source Fresnel quadrature (a
-test oracle, in ``tests/oracles.py``) up to the probability the rows drop
-(at most ``tail_eps`` per grating point).
-``numerics.pad_factor`` sets only the output bins: the folded lags go
-through the output transform, one row per power, in batches of a
-velocity node's powers of at most ``MAX_OUTPUT_SAMPLES`` output samples.
+``grating.effective_channels`` into the few field rows it needs.  Once
+per run, before the worker threads start, one call factorizes the states
+of all velocity nodes, and ``_SlitLayout`` lays out the slit: the fields
+are even about its centre, so only the L nonzero samples right of it are
+transformed, at the 5-smooth length M >= 2L (``next_smooth``), and each
+sample reads the rows at its |c| index with the sign of its c.  The
+workers only propagate (``_wave_velocity_slice``): per velocity, one FFT
+per row gives the power spectrum of the whole field (a DCT-II by
+Makhoul's method), and one inverse transform its autocorrelation.  A
+source point only adds a linear phase ramp, which multiplies each lag of
+that autocorrelation by a phase; so the incoherent average over the
+source nodes is one kernel on the lags, exact for the midpoint source
+rule.  This equals the channel-by-channel, source-by-source Fresnel
+quadrature (a test oracle, in ``tests/oracles.py``) up to the
+probability the rows drop (at most ``tail_eps`` per grating point).
+``numerics.pad_factor`` sets only the output bins of the output
+transform, one row per power in batches of at most ``MAX_OUTPUT_SAMPLES``.
 The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
 run warns when the grating state may put more than 1% beyond them.
 Orders mode reads the order intensities straight off the same closed-form
@@ -82,6 +81,7 @@ from . import backend
 from .distributions import (
     detector_kernel,
     fold_vertical_rule,
+    grid_half,
     velocity_quadrature,
     vertical_phi_scales,
 )
@@ -311,60 +311,93 @@ def next_smooth(n: int) -> int:
     return best
 
 
-def _check_scan_step(geom: BeamlineGeometry, step: float) -> None:
-    """Raise ValueError unless the scan grid holds a point either side of its centre."""
-    if 0.5 * geom.detector_span / step + 1e-9 < 1.0:
+def _scan_grid(geom: BeamlineGeometry, step: float) -> np.ndarray:
+    """The scan grid; ValueError before it is built if too coarse or too fine."""
+    n_half = grid_half("the scan grid", np.floor(0.5 * geom.detector_span / step + 1e-9))
+    if n_half < 1:
         raise ValueError(
             f"a detector step of {step * 1e6:g} um exceeds half the detector span of "
             f"{geom.detector_span * 1e6:g} um: the scan grid would hold one point"
         )
-
-
-def _scan_grid(geom: BeamlineGeometry, step: float) -> np.ndarray:
-    _check_scan_step(geom, step)
-    n_half = int(math.floor(0.5 * geom.detector_span / step + 1e-9))
     return np.arange(-n_half, n_half + 1) * step
 
 
 def _internal_grid(geom: BeamlineGeometry, detector_width: float, internal_step: float) -> np.ndarray:
     half_extent = 0.5 * geom.detector_span + 3.0 * max(detector_width, internal_step) + 2e-6
-    n_half = int(math.ceil(half_extent / internal_step))
+    n_half = grid_half("the common detector grid", np.ceil(half_extent / internal_step))
     return np.arange(-n_half, n_half + 1) * internal_step
 
 
-def _wave_velocity_slice(
-    cfg: "SimulationConfig",
-    velocity: float,
-    grid: GridSpec,
-    mask: np.ndarray,
-    rows: Sequence[ParityRows],
-    src_nodes: np.ndarray,
-    src_weights: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray], float, list[float]]:
-    """One velocity node of the wave-mode ensemble, at one or more laser powers.
-
-    ``rows`` holds the node's effective grating rows at each power
-    (``grating.effective_channels``), spread over one laser period here.
-    The photon channels and vertical scales enter only through their
-    summed grating state, which repeats with the laser period (the window
-    holds a whole number of them); the rows reproduce it on every period.
-    The chirp and the source kernel depend on the velocity alone, so every
-    power shares them.  Returns (native positions, native intensity at each
-    power, input power, in-span fraction at each power).  Pure function of
-    its arguments; safe to run on a worker thread.
+class _SlitLayout:
+    """The slit as ``_wave_velocity_slice`` transforms it, the same at every velocity.
 
     Every field is even about the window centre, f(N - 1 - n) = f(n): the
     grid is centred on an antinode, the slit mask is symmetric, the chirp
     depends on x^2 and the rows depend on x only through c = cos(k x).
-    Only the rounding of the mask's edge cells breaks the symmetry, by
-    less than 2e-13 of the peak at 48 and 64 samples per period; a mask
-    that is not mirror-symmetric raises ``ValueError``.  So only the
-    half field g(m) = f(N/2 + m), m < L, is transformed, where L counts its
-    nonzero samples: its even extension has the power spectrum
-    S(k) = |w V(k) + w^* V(M - k)|^2 on 2M bins, w = exp(-i pi k / 2M), from
-    one FFT V of length M >= 2L of g in Makhoul's order (IEEE Trans. ASSP
-    28, 27 (1980)), and the inverse transform of S is the field
-    autocorrelation A(d), real and even, over all its lags |d| < 2L.
+    Only the rounding of the mask's edge cells breaks the symmetry, by less
+    than 2e-13 of the peak at 48 and 64 samples per period; a mask that is
+    not mirror-symmetric raises ``ValueError``.  So only the half field
+    g(m) = f(N/2 + m), m < L, is transformed, where L counts its nonzero
+    samples, at the 5-smooth length M = ``m_len`` >= 2L.
+    """
+
+    def __init__(self, cfg: "SimulationConfig", grid: GridSpec, mask, src_nodes, src_weights):
+        if np.max(np.abs(mask - mask[::-1])) > 1e-10:
+            raise ValueError("the slit mask is not mirror-symmetric about the window centre")
+        spp, centre, self.spacing = grid.samples_per_period, grid.size // 2, grid.spacing
+        support = int(np.flatnonzero(mask[centre:])[-1]) + 1
+        self.m_len = m_len = 2 * next_smooth(support)
+        self.n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
+        # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
+        # that of the slit alone; what the effective rows drop shows as a loss.
+        self.power_in = grid.spacing * float(np.sum(mask**2))
+        bins = np.arange(m_len // 2 + 1)
+        self.mirror = -bins % m_len  # M - k, with V(M) = V(0)
+        self.twist = np.exp(-1j * np.pi * bins / m_len)  # w^2
+        self.source_lags = np.multiply.outer(src_nodes, np.arange(2 * support))  # s d
+        self.source_weights = src_weights
+        # Makhoul's order, v = [g(0), g(2), ..., 0, ..., g(3), g(1)], in two
+        # runs: the even samples ascending, then the odd ones descending, each
+        # held as its slice of v and, at its samples, the |c| index into
+        # ``ParityRows.values``, the mask over the mask times the sign of c
+        # (row p serves rows of parity p), and x^2.  Sample n of the window
+        # takes column i = n mod 2 spp of the laser period, as if the period
+        # were tiled across it from n = 0; the centre then falls on column 0
+        # or spp, and a shift by spp negates c, which negates odd rows only
+        # and leaves every intensity unchanged.  Column i has k x = pi (i +
+        # 1/2)/spp - pi: |c| is at min(i mod spp, spp - 1 - i mod spp), and
+        # c < 0 where |k x| > pi/2.
+        x = grid.positions()
+        self.runs = []
+        even, odd = centre + np.arange(0, support, 2), centre + np.arange(1, support, 2)[::-1]
+        for into, n in ((slice(0, even.size), even), (slice(m_len - odd.size, None), odd)):
+            index = np.minimum(n % spp, spp - 1 - n % spp)
+            sign = np.where(np.abs(n % (2 * spp) + 0.5 - spp) > 0.5 * spp, -1.0, 1.0)
+            self.runs.append((into, index, np.stack([mask[n], sign * mask[n]]), x[n] ** 2))
+
+
+def _wave_velocity_slice(
+    cfg: "SimulationConfig", velocity: float, layout: _SlitLayout, rows: Sequence[ParityRows]
+) -> tuple[np.ndarray, list[np.ndarray], list[float], list[float]]:
+    """One velocity node of the wave-mode ensemble, at one or more laser powers.
+
+    ``rows`` holds the node's effective grating rows at each power
+    (``grating.effective_channels``), read at the |c| index of each slit
+    sample of ``layout``.  The photon channels and vertical scales enter
+    only through their summed grating state, which repeats with the laser
+    period (the window holds a whole number of them); the rows reproduce
+    it on every period.  The chirp and the source kernel depend on the
+    velocity alone, so every power shares them.  Returns (native
+    positions, then at each power the native intensity, its sum and its
+    in-span fraction).  Pure function of its arguments; safe to run on a
+    worker thread.
+
+    The half field g of ``_SlitLayout`` has, as its even extension, the
+    power spectrum S(k) = |w V(k) + w^* V(M - k)|^2 on 2M bins,
+    w = exp(-i pi k / 2M), from one FFT V of length M of g in Makhoul's
+    order (IEEE Trans. ASSP 28, 27 (1980)), and the inverse transform of S
+    is the field autocorrelation A(d), real and even, over all its lags
+    |d| < 2L.
 
     Each power's rows are transformed on their own, since their count
     varies with the power; the spectra S of all powers are then stacked,
@@ -378,36 +411,16 @@ def _wave_velocity_slice(
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
-    spacing = grid.spacing
-    n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
-    if np.max(np.abs(mask - mask[::-1])) > 1e-10:
-        raise ValueError("the slit mask is not mirror-symmetric about the window centre")
-    centre = grid.size // 2
-    support = int(np.flatnonzero(mask[centre:])[-1]) + 1
-    m_len = 2 * next_smooth(support)
-    half = m_len // 2
+    spacing, n_fft, m_len = layout.spacing, layout.n_fft, layout.m_len
+    half, mirror, twist = m_len // 2, layout.mirror, layout.twist
 
-    # Makhoul's order, v = [g(0), g(2), ..., 0, ..., g(3), g(1)], in two
-    # runs: the even samples ascending, then the odd ones descending.
-    # Sample n of the window takes row column n mod 2 spp, as if the
-    # period were tiled across it from n = 0; the centre then falls on
-    # column 0 or spp, and a shift by spp negates c, which negates odd rows
-    # only and leaves every intensity unchanged.  Quadratic phases of the
-    # incoming cylindrical wave (L12) and of the outgoing Fresnel kernel
-    # (L2D) combine into one chirp; each source point then contributes only
-    # a linear phase ramp.  Constant phases drop out of |psi|^2.
-    x = grid.positions()
+    # Quadratic phases of the incoming cylindrical wave (L12) and of the
+    # outgoing Fresnel kernel (L2D) combine into one chirp; each source
+    # point then contributes only a linear phase ramp.  Constant phases drop
+    # out of |psi|^2.  Each run's chirp base, and its copy with the sign of c
+    # for the odd rows: a row of parity p takes bases[p].
     chirp = 0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)
-    runs = []
-    for n in (centre + np.arange(0, support, 2), centre + np.arange(1, support, 2)[::-1]):
-        runs.append((n % (2 * grid.samples_per_period), mask[n] * np.exp(1j * chirp * x[n] ** 2)))
-    (even_columns, even_base), (odd_columns, odd_base) = runs
-    mirror = -np.arange(half + 1) % m_len  # M - k, with V(M) = V(0)
-    twist = np.exp(-1j * np.pi * np.arange(half + 1) / m_len)  # w^2
-
-    # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
-    # that of the slit alone; what the effective rows drop shows as a loss.
-    power_in = spacing * float(np.sum(mask**2))
+    runs = [(into, at, masks * np.exp(1j * chirp * x2)) for into, at, masks, x2 in layout.runs]
     # |prefactor|^2 of the Fresnel integral; output phases are unimodular.
     out_scale = spacing**2 / (wavelength * geom.L2D)
 
@@ -418,11 +431,9 @@ def _wave_velocity_slice(
     # Hermitian, since A is real and even and the weights are real, so they
     # fold onto the output grid at d mod n_fft and one n_fft transform gives
     # the output: sum_d B(d) exp(-2 pi i f d / n_fft) at any n_fft.
-    n_lags = 2 * support
     ramp = -1j * (k / geom.L12) * spacing
-    kernel = np.einsum(
-        "s,sd->d", src_weights, np.exp(ramp * np.multiply.outer(src_nodes, np.arange(n_lags)))
-    )
+    kernel = np.einsum("s,sd->d", layout.source_weights, np.exp(ramp * layout.source_lags))
+    n_lags = kernel.size
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
@@ -430,12 +441,11 @@ def _wave_velocity_slice(
     # S on 2M bins, one row per power
     spectra = np.empty((len(rows), m_len + 1))
     for spectrum_2m, block in zip(spectra, rows):
-        period = block.period()
         v = np.zeros((block.rank, m_len), dtype=np.complex128)
-        v[:, : even_base.size] = period[:, even_columns] * even_base
-        v[:, m_len - odd_base.size :] = period[:, odd_columns] * odd_base
+        for into, at, bases in runs:
+            np.multiply(block.values[:, at], bases[block.odd.astype(np.intp)], out=v[:, into])
         spectrum = np.fft.fft(v, axis=-1)
-        del v  # before the next power's rows are spread
+        del v  # before the next power's rows are gathered
         power = np.zeros(m_len)  # P(k) = sum_r |V_r(k)|^2
         backend.accumulate_weighted_abs2(spectrum, 1.0, power)
         # Q(k) = sum_r V_r(k) V_r(M - k)^*, conjugated in place to hold one
@@ -451,8 +461,7 @@ def _wave_velocity_slice(
 
     # the output side, one row per power, at most MAX_OUTPUT_SAMPLES at a time
     per_batch = max(1, MAX_OUTPUT_SAMPLES // n_fft)
-    intensities = []
-    coverages = []
+    intensities, sums, coverages = [], [], []
     for first in range(0, len(rows), per_batch):
         lags = np.fft.irfft(spectra[first : first + per_batch], 2 * m_len, axis=-1)
         lags = lags[:, :n_lags] * kernel
@@ -472,12 +481,14 @@ def _wave_velocity_slice(
         np.multiply(transformed.real[:, : n_fft - shift], out_scale, out=batch[:, shift:])
         del transformed
         for intensity in batch:
-            total = float(intensity.sum() * out_spacing)
+            intensity_sum = intensity.sum()
+            total = float(intensity_sum * out_spacing)
             intensities.append(intensity)
+            sums.append(intensity_sum)
             coverages.append(
                 float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
             )
-    return x_native, intensities, power_in, coverages
+    return x_native, intensities, sums, coverages
 
 
 def _finalize(
@@ -663,22 +674,20 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
                 stacklevel=4,
             )
     grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
-    src_nodes, src_weights = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
-    grid_metadata["grating_samples"] = grid.size
-    grid_metadata["fft_length"] = next_pow2(grid.size * cfg.numerics.pad_factor)
+    sources = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
+    layout = _SlitLayout(cfg, grid, mask, *sources)
+    grid_metadata.update(grating_samples=grid.size, fft_length=layout.n_fft)
 
     def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):
-        x_native, intensities, power_in, coverages = _wave_velocity_slice(
-            cfg, velocity, grid, mask, rows, src_nodes, src_weights
-        )
+        x_native, intensities, sums, coverages = _wave_velocity_slice(cfg, velocity, layout, rows)
         spacing_native = float(x_native[1] - x_native[0])
         return [
             (
                 v_weight * np.interp(common_x, x_native, intensity, left=0.0, right=0.0),
-                v_weight * float(intensity.sum() * spacing_native) / power_in,
+                v_weight * float(intensity_sum * spacing_native) / layout.power_in,
                 v_weight * in_span,
             )
-            for intensity, in_span in zip(intensities, coverages)
+            for intensity, intensity_sum, in_span in zip(intensities, sums, coverages)
         ]
 
     # The (power, velocity) states of a group of powers are factorized in one
@@ -754,45 +763,45 @@ def pattern_metrics(pattern: DiffractionPattern, spacing: float) -> PatternMetri
 
 
 def compare_patterns(a: DiffractionPattern, b: DiffractionPattern) -> tuple[float, float]:
-    """Best integer-step alignment shift of b onto a, and residual NRMSE.
+    """Best whole-step alignment shift of b onto a, and residual NRMSE.
 
     Both patterns are peak-normalized first, so uniform scaling changes
-    nothing.  The returned shift is the displacement of ``b`` relative to
-    ``a`` (positive when b's features sit at larger x), a whole multiple
-    of the common grid step.
+    nothing.  The grids must share their step, and their first positions
+    must differ by a whole number of steps.  The returned shift is the
+    displacement of ``b``'s features relative to ``a``'s in positions
+    (positive when b's sit at larger x), a whole multiple of the step.
     """
     if a.positions.size == 0 or b.positions.size == 0:
         raise ValueError("cannot compare empty patterns")
-    if abs(a.step - b.step) > 1e-9 * max(a.step, b.step):
-        raise ValueError(
-            f"grid steps differ: {a.step * 1e6:.3f} um vs {b.step * 1e6:.3f} um"
-        )
-    a_peak = float(a.intensity.max())
-    b_peak = float(b.intensity.max())
+    step = a.step
+    if abs(step - b.step) > 1e-9 * max(step, b.step):
+        raise ValueError(f"grid steps differ: {step * 1e6:.3f} um vs {b.step * 1e6:.3f} um")
+    origin = float(b.positions[0] - a.positions[0]) / step  # in steps
+    if abs(origin - round(origin)) > 1e-9:
+        raise ValueError(f"the grids are offset by {origin % 1.0:.3f} of a step")
+    origin = round(origin)
+    a_peak, b_peak = float(a.intensity.max()), float(b.intensity.max())
     if a_peak <= 0.0 or b_peak <= 0.0:
         raise ValueError("cannot compare patterns without intensity")
-    a_n = a.intensity / a_peak
-    b_n = b.intensity / b_peak
+    a_n, b_n = a.intensity / a_peak, b.intensity / b_peak
     la, lb = a_n.size, b_n.size
-    # scores[i] = sum_j a_n[j + shift] * b_n[j] for shift = i - (lb - 1).
-    # Shifts within 1e-12 of the best are re-scored term by term, in
+    # scores[i] = sum_j a_n[j + shift] * b_n[j] for shift = i - (lb - 1): b's
+    # point j meets a's point j + shift, a displacement of origin - shift
+    # steps.  Shifts within 1e-12 of the best are re-scored term by term, in
     # increasing order, with the tie-break of a scan over every shift: a
-    # later shift wins by more than 1e-15, or within 1e-15 at smaller |shift|.
+    # later shift wins by more than 1e-15, or within 1e-15 at a smaller
+    # displacement.
     scores = np.correlate(a_n, b_n, mode="full")
     candidates = np.flatnonzero(scores >= scores.max() - 1e-12) - (lb - 1)
-    best_score = -np.inf
-    best_shift = 0
+    best_score, best_shift, best_overlap = -np.inf, 0, ()
     for shift in candidates.tolist():
         a_lo, b_lo = max(0, shift), max(0, -shift)
         length = min(la - a_lo, lb - b_lo)
-        score = float(np.dot(a_n[a_lo : a_lo + length], b_n[b_lo : b_lo + length]))
+        overlap = a_n[a_lo : a_lo + length], b_n[b_lo : b_lo + length]
+        score = float(np.dot(*overlap))
         if score > best_score + 1e-15 or (
-            abs(score - best_score) <= 1e-15 and abs(shift) < abs(best_shift)
+            abs(score - best_score) <= 1e-15 and abs(origin - shift) < abs(origin - best_shift)
         ):
-            best_score = score
-            best_shift = shift
-    a_lo, b_lo = max(0, best_shift), max(0, -best_shift)
-    length = min(la - a_lo, lb - b_lo)
-    residual = a_n[a_lo : a_lo + length] - b_n[b_lo : b_lo + length]
-    nrmse = float(np.sqrt(np.mean(residual**2)))
-    return -best_shift * a.step, nrmse
+            best_score, best_shift, best_overlap = score, shift, overlap
+    a_part, b_part = best_overlap
+    return (origin - best_shift) * step, float(np.sqrt(np.mean((a_part - b_part) ** 2)))

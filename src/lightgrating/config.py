@@ -27,7 +27,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .beamline import BeamlineGeometry, _check_scan_step
+from .beamline import BeamlineGeometry, _internal_grid, _scan_grid
 from .distributions import DetectorModel, VelocityDistribution, VerticalProfile
 from .distributions import load_velocity_histogram
 from .grating import GratingBeam
@@ -358,9 +358,18 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
         fields["velocity"] = replace(loaded, fwhm_ratio=fwhm_ratio)
 
     cfg = replace(_DEFAULT, species=species, **fields)
-    step_given = ("detector", "step_um") in raw  # a one-point scan grid: blame step_um first
-    with blame("detector", "step_um") if step_given else blame("geometry", "detector_span_um"):
-        _check_scan_step(cfg.geometry, cfg.detector.step)
+    # The detector grids, which check their size before they allocate:
+    # each fault blames the first of its keys that the file sets.
+    # The common grid reaches 3 detector widths past the span, beyond the
+    # kernel's taps, so it bounds them too.
+    def blame_first(*keys: tuple[str, str]):
+        return blame(*next((key for key in keys if key in raw), keys[-1]))
+
+    span, width = ("geometry", "detector_span_um"), ("detector", "width_um")
+    with blame_first(("detector", "step_um"), span):
+        _scan_grid(cfg.geometry, cfg.detector.step)
+    with blame_first(("numerics", "internal_step_um"), width, span):
+        _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
     return cfg
 
 

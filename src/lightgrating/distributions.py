@@ -19,6 +19,10 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 SPAN_FWHM = 2.5
 # The Gaussian velocity rule starts no lower than this share of v_peak.
 VELOCITY_FLOOR = 1e-3
+# The most points of a detector-plane array: the scan grid, the common grid
+# and the detector kernel's taps (8 MB as float64).  A grid that would hold
+# more is refused before it is allocated.
+MAX_DETECTOR_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,20 @@ def fold_vertical_rule(scales, weights) -> tuple[np.ndarray, np.ndarray]:
     return scales[:half], folded
 
 
+def grid_half(what: str, half: float) -> int:
+    """``half``, the points either side of a grid's centre, as an int.
+
+    Raises ValueError when the grid's 2 half + 1 points exceed
+    ``MAX_DETECTOR_POINTS`` (or ``half`` is not finite).
+    """
+    if not 2.0 * half + 1.0 <= MAX_DETECTOR_POINTS:
+        raise ValueError(
+            f"{what} would hold {2.0 * half + 1.0:.4g} points, more than the "
+            f"{MAX_DETECTOR_POINTS} allowed"
+        )
+    return int(half)
+
+
 def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
     """Odd-length unit-sum convolution kernel for the detector resolution.
 
@@ -184,12 +202,12 @@ def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
         return np.array([1.0])
     if model.kernel_shape == "gaussian":
         sigma = model.width / FWHM_TO_SIGMA
-        half = int(math.ceil(3.0 * sigma / grid_step))
+        half = grid_half("the detector kernel", np.ceil(3.0 * sigma / grid_step))
         offsets = np.arange(-half, half + 1) * grid_step
         taps = np.exp(-0.5 * (offsets / sigma) ** 2)
     else:  # tophat: fractional overlap of each grid cell with the slit
         half_width = 0.5 * model.width
-        half = int(math.ceil((half_width + 0.5 * grid_step) / grid_step))
+        half = grid_half("the detector kernel", np.ceil((half_width + 0.5 * grid_step) / grid_step))
         offsets = np.arange(-half, half + 1) * grid_step
         lo = np.maximum(offsets - 0.5 * grid_step, -half_width)
         hi = np.minimum(offsets + 0.5 * grid_step, half_width)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -260,8 +259,10 @@ class ParityRows:
     ``values[j]`` holds row j at the spp/2 values a_i = cos(theta_i) of
     |cos(k x)| on the canonical laser period ``GridSpec(2, spp)``
     (``parity_angles``); ``odd[j]`` is True for a
-    row of the odd block.  Over the period an even row is v(|c|) and an odd
-    row sign(c) v(|c|).
+    row of the odd block.  At a point x an even row is v(|c|) and an odd
+    row sign(c) v(|c|): the run path reads the rows straight at the |c|
+    index of each slit sample of the grating window
+    (``beamline._SlitLayout``), and never spreads them over a period.
     """
 
     values: np.ndarray
@@ -271,11 +272,6 @@ class ParityRows:
     def rank(self) -> int:
         return self.values.shape[0]
 
-    def period(self) -> np.ndarray:
-        """The rows over the canonical laser period, shape (rank, 2 spp)."""
-        fold, sign = _period_layout(2 * self.values.shape[1])
-        return self.values[:, fold] * np.where(self.odd[:, None], sign, 1.0)
-
 
 def parity_angles(samples_per_period: int) -> np.ndarray:
     """The spp/2 angles theta_i = pi (i + 1/2)/spp at which ``ParityRows`` stores its rows.
@@ -284,21 +280,6 @@ def parity_angles(samples_per_period: int) -> np.ndarray:
     canonical laser period ``GridSpec(2, spp)``.
     """
     return np.pi * (np.arange(samples_per_period // 2) + 0.5) / samples_per_period
-
-
-@lru_cache(maxsize=16)
-def _period_layout(spp: int) -> tuple[np.ndarray, np.ndarray]:
-    """The |c| index and the sign of c at each point of the canonical laser period.
-
-    Point i has k x_i = pi (i + 1/2)/spp - pi and |c_i| = a[fold[i]].  The
-    arrays are shared between callers, so they are read-only.
-    """
-    within_half = np.arange(2 * spp) % spp
-    fold = np.minimum(within_half, spp - 1 - within_half)
-    sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
-    fold.flags.writeable = False
-    sign.flags.writeable = False
-    return fold, sign
 
 
 def effective_channels(
@@ -343,8 +324,7 @@ def effective_channels(
     serve any whole laser period of a midpoint grid.
 
     Returns (the rows of each phase, in the order of ``phis``, stored per
-    |c| (``ParityRows.period`` spreads them over the period); the largest
-    residual diagonal of each phase).
+    |c|; the largest residual diagonal of each phase).
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")

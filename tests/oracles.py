@@ -5,6 +5,9 @@ forms of what ``lightgrating`` computes fast:
 
 - the closed-form mixed grating state that ``grating.effective_channels``
   factorizes, and the photon-number channels it sums;
+- the effective rows spread over the canonical laser period, and tiled
+  across the grating window, which the run path reads straight off the
+  stored |c| values instead;
 - the channel-by-channel, source-by-source Fresnel pipeline that wave mode
   replaces with one FFT batch per velocity, with a direct quadrature as
   the cross-check of the spectral propagator;
@@ -36,12 +39,13 @@ from lightgrating.grating import (
     ComplexPhase,
     GratingBeam,
     GridSpec,
+    ParityRows,
     channel_amplitudes,
     scale_weight_arrays,
     truncation_order,
 )
 from lightgrating.orders import DEFAULT_M_MAX, OrderSpectrum
-from lightgrating.species import MoleculeSpecies
+from lightgrating.species import MoleculeSpecies, de_broglie_wavelength
 
 
 # --- the grating --------------------------------------------------------
@@ -99,6 +103,40 @@ def grating_coherence(
     c_prime = np.cos(k_laser * np.asarray(x_prime, dtype=np.float64))[None, :]
     exponent = 2j * phi.re * (c * c - c_prime * c_prime) - 2.0 * phi.im * (c - c_prime) ** 2
     return np.einsum("s,sij->ij", weights, np.exp(scales[:, None, None] * exponent))
+
+
+def period_layout(spp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The |c| index and the sign of c at each point of the canonical laser period.
+
+    Point i of ``GridSpec(2, spp)`` has k x_i = pi (i + 1/2)/spp - pi and
+    |c_i| = a[fold[i]], with a the stored values of ``ParityRows``.
+    """
+    within_half = np.arange(2 * spp) % spp
+    fold = np.minimum(within_half, spp - 1 - within_half)
+    sign = np.where(np.cos(np.pi * ((np.arange(2 * spp) + 0.5) / spp - 1.0)) < 0.0, -1.0, 1.0)
+    return fold, sign
+
+
+def period(rows: ParityRows) -> np.ndarray:
+    """The rows over the canonical laser period, shape (rank, 2 spp).
+
+    An even row is v(|c|) and an odd row sign(c) v(|c|).
+    """
+    fold, sign = period_layout(2 * rows.values.shape[1])
+    return rows.values[:, fold] * np.where(rows.odd[:, None], sign, 1.0)
+
+
+def window_fields(cfg, velocity, grid, mask, rows):
+    """The fields of the effective rows over the whole grating window.
+
+    The canonical laser period is tiled across the window from its first
+    sample, and each row is multiplied by the slit mask and the chirp.
+    """
+    geom = cfg.geometry
+    k = 2.0 * math.pi / de_broglie_wavelength(cfg.species, velocity)
+    x = grid.positions()
+    base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
+    return np.tile(period(rows), (1, grid.size // (2 * grid.samples_per_period))) * base
 
 
 def pure_phase_orders(phi_re: float, m_max: int = DEFAULT_M_MAX) -> OrderSpectrum:

@@ -31,7 +31,7 @@ from lightgrating.orders import (
 )
 from lightgrating.runner import run_simulate
 from lightgrating.species import CATALOG, C60, C70, absorption_cross_section
-from oracles import channel_set, mean_photon_number, peak_positions
+from oracles import channel_set, mean_photon_number, peak_positions, period
 
 
 def report(index: int, ok: bool, detail: str) -> None:
@@ -159,9 +159,9 @@ def test_07_parity_selection_rule():
         rows = ParityRows(
             channel.samples[None, spp : spp + spp // 2], np.array([channel.photon_count % 2 == 1])
         )
-        period = rows.period()[0]
-        assert np.max(np.abs(period - channel.samples)) < 1e-14
-        power = np.abs(np.fft.fft(period)[orders % period.size] / period.size) ** 2
+        spread = period(rows)[0]
+        assert np.max(np.abs(spread - channel.samples)) < 1e-14
+        power = np.abs(np.fft.fft(spread)[orders % spread.size] / spread.size) ** 2
         assert np.max(np.abs(_order_power(rows, m_max)[0] - power)) < 1e-13
         forbidden = (orders % 2) != (channel.photon_count % 2)
         leak = float(np.max(power[forbidden]))

@@ -22,6 +22,7 @@ from lightgrating.beamline import (
     _place_orders,
     _trapezoid,
     _wave_velocity_slice,
+    _SlitLayout,
     BeamlineGeometry,
     DiffractionPattern,
     aperture_mask,
@@ -48,10 +49,17 @@ from lightgrating.grating import (
     GratingBeam,
     compute_phi,
     effective_channels,
+    parity_angles,
 )
 from lightgrating.orders import incoherent_order_intensities
 from lightgrating.species import C60, C70, de_broglie_wavelength
-from oracles import channel_set, farfield_peak_positions, peak_positions, point_source_pattern
+from oracles import (
+    channel_set,
+    farfield_peak_positions,
+    peak_positions,
+    point_source_pattern,
+    window_fields,
+)
 
 GEOM = BeamlineGeometry()
 
@@ -345,19 +353,6 @@ def channel_by_channel_slice(cfg, velocity, scales, scale_weights, src_nodes, sr
     return x_out, total
 
 
-def window_fields(cfg, velocity, grid, mask, rows):
-    """The fields of the effective rows over the whole grating window.
-
-    The canonical laser period is tiled across the window from its first
-    sample, and each row is multiplied by the slit mask and the chirp.
-    """
-    geom = cfg.geometry
-    k = 2.0 * math.pi / de_broglie_wavelength(cfg.species, velocity)
-    x = grid.positions()
-    base = mask * np.exp(1j * (0.5 * k * (1.0 / geom.L12 + 1.0 / geom.L2D)) * x**2)
-    return np.tile(rows.period(), (1, grid.size // (2 * grid.samples_per_period))) * base
-
-
 def per_source_loop_slice(cfg, velocity, grid, mask, rows, src_nodes, src_weights):
     """Native intensity of one velocity node with one FFT batch per source point.
 
@@ -409,6 +404,7 @@ def velocity_slice(species, power, spp, slit2, source_nodes, pad_factor=4):
         rows=rows,
         src_nodes=src_nodes,
         src_weights=src_weights,
+        layout=_SlitLayout(cfg, grid, mask, src_nodes, src_weights),
     )
 
 
@@ -482,9 +478,8 @@ class TestWaveVelocitySlice:
             (rows,), (dropped,) = effective_channels(
                 [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
             )
-            x, (intensity,), power_in, _ = _wave_velocity_slice(
-                cfg, velocity, grid, mask, [rows], self.SOURCES, self.SOURCE_WEIGHTS
-            )
+            layout = _SlitLayout(cfg, grid, mask, self.SOURCES, self.SOURCE_WEIGHTS)
+            x, (intensity,), _, _ = _wave_velocity_slice(cfg, velocity, layout, [rows])
             x_ref, reference = channel_by_channel_slice(
                 cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
             )
@@ -495,7 +490,7 @@ class TestWaveVelocitySlice:
                 cfg, velocity, scales, scale_weights, -self.SOURCES, self.SOURCE_WEIGHTS
             )[1]
             assert np.max(np.abs(intensity - mirrored)) > 1e-3 * reference.max()
-            assert power_in == pytest.approx(
+            assert layout.power_in == pytest.approx(
                 grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0
             )
             assert 1 <= rows.rank < 2 * grid.samples_per_period
@@ -530,13 +525,15 @@ class TestWaveVelocitySlice:
     }
 
     def test_slices_cover_odd_support_and_shifted_centre(self):
-        supports, shifts = set(), set()
+        supports, shifts, centres = set(), set(), set()
         for _, _, spp, slit2, _ in self.SLICES.values():
             grid, mask = grating_window(GratingBeam(), BeamlineGeometry(slit2=slit2), spp)
             supports.add(half_support(grid, mask) % 2)
             shifts.add(grid.size // 2 % (2 * spp))
+            # the window centre falls on column 0 or column spp of the period
+            centres.add(grid.size // 2 % (2 * spp) // spp)
         assert supports == {0, 1}
-        assert len(shifts) == 2
+        assert len(shifts) == 2 and centres == {0, 1}
 
     @pytest.mark.parametrize("name", list(SLICES))
     def test_fields_are_mirror_symmetric(self, name):
@@ -549,13 +546,14 @@ class TestWaveVelocitySlice:
 
     @pytest.mark.parametrize("name", list(SLICES))
     def test_half_field_transformed_in_makhoul_order(self, monkeypatch, name):
-        # v = [g(0), g(2), ..., 0, ..., g(3), g(1)] with g(m) = f(N/2 + m)
+        # v = [g(0), g(2), ..., 0, ..., g(3), g(1)] with g(m) = f(N/2 + m):
+        # what the layout gathers straight off the stored |c| values is, bit
+        # for bit, the tiled laser period of the oracle, in rows of both parities
         s = velocity_slice(*self.SLICES[name])
+        assert s.rows.odd.any() and not s.rows.odd.all()
         counting = CountingNumpy()
         monkeypatch.setattr(lightgrating.beamline, "np", counting)
-        _wave_velocity_slice(
-            s.cfg, s.velocity, s.grid, s.mask, [s.rows], s.src_nodes, s.src_weights
-        )
+        _wave_velocity_slice(s.cfg, s.velocity, s.layout, [s.rows])
         (kind, m_len), v = counting.transforms[0], counting.inputs[0]
         support = half_support(s.grid, s.mask)
         assert kind == "fft" and v.shape == (s.rows.rank, m_len)
@@ -575,9 +573,7 @@ class TestWaveVelocitySlice:
     )
     def test_lag_domain_average_matches_per_source_loop(self, name, pad_factor):
         s = velocity_slice(*self.SLICES[name], pad_factor=pad_factor)
-        (intensity,) = _wave_velocity_slice(
-            s.cfg, s.velocity, s.grid, s.mask, [s.rows], s.src_nodes, s.src_weights
-        )[1]
+        (intensity,) = _wave_velocity_slice(s.cfg, s.velocity, s.layout, [s.rows])[1]
         reference = per_source_loop_slice(
             s.cfg, s.velocity, s.grid, s.mask, s.rows, s.src_nodes, s.src_weights
         )
@@ -585,12 +581,30 @@ class TestWaveVelocitySlice:
         # the lag-domain product is real only up to rounding
         assert intensity.min() >= -1e-14 * intensity.max()
 
+    @pytest.mark.parametrize("slit2", [5e-6, 5.5e-6])
+    def test_layout_reads_each_sample_at_its_c(self, slit2):
+        # against cos(k x) at the samples themselves: |c| at the stored index,
+        # and the sign of c, negated when periods/2 is even (the tiled
+        # period's c is then the window's times -1)
+        beam, spp = GratingBeam(), 64
+        grid, mask = grating_window(beam, BeamlineGeometry(slit2=slit2), spp)
+        layout = _SlitLayout(SimulationConfig(), grid, mask, self.SOURCES, self.SOURCE_WEIGHTS)
+        flip = 1.0 if (grid.periods // 2) % 2 else -1.0
+        a = np.cos(parity_angles(spp))
+        samples = 0
+        for into, index, masks, x2 in layout.runs:
+            c = np.cos(beam.k_laser * np.sqrt(x2))
+            assert np.max(np.abs(a[index] - np.abs(c))) < 1e-9
+            # the mask, then the mask times the sign of c for the odd rows
+            assert masks[0].all() and np.array_equal(masks[1], flip * np.sign(c) * masks[0])
+            assert np.arange(layout.m_len)[into].size == index.size
+            samples += index.size
+        assert samples == half_support(grid, mask)
+
     def test_rejects_an_asymmetric_slit_mask(self):
         s = velocity_slice(*self.SLICES["c60-default"])
         with pytest.raises(ValueError, match="mirror-symmetric"):
-            _wave_velocity_slice(
-                s.cfg, s.velocity, s.grid, np.roll(s.mask, 1), [s.rows], s.src_nodes, s.src_weights
-            )
+            _SlitLayout(s.cfg, s.grid, np.roll(s.mask, 1), s.src_nodes, s.src_weights)
 
     def test_fft_calls_per_velocity_independent_of_source_nodes(self, monkeypatch):
         calls_per_velocity = {}
@@ -713,9 +727,9 @@ class TestEnsemblePatterns:
             batches.append(len(phis))
             return factorize(phis, *args)
 
-        def counted_propagate(cfg, velocity, grid, mask, rows, *args):
+        def counted_propagate(cfg, velocity, layout, rows):
             tasks.append((velocity, len(rows)))
-            return propagate(cfg, velocity, grid, mask, rows, *args)
+            return propagate(cfg, velocity, layout, rows)
 
         monkeypatch.setattr(lightgrating.beamline, "effective_channels", counted_factorize)
         monkeypatch.setattr(lightgrating.beamline, "_wave_velocity_slice", counted_propagate)
@@ -724,6 +738,33 @@ class TestEnsemblePatterns:
         assert batches == [nodes * len(self.POWERS)]
         velocities = velocity_quadrature(cfg.velocity, nodes)[0].tolist()
         assert tasks == [(velocity, len(self.POWERS)) for velocity in velocities]
+
+    @pytest.mark.parametrize(
+        "nodes, powers, workers, convergence",
+        [(4, 1, 1, False), (4, 4, 2, False), (9, 3, 3, False), (2, 2, 1, True)],
+    )
+    def test_slit_laid_out_once_per_ensemble(
+        self, monkeypatch, nodes, powers, workers, convergence
+    ):
+        # the smooth length, the |c| index maps, mirror, twist and the
+        # source-lag table are built once per ensemble, never per node or power
+        smooth_calls = []
+        smooth = lightgrating.beamline.next_smooth
+
+        def counted_smooth(n):
+            smooth_calls.append(n)
+            return smooth(n)
+
+        cfg = fast_config(quadrature=QuadratureSpec(nodes, 2, 2))
+        cfg = replace(cfg, run=replace(cfg.run, workers=workers, convergence_check=convergence))
+        monkeypatch.setattr(lightgrating.beamline, "next_smooth", counted_smooth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a coarse quadrature does not converge
+            ensemble_patterns(cfg, self.POWERS[:powers])
+        # the convergence check runs one more ensemble per doubled axis
+        assert len(smooth_calls) == (4 if convergence else 1)
+        assert not hasattr(lightgrating.grating.ParityRows, "period")
+        assert not hasattr(lightgrating.grating, "_period_layout")
 
     @pytest.mark.parametrize("limit, expected", [(8, [8, 8, 4]), (3, [4] * 5)])
     def test_long_scans_factorize_in_groups(self, monkeypatch, limit, expected):
@@ -1217,23 +1258,29 @@ class TestPeakPositions:
 
 
 def scan_every_shift(a, b):
-    """Reference alignment: score every shift with its own dot product."""
+    """Reference alignment: score every shift with its own dot product.
+
+    Index shift s pairs b's point j with a's point j + s, a displacement of
+    ``origin`` - s steps, ``origin`` being the steps between the grids'
+    first points; ties go to the smaller displacement.
+    """
     a_n = a.intensity / a.intensity.max()
     b_n = b.intensity / b.intensity.max()
     la, lb = a_n.size, b_n.size
+    origin = round((b.positions[0] - a.positions[0]) / a.step)
     best_score, best_shift = -np.inf, 0
     for shift in range(-lb + 1, la):
         a_lo, b_lo = max(0, shift), max(0, -shift)
         length = min(la - a_lo, lb - b_lo)
         score = float(np.dot(a_n[a_lo : a_lo + length], b_n[b_lo : b_lo + length]))
         if score > best_score + 1e-15 or (
-            abs(score - best_score) <= 1e-15 and abs(shift) < abs(best_shift)
+            abs(score - best_score) <= 1e-15 and abs(origin - shift) < abs(origin - best_shift)
         ):
             best_score, best_shift = score, shift
     a_lo, b_lo = max(0, best_shift), max(0, -best_shift)
     length = min(la - a_lo, lb - b_lo)
     residual = a_n[a_lo : a_lo + length] - b_n[b_lo : b_lo + length]
-    return -best_shift * a.step, float(np.sqrt(np.mean(residual**2)))
+    return (origin - best_shift) * a.step, float(np.sqrt(np.mean(residual**2)))
 
 
 class TestComparePatterns:
@@ -1295,6 +1342,35 @@ class TestComparePatterns:
         shift, nrmse = compare_patterns(a, b)
         assert (shift, nrmse) == scan_every_shift(a, b)
         assert shift == 0.0
+
+    def test_two_spans_of_one_pattern_align_at_zero(self):
+        # the same features on a wider and a narrower grid: the grids' first
+        # points differ by 20 steps, the features not at all
+        a = self.base_pattern()
+        b = DiffractionPattern(a.positions[20:-20], a.intensity[20:-20], metadata={})
+        assert compare_patterns(a, b) == (0.0, 0.0)
+        shift, nrmse = compare_patterns(b, a)
+        assert shift == 0.0 and nrmse == 0.0
+
+    @pytest.mark.parametrize("displacement", [-5, 3])
+    def test_displaced_copy_on_a_shorter_grid(self, displacement):
+        # b's features sit `displacement` steps right of a's, on a grid that
+        # starts 12 steps later and ends 30 steps earlier
+        a = self.base_pattern()
+        b = DiffractionPattern(
+            a.positions[12:-30],
+            np.roll(a.intensity, displacement)[12:-30],
+            metadata={},
+        )
+        shift, nrmse = compare_patterns(a, b)
+        assert shift == pytest.approx(displacement * 2e-6, rel=1e-12)
+        assert nrmse < 1e-12
+
+    def test_half_step_offset_rejected(self):
+        a = self.base_pattern()
+        b = DiffractionPattern(a.positions + 1e-6, a.intensity, metadata={})
+        with pytest.raises(ValueError, match="offset by 0.500 of a step"):
+            compare_patterns(a, b)
 
     def test_matches_scan_over_every_shift(self):
         rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ import math
 import re
 import string
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightgrating import config
-from lightgrating.beamline import _scan_grid
+from lightgrating.beamline import _internal_grid, _scan_grid
+from lightgrating.distributions import MAX_DETECTOR_POINTS, DetectorModel, detector_kernel
 from lightgrating.config import (
     ConfigError,
     SimulationConfig,
@@ -735,6 +737,73 @@ class TestPinnedErrors:
         assert err.value.key == key
 
 
+class TestDetectorArrayBound:
+    """No detector-plane array may hold more than MAX_DETECTOR_POINTS points."""
+
+    @pytest.mark.parametrize(
+        "text, key, what",
+        [
+            ("[numerics]\ninternal_step_um = 0.000001\n", "numerics.internal_step_um", "common"),
+            ("[detector]\nwidth_um = 1000000\n", "detector.width_um", "common"),
+            ("[geometry]\ndetector_span_um = 1e9\n", "geometry.detector_span_um", "scan grid"),
+            ("[detector]\nstep_um = 0.000001\n", "detector.step_um", "scan grid"),
+            # the file sets both: the internal step is blamed
+            (
+                "[detector]\nwidth_um = 1000000\n[numerics]\ninternal_step_um = 0.1\n",
+                "numerics.internal_step_um",
+                "common",
+            ),
+        ],
+    )
+    def test_refused_at_its_key_before_allocating(self, text, key, what):
+        line = 1 + text.splitlines().index(
+            next(raw for raw in text.splitlines() if raw.startswith(key.split(".")[1]))
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"{what}.* more than the") as err:
+                parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.key, err.value.line) == (key, line)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("shape", ["gaussian", "tophat"])
+    def test_library_callers_get_a_value_error(self, shape):
+        # each a few times the bound: 3.0e6, 3.4e6 and 2.0e6 or 5.1e6 points
+        geom = SimulationConfig().geometry
+        with pytest.raises(ValueError, match="the scan grid would hold"):
+            _scan_grid(geom, 1e-10)
+        with pytest.raises(ValueError, match="the common detector grid would hold"):
+            _internal_grid(geom, 6e-6, 1e-10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the detector kernel would hold"):
+                detector_kernel(DetectorModel(width=0.2, kernel_shape=shape), 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_every_array_of_the_default_config_fits(self):
+        cfg = SimulationConfig()
+        for size in (
+            _scan_grid(cfg.geometry, cfg.detector.step).size,
+            _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step).size,
+            detector_kernel(cfg.detector, cfg.numerics.internal_step).size,
+        ):
+            assert 1 < size <= MAX_DETECTOR_POINTS
+
+    def test_the_largest_grid_within_the_bound_is_accepted(self):
+        # grids hold an odd number of points: 2^20 - 1 is accepted, 2^20 + 1 not
+        geom = SimulationConfig().geometry
+        half = (MAX_DETECTOR_POINTS - 1) // 2
+        assert _scan_grid(geom, geom.detector_span / (2 * half)).size == MAX_DETECTOR_POINTS - 1
+        with pytest.raises(ValueError, match="scan grid"):
+            _scan_grid(geom, geom.detector_span / (2 * half + 2))
+
+
 class TestScanGrid:
     """A detector step above half the detector span leaves one scan point."""
 
@@ -835,6 +904,15 @@ _TEXT = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12
 ).filter(lambda s: s == s.strip() and " #" not in f" {s}" and " ;" not in f" {s}")
 _CHOICES = {"kernel": ("tophat",), "mode": ("orders",), "normalization": ("peak",)}
+# The keys that size the detector grids, in m, drawn where the default
+# config's grids stay within MAX_DETECTOR_POINTS and the scan grid holds a
+# point either side of its centre (span 300 um, step 2 um).
+_GRID_RANGES = {
+    "detector_span_um": (4e-6, 0.1),
+    "step_um": (1e-9, 150e-6),
+    "width_um": (0.0, 0.01),
+    "internal_step_um": (1e-9, 1e-3),
+}
 
 
 def _values(row):
@@ -854,6 +932,8 @@ def _values(row):
         return st.integers(1, 10**6)
     if row.check is config._open_unit:
         return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if row.key in _GRID_RANGES:
+        return st.floats(*_GRID_RANGES[row.key])
     positive = row.check is not config._nonnegative
     return st.floats(min_value=0.0, exclude_min=positive, allow_infinity=False)
 
@@ -863,12 +943,26 @@ def _valid(row, value):
         row.check(f"{row.section}.{row.key}", value)
     except ValueError:
         return False
-    # the scan grid needs a point either side of its centre (span 300 um, step 2 um)
-    if row.key == "step_um" and value > 150e-6:
+    return value != attrgetter(row.path)(SimulationConfig()) and _detector_arrays_fit(row, value)
+
+
+def _detector_arrays_fit(row, value):
+    """Whether the detector-plane arrays of the default config with ``value`` set are valid.
+
+    The scan grid needs a point either side of its centre (span 300 um,
+    step 2 um), and no array may exceed ``MAX_DETECTOR_POINTS``.
+    """
+    if row.section not in ("geometry", "detector", "numerics"):
+        return True
+    group, attr = row.path.split(".")
+    cfg = SimulationConfig()
+    try:
+        cfg = replace(cfg, **{group: replace(getattr(cfg, group), **{attr: value})})
+        _scan_grid(cfg.geometry, cfg.detector.step)
+        _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+    except ValueError:
         return False
-    if row.key == "detector_span_um" and value < 4e-6:
-        return False
-    return value != attrgetter(row.path)(SimulationConfig())
+    return True
 
 
 @pytest.mark.parametrize("row", config._KEYS, ids=lambda row: f"{row.section}.{row.key}")

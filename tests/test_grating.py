@@ -9,7 +9,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lightgrating.grating
 from lightgrating import backend
 from lightgrating.beamline import BeamlineGeometry, grating_window
 from lightgrating.distributions import VerticalProfile, fold_vertical_rule, vertical_phi_scales
@@ -28,7 +27,7 @@ from lightgrating.grating import (
     truncation_order,
 )
 from lightgrating.species import C60, C70, HBAR, C_LIGHT, EPS0, polarizability_si
-from oracles import channel_set, grating_coherence, mean_photon_number
+from oracles import channel_set, grating_coherence, mean_photon_number, period
 
 HALF_PERIOD_GRID = GridSpec(periods=2, samples_per_period=64)
 
@@ -565,7 +564,7 @@ class TestEffectiveChannels:
         # a damping factor underflowing to 0 is exact; an overflow or a nan is not
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             (block,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
-            rows = block.period()
+            rows = period(block)
         state = grating_coherence(
             phi, K_LASER, LASER_PERIOD_X, LASER_PERIOD_X, SCALES, SCALE_WEIGHTS
         )
@@ -586,7 +585,7 @@ class TestEffectiveChannels:
         folded, _ = effective_channels(phis, SPP, *fold_vertical_rule(scales, weights))
         for a, b in zip(full, folded):
             assert a.rank == b.rank
-            rows_a, rows_b = a.period(), b.period()
+            rows_a, rows_b = period(a), period(b)
             assert np.max(np.abs(rows_a.T @ rows_a.conj() - rows_b.T @ rows_b.conj())) < 1e-13
 
     def test_bit_identical_to_the_stepwise_loop(self):
@@ -627,7 +626,7 @@ class TestEffectiveChannels:
         assert dropped <= 1e-15
         # the one row is the dipole phase imprint up to a global phase
         imprint = np.exp(2j * phi.re * np.cos(K_LASER * LASER_PERIOD_X) ** 2)
-        overlap = np.vdot(imprint, rows.period()[0]) / LASER_PERIOD_X.size
+        overlap = np.vdot(imprint, period(rows)[0]) / LASER_PERIOD_X.size
         assert abs(overlap) == pytest.approx(1.0, abs=1e-14)
 
     def test_laser_off_is_one_flat_row(self):
@@ -635,7 +634,7 @@ class TestEffectiveChannels:
             [ComplexPhase(0.0, 0.0)], SPP, SCALES, SCALE_WEIGHTS
         )
         assert rows.rank == 1 and dropped == 0.0
-        assert np.allclose(rows.period()[0], 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(period(rows)[0], 1.0, rtol=0, atol=1e-15)
 
     def test_no_odd_rows_without_absorption(self):
         # a coherent phase grating fills only the even orders
@@ -643,8 +642,8 @@ class TestEffectiveChannels:
         rows, dropped = effective_channels(phis, SPP, SCALES, SCALE_WEIGHTS)
         for block in rows:
             assert block.rank > 1 and not block.odd.any()
-            period = block.period()
-            assert np.array_equal(period[:, SPP:], period[:, :SPP])
+            spread = period(block)
+            assert np.array_equal(spread[:, SPP:], spread[:, :SPP])
         assert np.all(dropped <= 1e-10)
 
     def test_batch_matches_one_phase_calls(self):
@@ -679,12 +678,12 @@ class TestEffectiveChannels:
         assert np.allclose(c, -canonical if flipped else canonical, rtol=0, atol=1e-9)
         tail_eps = 1e-10
         (block,), _ = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS, tail_eps)
-        rows = block.period()
+        rows = period(block)
         assert 1 in row_parity(rows)
         state = grating_coherence(phi, beam.k_laser, x, x, SCALES, SCALE_WEIGHTS)
         assert np.max(np.abs(state - rows.T @ rows.conj())) <= tail_eps + 1e-14
 
-    def test_period_layout_built_once_per_spp(self):
+    def test_period_oracle_reads_each_point_at_its_c(self):
         # each point of the period takes the row value at its |c| and, in
         # an odd row, the sign of its c
         c = np.cos(K_LASER * LASER_PERIOD_X)
@@ -693,11 +692,9 @@ class TestEffectiveChannels:
         rows, _ = effective_channels(
             [ComplexPhase(1.3, 0.4), ComplexPhase(12.0, 3.5)], SPP, SCALES, SCALE_WEIGHTS
         )
-        lightgrating.grating._period_layout.cache_clear()
-        for block in rows + rows:
+        for block in rows:
             expected = block.values[:, fold] * np.where(block.odd[:, None], np.sign(c), 1.0)
-            assert block.odd.any() and np.array_equal(block.period(), expected)
-        assert lightgrating.grating._period_layout.cache_info().misses == 1
+            assert block.odd.any() and np.array_equal(period(block), expected)
 
     def test_rejects_non_positive_tail(self):
         with pytest.raises(ValueError):
@@ -718,7 +715,7 @@ class TestEffectiveChannels:
     )
     def test_matches_cholesky_of_closed_form_columns(self, phi):
         (block,), (dropped,) = effective_channels([phi], SPP, SCALES, SCALE_WEIGHTS)
-        rows = block.period()
+        rows = period(block)
         expected, pivots, expected_dropped = reference_channels(
             phi, SCALES, SCALE_WEIGHTS, 1e-10
         )

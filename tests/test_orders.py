@@ -36,7 +36,7 @@ from lightgrating.orders import (
 )
 from lightgrating.distributions import VerticalProfile, vertical_phi_scales
 from lightgrating.species import C60, C70
-from oracles import channel_set, grating_coherence, pure_phase_orders
+from oracles import channel_set, grating_coherence, period, pure_phase_orders
 
 
 class TestOrderSpectrum:
@@ -126,7 +126,7 @@ def channel_rows(channels):
     """The channels of ``channel_set`` on GridSpec(2, spp) as ``ParityRows``, n mod 2 odd.
 
     Point spp + i of the canonical period sits at k x = theta_i, the i-th
-    stored value of ``ParityRows``; ``period()`` must give the samples back.
+    stored value of ``ParityRows``; ``oracles.period`` must give the samples back.
     """
     grid = channels[0].grid
     spp = grid.samples_per_period
@@ -135,7 +135,7 @@ def channel_rows(channels):
         samples[:, spp : spp + spp // 2],
         np.array([channel.photon_count % 2 == 1 for channel in channels]),
     )
-    assert np.max(np.abs(rows.period() - samples)) < 1e-14
+    assert np.max(np.abs(period(rows) - samples)) < 1e-14
     return rows
 
 
@@ -148,7 +148,7 @@ class TestFourierAmplitudes:
         rows = ParityRows(
             rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64)), np.array([False, True, False])
         )
-        direct = direct_order_power(rows.period(), 12)
+        direct = direct_order_power(period(rows), 12)
         assert np.max(np.abs(_order_power(rows, 12) - direct)) < 1e-13
 
     def test_uniform_transmission(self):
@@ -190,13 +190,13 @@ class TestFourierAmplitudes:
     def test_coherent_channel_selection_rule(self):
         # the zero-photon channel is half-period periodic: odd slots vanish
         rows = channel_rows(channel_set(ComplexPhase(2.28, 0.386), self.GRID))
-        power = fft_order_power(rows.period()[:1], 9)[0]
+        power = fft_order_power(period(rows)[:1], 9)[0]
         assert max(power[9 + m] for m in range(-9, 10) if m % 2 != 0) < 1e-12
         assert np.max(np.abs(_order_power(rows, 9)[0] - power)) < 1e-13
 
     def test_odd_channel_populates_odd_slots_only(self):
         rows = channel_rows(channel_set(ComplexPhase(2.28, 0.386), self.GRID))
-        power = fft_order_power(rows.period()[1:2], 9)[0]
+        power = fft_order_power(period(rows)[1:2], 9)[0]
         assert max(power[9 + m] for m in range(-9, 10) if m % 2 == 0) < 1e-12
         assert np.max(np.abs(_order_power(rows, 9)[1] - power)) < 1e-13
 
