@@ -57,14 +57,7 @@ bit-identical to a run at that power alone.  Orders mode sizes its grid
 by each power's strongest phase, so it builds one kernel per power.
 
 The worker pool (``run.workers``) pays off only when the velocity nodes
-carry several powers each.  On a 2-vCPU Intel Xeon VM, two workers
-against one, alternating runs: a default single-power C60 wave run took
-0.028 s against 0.026 s (one worker faster in 9 of 12 runs, at 0.040
-against 0.026 s of CPU); a 6-power C70 run at 16 velocity nodes took
-0.096 s against 0.122 s (two faster in 12 of 12); the ``scan-c70``
-benchmark (6 powers, 8 nodes) read ``wall_s`` 0.055 against 0.068 s
-(two faster in 6 of 6 pairs), ``cpu_s`` 0.074 against 0.067 s and
-``peak_rss_mb`` 43.3 against 39.8.
+carry several powers each; README's Power scans section has the timings.
 """
 
 from __future__ import annotations
@@ -79,9 +72,12 @@ import numpy as np
 
 from . import backend
 from .distributions import (
+    _internal_grid,
+    _scan_grid,
+    check_size,
     detector_kernel,
     fold_vertical_rule,
-    grid_half,
+    source_quadrature,
     velocity_quadrature,
     vertical_phi_scales,
 )
@@ -102,6 +98,10 @@ MAX_BATCH_STATES = 64
 # batches of at most this many output samples (powers x FFT length), so that
 # a scan with few velocity nodes holds a bounded number of output rows.
 MAX_OUTPUT_SAMPLES = 65536
+# The longest output transform (``n_fft``, 32 MB per complex row) and the
+# most source-lag values: 256 and 105 times those of the default run.
+MAX_FFT_LENGTH = 1 << 21
+MAX_SOURCE_LAGS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,8 @@ def grating_window(
 
     The window covers slit2 plus a 4-wavelength margin, rounded up to an
     even number of grating periods (grid convention), and the slit2
-    aperture is a fractional-overlap mask on that grid.
+    aperture is a fractional-overlap mask on that grid (ValueError if it
+    covers no sample).
     """
     window = geom.slit2 + 4.0 * beam.wavelength
     periods = int(math.ceil(window / beam.period))
@@ -282,16 +283,9 @@ def grating_window(
         periods=periods, samples_per_period=samples_per_period, wavelength=beam.wavelength
     )
     mask = aperture_mask(grid.positions(), grid.spacing, geom.slit2)
+    if not mask.any():
+        raise ValueError("the slit2 aperture covers no sample of the grating window")
     return grid, mask
-
-
-def source_quadrature(geom: BeamlineGeometry, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes across slit1 with uniform weights (incoherent source)."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    width = geom.slit1 / n_nodes
-    nodes = -0.5 * geom.slit1 + (np.arange(n_nodes) + 0.5) * width
-    return nodes, np.full(n_nodes, 1.0 / n_nodes)
 
 
 def next_pow2(n: int) -> int:
@@ -311,21 +305,24 @@ def next_smooth(n: int) -> int:
     return best
 
 
-def _scan_grid(geom: BeamlineGeometry, step: float) -> np.ndarray:
-    """The scan grid; ValueError before it is built if too coarse or too fine."""
-    n_half = grid_half("the scan grid", np.floor(0.5 * geom.detector_span / step + 1e-9))
-    if n_half < 1:
-        raise ValueError(
-            f"a detector step of {step * 1e6:g} um exceeds half the detector span of "
-            f"{geom.detector_span * 1e6:g} um: the scan grid would hold one point"
-        )
-    return np.arange(-n_half, n_half + 1) * step
+def _fft_length(grid: GridSpec, pad_factor: int) -> int:
+    """The output transform's length; ValueError if above ``MAX_FFT_LENGTH``."""
+    n_fft = next_pow2(grid.size * pad_factor)
+    check_size("the output transform", n_fft, MAX_FFT_LENGTH)
+    return n_fft
 
 
-def _internal_grid(geom: BeamlineGeometry, detector_width: float, internal_step: float) -> np.ndarray:
-    half_extent = 0.5 * geom.detector_span + 3.0 * max(detector_width, internal_step) + 2e-6
-    n_half = grid_half("the common detector grid", np.ceil(half_extent / internal_step))
-    return np.arange(-n_half, n_half + 1) * internal_step
+def _half_support(grid: GridSpec, mask: np.ndarray, n_sources: int) -> int:
+    """L of ``_SlitLayout``, the nonzero mask samples right of the window centre.
+
+    ValueError if the mask is not mirror-symmetric, or if the source-lag
+    table of ``n_sources`` nodes would exceed ``MAX_SOURCE_LAGS`` values.
+    """
+    if np.max(np.abs(mask - mask[::-1])) > 1e-10:
+        raise ValueError("the slit mask is not mirror-symmetric about the window centre")
+    support = int(np.flatnonzero(mask[grid.size // 2 :])[-1]) + 1
+    check_size("the source-lag table", n_sources * 2 * support, MAX_SOURCE_LAGS, "values")
+    return support
 
 
 class _SlitLayout:
@@ -338,16 +335,16 @@ class _SlitLayout:
     than 2e-13 of the peak at 48 and 64 samples per period; a mask that is
     not mirror-symmetric raises ``ValueError``.  So only the half field
     g(m) = f(N/2 + m), m < L, is transformed, where L counts its nonzero
-    samples, at the 5-smooth length M = ``m_len`` >= 2L.
+    samples (``_half_support``), at the 5-smooth length M = ``m_len`` >= 2L.
+    A source-lag table or output transform above its bound raises
+    ``ValueError`` before it is built.
     """
 
     def __init__(self, cfg: "SimulationConfig", grid: GridSpec, mask, src_nodes, src_weights):
-        if np.max(np.abs(mask - mask[::-1])) > 1e-10:
-            raise ValueError("the slit mask is not mirror-symmetric about the window centre")
+        support = _half_support(grid, mask, src_nodes.size)
         spp, centre, self.spacing = grid.samples_per_period, grid.size // 2, grid.spacing
-        support = int(np.flatnonzero(mask[centre:])[-1]) + 1
         self.m_len = m_len = 2 * next_smooth(support)
-        self.n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
+        self.n_fft = _fft_length(grid, cfg.numerics.pad_factor)
         # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
         # that of the slit alone; what the effective rows drop shows as a loss.
         self.power_in = grid.spacing * float(np.sum(mask**2))

@@ -7,11 +7,11 @@ fatal errors carrying the offending line number: a no-free-parameter
 model deserves loud config mistakes, not silently ignored typos.
 
 A key is one row of ``_KEYS``: its section and name, the
-``SimulationConfig`` attribute it sets, a (parser, formatter) codec and a
-validator.  Its default is that attribute of ``SimulationConfig()``.
-``_SCHEMA``, ``parse_config`` and ``serialize_config`` all follow the
-table, in its order.  Only ``[species]`` (a catalog name, or all three
-custom fields) and the velocity histogram load are written out by hand.
+``SimulationConfig`` attribute it sets (and takes its default from) and a
+(parser, formatter) codec, but no rule: the dataclass that holds the field
+checks it as ``parse_config`` sets it by ``dataclasses.replace``.  The
+parser and serializer follow the table, in its order; ``[species]`` and
+the velocity histogram load are written out by hand.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .beamline import BeamlineGeometry, _internal_grid, _scan_grid
-from .distributions import DetectorModel, VelocityDistribution, VerticalProfile
-from .distributions import load_velocity_histogram
-from .grating import GratingBeam
-from .species import CATALOG, COMMENT, ComplexPolarizability, MoleculeSpecies, check_one_line
+from .beamline import BeamlineGeometry, _fft_length, _half_support, grating_window
+from .distributions import DetectorModel, VelocityDistribution, VerticalProfile, _internal_grid
+from .distributions import _scan_grid, check_nodes, load_velocity_histogram
+from .grating import ComplexPhase, GratingBeam
+from .orders import samples_per_laser_period
+from .species import CATALOG, COMMENT, MoleculeSpecies, check_one_line
 
 
 class ConfigError(ValueError):
@@ -46,11 +47,20 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     velocity_nodes: int = 16
     vertical_nodes: int = 16
     source_nodes: int = 16
+
+    def __post_init__(self) -> None:
+        for name in ("velocity_nodes", "vertical_nodes", "source_nodes"):
+            _require(getattr(self, name) >= 1, f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,14 @@ class NumericsSpec:
     tail_eps: float = 1e-10
     m_max: int = 20
     internal_step: float = 0.25e-6
+
+    def __post_init__(self) -> None:
+        spp = self.samples_per_period
+        _require(spp > 0 and spp % 4 == 0, "samples_per_period must be a positive multiple of 4")
+        _require(self.pad_factor >= 1, "pad_factor must be >= 1")
+        _require(0.0 < self.tail_eps < 1.0, "tail_eps must be in (0, 1)")
+        _require(self.m_max >= 1, "m_max must be >= 1")
+        _require(self.internal_step > 0.0, "internal_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,10 @@ class RunSpec:
     prefix: str = "run"
 
     def __post_init__(self) -> None:
+        for name, allowed in (("mode", ("wave", "orders")), ("normalization", ("sum", "peak"))):
+            if (value := getattr(self, name)) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
+        _require(self.workers >= 1, "workers must be >= 1")
         check_one_line("run.out_dir", self.out_dir)
         check_one_line("run.prefix", self.prefix)
 
@@ -89,42 +111,22 @@ class SimulationConfig:
     run: RunSpec = field(default_factory=RunSpec)
     velocity_histogram_file: str | None = None
 
+    def __post_init__(self) -> None:  # one laser waist: the vertical average spans the beam's
+        laser_waist, waist_y = self.vertical.laser_waist, self.beam.waist_y
+        if laser_waist != waist_y:
+            raise ValueError(f"vertical.laser_waist {laser_waist!r} != beam.waist_y {waist_y!r}")
+
 
 # --- parsers and formatters ---------------------------------------------
-def _parse_float(raw: str) -> float:
+def _parse_float(raw: str, convert: Callable[[str], float] = float) -> float:
+    """A float key's value by ``convert``; text that is no finite number raises ValueError."""
     try:
-        value = float(raw)
-    except ValueError:
+        value = convert(raw)
+    except (ValueError, ArithmeticError):  # decimal.InvalidOperation among them
         raise ValueError(f"not a number: {raw!r}")
     if not math.isfinite(value):
         raise ValueError(f"not finite: {raw!r}")
     return value
-
-
-def _scaled(exponent: int):
-    """Parser for a unit-scaled float key (config units = SI * 10^-exponent).
-
-    The exponent shift happens in decimal, so the result is the correctly
-    rounded double of the SI quantity: '50' um parses to exactly the same
-    float as the literal 50e-6, with no multiply rounding.
-    """
-
-    def parse(raw: str) -> float:
-        try:
-            value = float(Decimal(raw).scaleb(exponent))
-        except (InvalidOperation, ValueError, ArithmeticError):
-            raise ValueError(f"not a number: {raw!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"not finite: {raw!r}")
-        return value
-
-    return parse
-
-
-def _fmt_scaled(value_si: float, exponent: int) -> str:
-    """Inverse of ``_scaled``: a config-unit string that parses back to
-    exactly ``value_si`` (repr is exact and the shift is decimal)."""
-    return format(Decimal(repr(value_si)).scaleb(exponent), "f")
 
 
 def _parse_int(raw: str) -> int:
@@ -152,33 +154,17 @@ _PATH: Codec = (lambda raw: raw.strip() or None, str)  # an empty value: no file
 
 
 def _unit(exponent: int) -> Codec:
-    """Codec of a float key given in units of 10^exponent SI (nm: -9)."""
-    return _scaled(exponent), lambda value: _fmt_scaled(value, -exponent)
+    """Codec of a float key given in units of 10^exponent SI (nm: -9).
 
-
-# --- validators: each raises ValueError naming the dotted key -----------
-def _rule(holds: Callable[[Any], bool], requirement: str) -> Callable[[str, Any], None]:
-    def check(name: str, value) -> None:
-        if not holds(value):
-            raise ValueError(f"{name} {requirement}")
-
-    return check
-
-
-def _one_of(*allowed: str) -> Callable[[str, Any], None]:
-    return _rule(lambda value: value in allowed, f"must be one of {', '.join(allowed)}")
-
-
-_anything = _rule(lambda value: True, "")
-_positive = _rule(lambda value: value > 0, "must be > 0")
-_nonnegative = _rule(lambda value: not value < 0, "must be >= 0")
-_open_unit = _rule(lambda value: 0.0 < value < 1.0, "must be in (0, 1)")
-
-
-def _multiple_of_4(name: str, value: int) -> None:
-    _positive(name, value)
-    if value % 4 != 0:
-        raise ValueError(f"{name} must be a multiple of 4")
+    The exponent shifts in decimal both ways: '50' um parses to the correctly
+    rounded double of the SI quantity, the literal 50e-6, with no multiply
+    rounding, and a value formats to text that parses back to exactly it
+    (repr is exact).
+    """
+    return (
+        lambda raw: _parse_float(raw, lambda text: float(Decimal(text).scaleb(exponent))),
+        lambda value: format(Decimal(repr(value)).scaleb(-exponent), "f"),
+    )
 
 
 # --- the table: one row per key -----------------------------------------
@@ -187,44 +173,43 @@ class _Key(NamedTuple):
     key: str
     path: str  # attribute of SimulationConfig, dotted
     codec: Codec
-    check: Callable[[str, Any], None] = _anything
 
 
 _KEYS: tuple[_Key, ...] = (
-    _Key("beam", "wavelength_nm", "beam.wavelength", _unit(-9), _positive),
-    _Key("beam", "power_w", "beam.power", _FLOAT, _nonnegative),
-    _Key("beam", "waist_y_mm", "beam.waist_y", _unit(-3), _positive),
-    _Key("beam", "waist_z_um", "beam.waist_z", _unit(-6), _positive),
-    _Key("geometry", "slit1_um", "geometry.slit1", _unit(-6), _positive),
-    _Key("geometry", "slit2_um", "geometry.slit2", _unit(-6), _positive),
-    _Key("geometry", "l12_m", "geometry.L12", _FLOAT, _positive),
-    _Key("geometry", "l2d_m", "geometry.L2D", _FLOAT, _positive),
-    _Key("geometry", "detector_span_um", "geometry.detector_span", _unit(-6), _positive),
-    _Key("velocity", "v_peak", "velocity.v_peak", _FLOAT, _positive),
-    _Key("velocity", "fwhm_ratio", "velocity.fwhm_ratio", _FLOAT, _open_unit),
+    _Key("beam", "wavelength_nm", "beam.wavelength", _unit(-9)),
+    _Key("beam", "power_w", "beam.power", _FLOAT),
+    _Key("beam", "waist_y_mm", "beam.waist_y", _unit(-3)),
+    _Key("beam", "waist_z_um", "beam.waist_z", _unit(-6)),
+    _Key("geometry", "slit1_um", "geometry.slit1", _unit(-6)),
+    _Key("geometry", "slit2_um", "geometry.slit2", _unit(-6)),
+    _Key("geometry", "l12_m", "geometry.L12", _FLOAT),
+    _Key("geometry", "l2d_m", "geometry.L2D", _FLOAT),
+    _Key("geometry", "detector_span_um", "geometry.detector_span", _unit(-6)),
+    _Key("velocity", "v_peak", "velocity.v_peak", _FLOAT),
+    _Key("velocity", "fwhm_ratio", "velocity.fwhm_ratio", _FLOAT),
     _Key("velocity", "histogram_file", "velocity_histogram_file", _PATH),
-    _Key("vertical", "beam_fwhm_um", "vertical.beam_fwhm", _unit(-6), _positive),
-    _Key("detector", "width_um", "detector.width", _unit(-6), _nonnegative),
-    _Key("detector", "step_um", "detector.step", _unit(-6), _positive),
-    _Key("detector", "kernel", "detector.kernel_shape", _TEXT, _one_of("gaussian", "tophat")),
-    _Key("quadrature", "velocity_nodes", "quadrature.velocity_nodes", _INT, _positive),
-    _Key("quadrature", "vertical_nodes", "quadrature.vertical_nodes", _INT, _positive),
-    _Key("quadrature", "source_nodes", "quadrature.source_nodes", _INT, _positive),
-    _Key("numerics", "samples_per_period", "numerics.samples_per_period", _INT, _multiple_of_4),
-    _Key("numerics", "pad_factor", "numerics.pad_factor", _INT, _positive),
-    _Key("numerics", "tail_eps", "numerics.tail_eps", _FLOAT, _open_unit),
-    _Key("numerics", "m_max", "numerics.m_max", _INT, _positive),
-    _Key("numerics", "internal_step_um", "numerics.internal_step", _unit(-6), _positive),
-    _Key("run", "mode", "run.mode", _TEXT, _one_of("wave", "orders")),
-    _Key("run", "normalization", "run.normalization", _TEXT, _one_of("sum", "peak")),
-    _Key("run", "workers", "run.workers", _INT, _positive),
+    _Key("vertical", "beam_fwhm_um", "vertical.beam_fwhm", _unit(-6)),
+    _Key("detector", "width_um", "detector.width", _unit(-6)),
+    _Key("detector", "step_um", "detector.step", _unit(-6)),
+    _Key("detector", "kernel", "detector.kernel_shape", _TEXT),
+    _Key("quadrature", "velocity_nodes", "quadrature.velocity_nodes", _INT),
+    _Key("quadrature", "vertical_nodes", "quadrature.vertical_nodes", _INT),
+    _Key("quadrature", "source_nodes", "quadrature.source_nodes", _INT),
+    _Key("numerics", "samples_per_period", "numerics.samples_per_period", _INT),
+    _Key("numerics", "pad_factor", "numerics.pad_factor", _INT),
+    _Key("numerics", "tail_eps", "numerics.tail_eps", _FLOAT),
+    _Key("numerics", "m_max", "numerics.m_max", _INT),
+    _Key("numerics", "internal_step_um", "numerics.internal_step", _unit(-6)),
+    _Key("run", "mode", "run.mode", _TEXT),
+    _Key("run", "normalization", "run.normalization", _TEXT),
+    _Key("run", "workers", "run.workers", _INT),
     _Key("run", "convergence_check", "run.convergence_check", _BOOL),
-    _Key("run", "out_dir", "run.out_dir", _TEXT, check_one_line),
-    _Key("run", "prefix", "run.prefix", _TEXT, check_one_line),
+    _Key("run", "out_dir", "run.out_dir", _TEXT),
+    _Key("run", "prefix", "run.prefix", _TEXT),
 )
 
-# the three fields of a custom species, with their validators
-_CUSTOM_SPECIES = {"mass_amu": _positive, "alpha_re_a3": _anything, "alpha_im_a3": _nonnegative}
+# the three fields of a custom species: its mass, and its polarizability's parts
+_CUSTOM_SPECIES = ("mass_amu", "alpha_re_a3", "alpha_im_a3")
 
 # section -> keys the parser accepts; anything else is fatal.
 _SCHEMA: dict[str, tuple[str, ...]] = {"species": ("name", *_CUSTOM_SPECIES)}
@@ -236,12 +221,18 @@ _GETTERS = tuple(attrgetter(row.path) for row in _KEYS)
 _DEFAULT = SimulationConfig()  # built once: each key's default is its field here
 
 
-def parse_value(section: str, key: str, raw: str):
-    """One key's value from its text by its row's parser and validator (or ValueError)."""
-    row = _ROWS[section, key]
+def _apply(fields: dict[str, Any], row: _Key, raw: str):
+    """Set ``row``'s value from ``raw`` in ``fields`` by ``replace``; return it (or ValueError)."""
     value = row.codec[0](raw)
-    row.check(f"{section}.{key}", value)
+    group, _, attr = row.path.partition(".")
+    holder = fields.get(group, getattr(_DEFAULT, group))
+    fields[group] = replace(holder, **{attr: value}) if attr else value
     return value
+
+
+def parse_value(section: str, key: str, raw: str):
+    """One key's value from its text, checked by the dataclass that holds it (or ValueError)."""
+    return _apply({}, _ROWS[section, key], raw)
 
 
 def _read_ini(text: str) -> tuple[dict[tuple[str, str], str], dict[tuple[Any, str], int]]:
@@ -301,75 +292,83 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
     raw, lines = _read_ini(text)
 
     @contextmanager
-    def blame(section: str, key: str):
-        """Re-raise a fault of ``section.key`` as a ConfigError at its line."""
+    def blame(*keys: tuple[str, str]):
+        """A fault (arithmetic too) as a ConfigError at the first of ``keys`` set, else the last."""
+        at = next((key for key in keys if key in raw), keys[-1])
         try:
             yield
-        except (OSError, ValueError) as exc:
-            line = lines.get((section, key))
-            raise ConfigError(str(exc), key=f"{section}.{key}", line=line) from exc
+        except (OSError, ValueError, ArithmeticError) as exc:
+            raise ConfigError(str(exc), key=".".join(at), line=lines.get(at)) from exc
 
     # --- species: a catalog name, or all three custom fields -----------
     name = raw.get(("species", "name"), _DEFAULT.species.name)
     custom = {}
     for key in _CUSTOM_SPECIES:
         if ("species", key) in raw:
-            with blame("species", key):
+            with blame(("species", key)):
                 custom[key] = _parse_float(raw["species", key])
     if custom:
-        missing = [key for key in _CUSTOM_SPECIES if key not in custom]
-        with blame("species", next(iter(custom))):
-            if missing:
+        with blame(("species", next(iter(custom)))):
+            if missing := [key for key in _CUSTOM_SPECIES if key not in custom]:
                 raise ValueError(f"custom species needs {', '.join(missing)} as well")
-        for key, check in _CUSTOM_SPECIES.items():
-            with blame("species", key):
-                check(f"species.{key}", custom[key])
-        polarizability = ComplexPolarizability(custom["alpha_re_a3"], custom["alpha_im_a3"])
-        with blame("species", "name"):
-            species = MoleculeSpecies(name, custom["mass_amu"], polarizability)
+        with blame(("species", "mass_amu")):
+            species = replace(_DEFAULT.species, mass_amu=custom["mass_amu"])
+        polarizability = species.polarizability
+        for key, attr in zip(_CUSTOM_SPECIES[1:], ("real_volume", "imag_volume")):
+            with blame(("species", key)):
+                polarizability = replace(polarizability, **{attr: custom[key]})
+        with blame(("species", "name")):
+            species = replace(species, name=name, polarizability=polarizability)
     elif name in CATALOG:
         species = CATALOG[name]
     else:
-        with blame("species", "name"):
+        with blame(("species", "name")):
             raise ValueError(
                 f"unknown species {name!r}; catalog has {', '.join(sorted(CATALOG))} "
                 "(or define mass_amu/alpha_re_a3/alpha_im_a3 inline)"
             )
 
-    # --- every other key: one table row each; unset groups stay default --
-    given: dict[str, dict[str, Any]] = {"": {}}
+    # --- every other key: one table row each, in table order ------------
+    fields: dict[str, Any] = {}
     for row in _KEYS:
         if (row.section, row.key) in raw:
-            with blame(row.section, row.key):
-                value = parse_value(row.section, row.key, raw[row.section, row.key])
-            group, _, attr = row.path.rpartition(".")
-            given.setdefault(group, {})[attr] = value
-    if "waist_y" in given.get("beam", {}):  # the vertical average spans the laser's waist
-        given.setdefault("vertical", {})["laser_waist"] = given["beam"]["waist_y"]
-    fields = given.pop("")
-    fields.update((group, replace(getattr(_DEFAULT, group), **kw)) for group, kw in given.items())
+            with blame((row.section, row.key)):
+                _apply(fields, row, raw[row.section, row.key])
+    if ("beam", "waist_y_mm") in raw:  # the vertical average spans the laser's waist
+        vertical = fields.get("vertical", _DEFAULT.vertical)
+        fields["vertical"] = replace(vertical, laser_waist=fields["beam"].waist_y)
 
     # --- a measured velocity histogram replaces the gaussian's v_peak ---
-    histogram_file = fields.get("velocity_histogram_file")
-    if histogram_file:
-        with blame("velocity", "histogram_file"):
+    if histogram_file := fields.get("velocity_histogram_file"):
+        with blame(("velocity", "histogram_file")):
             loaded = load_velocity_histogram(Path(base_dir or ".") / histogram_file)
         fwhm_ratio = fields.get("velocity", _DEFAULT.velocity).fwhm_ratio
         fields["velocity"] = replace(loaded, fwhm_ratio=fwhm_ratio)
-
     cfg = replace(_DEFAULT, species=species, **fields)
-    # The detector grids, which check their size before they allocate:
-    # each fault blames the first of its keys that the file sets.
-    # The common grid reaches 3 detector widths past the span, beyond the
-    # kernel's taps, so it bounds them too.
-    def blame_first(*keys: tuple[str, str]):
-        return blame(*next((key for key in keys if key in raw), keys[-1]))
 
+    # --- each array a run allocates, its size checked first, blaming the keys
+    # that size it, most direct first (the common grid, 3 detector widths past
+    # the span, bounds the kernel's taps too; a convergence check doubles rules)
     span, width = ("geometry", "detector_span_um"), ("detector", "width_um")
-    with blame_first(("detector", "step_um"), span):
+    with blame(("detector", "step_um"), span):
         _scan_grid(cfg.geometry, cfg.detector.step)
-    with blame_first(("numerics", "internal_step_um"), width, span):
+    with blame(("numerics", "internal_step_um"), width, span):
         _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+    doubled, check = 2 if cfg.run.convergence_check else 1, ("run", "convergence_check")
+    for key in ("velocity_nodes", "vertical_nodes", "source_nodes"):
+        with blame(("quadrature", key), check):
+            check_nodes(f"the {key.split('_')[0]} rule", doubled * getattr(cfg.quadrature, key))
+    if ("numerics", "m_max") in raw:  # at Phi = 0, the least; the default fits any tail_eps
+        with blame(("numerics", "m_max")):
+            samples_per_laser_period(ComplexPhase(0, 0), cfg.numerics.m_max, cfg.numerics.tail_eps)
+    window = ("numerics", "samples_per_period"), ("geometry", "slit2_um"), ("beam", "wavelength_nm")
+    if cfg.run.mode == "wave":  # the arrays of wave mode alone
+        with blame(*window):
+            grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        with blame(("numerics", "pad_factor"), *window):
+            _fft_length(grid, cfg.numerics.pad_factor)
+        with blame(("quadrature", "source_nodes"), *window, check):
+            _half_support(grid, mask, doubled * cfg.quadrature.source_nodes)
     return cfg
 
 

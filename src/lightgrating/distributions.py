@@ -1,4 +1,4 @@
-"""Velocity spread, vertical beam overlap, detector resolution.
+"""Velocity spread, vertical beam overlap, source slit, detector resolution.
 
 Everything here produces deterministic quadrature nodes and weights — no
 Monte Carlo — so downstream ensemble averages are bit-reproducible.
@@ -10,8 +10,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .beamline import BeamlineGeometry
 
 # FWHM of a Gaussian = FWHM_TO_SIGMA * sigma
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -23,23 +27,39 @@ VELOCITY_FLOOR = 1e-3
 # and the detector kernel's taps (8 MB as float64).  A grid that would hold
 # more is refused before it is allocated.
 MAX_DETECTOR_POINTS = 1 << 20
+# The most nodes of a quadrature rule, velocity, vertical or source (64
+# times the default 16), and the most rows of a velocity histogram.
+MAX_QUADRATURE_NODES = 1 << 10
+
+
+def check_size(what: str, size: float, limit: int, unit: str = "points") -> None:
+    """Raise ValueError if ``what`` would hold more than ``limit`` ``unit`` (or a NaN ``size``)."""
+    if not size <= limit:
+        raise ValueError(f"{what} would hold {size:.4g} {unit}, more than the {limit} allowed")
+
+
+def check_nodes(what: str, n_nodes: int) -> None:
+    """Raise ValueError unless the rule ``what`` has 1 to ``MAX_QUADRATURE_NODES`` nodes."""
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
+    check_size(what, n_nodes, MAX_QUADRATURE_NODES, "nodes")
 
 
 @dataclass(frozen=True)
 class VelocityDistribution:
     """Forward-velocity distribution of the molecular beam.
 
-    The default shape is a Gaussian parameterised by the most probable
-    velocity and the relative FWHM spread.  A measured histogram (two
-    columns: velocity, relative weight) can be supplied instead; it is then
-    used verbatim as the quadrature rule.  Its columns must have equal
-    lengths, its velocities be finite and positive, and its weights be
-    finite and nonnegative with a positive sum.
+    Without a ``histogram`` it is a Gaussian parameterised by the most
+    probable velocity and the relative FWHM spread.  A measured histogram
+    (two columns: velocity, relative weight), when given, is the rule: it
+    is used verbatim as the quadrature, and ``shape`` reads "histogram".
+    Its columns must have equal lengths of at most ``MAX_QUADRATURE_NODES``
+    rows, its velocities be finite and positive, and its weights be finite
+    and nonnegative with a positive sum.
     """
 
     v_peak: float = 120.0
     fwhm_ratio: float = 0.17
-    shape: str = "gaussian"
     histogram: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
@@ -47,6 +67,7 @@ class VelocityDistribution:
             velocities, weights = self.histogram
             if len(velocities) != len(weights):
                 raise ValueError("histogram columns must have equal lengths")
+            check_size("the velocity histogram", len(velocities), MAX_QUADRATURE_NODES, "rows")
             velocities = np.asarray(velocities, dtype=np.float64)
             weights = np.asarray(weights, dtype=np.float64)
             if not np.all(np.isfinite(velocities) & (velocities > 0.0)):
@@ -57,10 +78,11 @@ class VelocityDistribution:
             raise ValueError("v_peak must be positive")
         if not 0.0 < self.fwhm_ratio < 1.0:
             raise ValueError("fwhm_ratio must be in (0, 1)")
-        if self.shape not in ("gaussian", "histogram"):
-            raise ValueError(f"unknown velocity shape {self.shape!r}")
-        if self.shape == "histogram" and self.histogram is None:
-            raise ValueError("histogram shape requires tabulated data")
+
+    @property
+    def shape(self) -> str:
+        """The rule's shape: "histogram" when a histogram is given, else "gaussian"."""
+        return "gaussian" if self.histogram is None else "histogram"
 
 
 @dataclass(frozen=True)
@@ -71,8 +93,9 @@ class VerticalProfile:
     laser_waist: float = 1.3e-3
 
     def __post_init__(self) -> None:
-        if not (self.beam_fwhm > 0.0 and self.laser_waist > 0.0):
-            raise ValueError("profile widths must be positive")
+        for name in ("beam_fwhm", "laser_waist"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,11 +131,10 @@ def velocity_quadrature(
     it (``fwhm_ratio`` >= 0.4): the grating phase grows as 1/v, so the
     slowest nodes then carry the strongest gratings of the run.  Histogram
     shape: the tabulated rows of nonzero weight are the rule and
-    ``n_nodes`` is ignored.  A row of weight 0 adds nothing to a pattern,
+    ``n_nodes`` is only checked.  A row of weight 0 adds nothing to a pattern,
     so it costs no node here, while the config digest still hashes it.
     """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+    check_nodes("the velocity rule", n_nodes)
     if dist.shape == "histogram":
         assert dist.histogram is not None
         nodes = np.asarray(dist.histogram[0], dtype=np.float64)
@@ -137,6 +159,14 @@ def velocity_quadrature(
     return nodes, weights / weights.sum()
 
 
+def source_quadrature(geom: "BeamlineGeometry", n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes across slit1 with uniform weights (incoherent source)."""
+    check_nodes("the source rule", n_nodes)
+    width = geom.slit1 / n_nodes
+    nodes = -0.5 * geom.slit1 + (np.arange(n_nodes) + 0.5) * width
+    return nodes, np.full(n_nodes, 1.0 / n_nodes)
+
+
 def vertical_phi_scales(
     profile: VerticalProfile, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +177,7 @@ def vertical_phi_scales(
     factor.  Returns (scales, weights) with unit-sum weights over midpoint
     cells spanning +-2.5 FWHM of the vertical beam profile.
     """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+    check_nodes("the vertical rule", n_nodes)
     half_span = SPAN_FWHM * profile.beam_fwhm
     y = _midpoint_cells(-half_span, half_span, n_nodes)
     sigma = profile.beam_fwhm / FWHM_TO_SIGMA
@@ -183,12 +212,27 @@ def grid_half(what: str, half: float) -> int:
     Raises ValueError when the grid's 2 half + 1 points exceed
     ``MAX_DETECTOR_POINTS`` (or ``half`` is not finite).
     """
-    if not 2.0 * half + 1.0 <= MAX_DETECTOR_POINTS:
-        raise ValueError(
-            f"{what} would hold {2.0 * half + 1.0:.4g} points, more than the "
-            f"{MAX_DETECTOR_POINTS} allowed"
-        )
+    check_size(what, 2.0 * half + 1.0, MAX_DETECTOR_POINTS)
     return int(half)
+
+
+def _scan_grid(geom: "BeamlineGeometry", step: float) -> np.ndarray:
+    """The scan grid; ValueError before it is built if too coarse or too fine."""
+    n_half = grid_half("the scan grid", np.floor(0.5 * geom.detector_span / step + 1e-9))
+    if n_half < 1:
+        raise ValueError(
+            f"a detector step of {step * 1e6:g} um exceeds half the detector span of "
+            f"{geom.detector_span * 1e6:g} um: the scan grid would hold one point"
+        )
+    return np.arange(-n_half, n_half + 1) * step
+
+
+def _internal_grid(
+    geom: "BeamlineGeometry", detector_width: float, internal_step: float
+) -> np.ndarray:
+    half_extent = 0.5 * geom.detector_span + 3.0 * max(detector_width, internal_step) + 2e-6
+    n_half = grid_half("the common detector grid", np.ceil(half_extent / internal_step))
+    return np.arange(-n_half, n_half + 1) * internal_step
 
 
 def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
@@ -230,6 +274,5 @@ def load_velocity_histogram(path: str | Path) -> VelocityDistribution:
     v_peak = float(v[np.argmax(w)])
     return VelocityDistribution(
         v_peak=v_peak,
-        shape="histogram",
         histogram=(tuple(float(x) for x in v), tuple(float(x) for x in w)),
     )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .distributions import check_size
 from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
 
 # The per-photon-number outputs (``orders.incoherent_order_intensities``,
@@ -35,6 +36,9 @@ from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
 # ``truncation_order`` of the requested tail.  Wave and orders mode sum
 # every channel in closed form (``effective_channels``).
 DEFAULT_TAIL_EPS = 1e-10
+# The most samples of a grating window (``GridSpec.size``): 585 times the
+# 1792 of the default wave run (28 periods of 64 samples).
+MAX_WINDOW_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class GratingBeam:
     wavelength : float
         Laser wavelength in metres.  The intensity period is half this.
     power : float
-        Power of the running wave in watts, >= 0.
+        Power of the running wave in watts, finite and >= 0.
     waist_y : float
         1/e^2 intensity radius along the (vertical) molecular beam height, m.
     waist_z : float
@@ -62,10 +66,13 @@ class GratingBeam:
     def __post_init__(self) -> None:
         if not self.wavelength > 0.0:
             raise ValueError("wavelength must be positive")
+        if not math.isfinite(self.power):
+            raise ValueError("power must be finite")
         if self.power < 0.0:
             raise ValueError("power must be >= 0")
-        if not (self.waist_y > 0.0 and self.waist_z > 0.0):
-            raise ValueError("waists must be positive")
+        for name in ("waist_y", "waist_z"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def k_laser(self) -> float:
@@ -114,7 +121,8 @@ class GridSpec:
     ``periods`` must be even so the window is also commensurate with the
     full laser wavelength -- the period of the odd diffraction harmonics.
     ``samples_per_period`` must be a multiple of 4 so nodes and antinodes
-    align with the cell structure.
+    align with the cell structure.  The window holds at most
+    ``MAX_WINDOW_SAMPLES`` samples.
     """
 
     periods: int = 2
@@ -128,6 +136,7 @@ class GridSpec:
             raise ValueError("samples_per_period must be a multiple of 4")
         if not self.wavelength > 0.0:
             raise ValueError("wavelength must be positive")
+        check_size("the grating window", self.size, MAX_WINDOW_SAMPLES, "samples")
 
     @property
     def period(self) -> float:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import check_size
 from .grating import (
     DEFAULT_TAIL_EPS,
     ComplexPhase,
@@ -42,6 +43,10 @@ from .grating import (
 )
 
 DEFAULT_M_MAX = 20
+# The most values of an order table, n/4 stored values of |c| times the
+# m_max + 1 orders (``samples_per_laser_period``), 32 MB as float64.  At
+# Phi = 0 it admits m_max up to 4089; the default 20 needs 168.
+MAX_ORDER_TABLE = 1 << 22
 # Bytes that the kernel arrays of ``mixed_order_spectra`` hold at once, so
 # that its temporaries stay bounded at any grating strength.
 MAX_KERNEL_BYTES = 1 << 21
@@ -149,14 +154,20 @@ def samples_per_laser_period(
     with lower ones, but every partner lies beyond n - m_max, where the
     state holds next to nothing.  n is 32 at Phi = 0 and m_max = 20, 64 at
     C60 9.5 W and 120 at C70 50 W (72 m/s).  Pass the largest phase the
-    state holds (vertical scales included).
+    state holds (vertical scales included).  Raises ValueError when the
+    order table on that grid, n/4 values of |c| by m_max + 1 orders, would
+    hold more than ``MAX_ORDER_TABLE`` values.
     """
     if not tail_eps > 0.0:
         raise ValueError("tail_eps must be positive")
     log_alias = _log_order_bound(phi)
-    log_alias += 2.0 * (np.log(2.0 / -np.expm1(-8.0 * _STRIP)) - math.log(0.5 * tail_eps))
+    # log(tail_eps/2), finite also where tail_eps/2 underflows to 0
+    log_half_eps = math.log(tail_eps) - math.log(2.0)
+    log_alias += 2.0 * (np.log(2.0 / -np.expm1(-8.0 * _STRIP)) - log_half_eps)
     clearance = math.ceil(float(np.min(log_alias / (2.0 * _STRIP))))
-    return 8 * max(1, -(-(m_max + clearance) // 8))
+    n = 8 * max(1, -(-(m_max + clearance) // 8))
+    check_size("the order table", n // 4 * (m_max + 1), MAX_ORDER_TABLE, "values")
+    return n
 
 
 def _order_power(rows: ParityRows, m_max: int) -> np.ndarray:

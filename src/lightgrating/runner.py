@@ -1,8 +1,10 @@
 """Simulation orchestration and file output.
 
 Writes are atomic (temp file + rename) and deterministic: fixed-decimal
-CSV, sorted JSON keys, and a config digest stamped into both so a pattern
-can always be traced back to the exact configuration that produced it.
+CSV and sorted JSON keys.  The pattern CSV holds only
+``position_um,intensity``; the config digest, which traces a pattern back
+to the exact configuration that produced it, is in the summary JSON and
+in ``pattern.metadata``.
 """
 
 from __future__ import annotations
@@ -223,14 +225,12 @@ def run_power_scan(
     The patterns come from one ``ensemble_patterns`` call, and each power
     writes the files ``run_simulate`` writes for its configuration, with
     the prefix ``<prefix>_pNN``.  A failed convergence check raises
-    :class:`ConvergenceError` after that power's files are written.
+    :class:`ConvergenceError` after that power's files are written.  A
+    power that ``GratingBeam`` refuses raises its ValueError before any
+    file is written.
     """
     if not powers:
         raise ValueError("power scan needs at least one power")
-    if not np.all(np.isfinite(powers)):
-        raise ValueError("powers must be finite")
-    if any(p < 0.0 for p in powers):
-        raise ValueError("powers must be >= 0")
     out = _resolve_out_dir(cfg, out_dir)
     powers = [float(power) for power in powers]
     patterns = ensemble_patterns(cfg, powers)

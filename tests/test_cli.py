@@ -345,7 +345,7 @@ class TestScan:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "powers, message", [([2.0, -1.0], "powers must be >= 0"), ([], "at least one power")]
+        "powers, message", [([2.0, -1.0], "power must be >= 0"), ([], "at least one power")]
     )
     def test_run_power_scan_rejects_negative_or_no_power(self, tmp_path, powers, message):
         with pytest.raises(ValueError, match=message):

@@ -15,8 +15,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightgrating import config
-from lightgrating.beamline import _internal_grid, _scan_grid
-from lightgrating.distributions import MAX_DETECTOR_POINTS, DetectorModel, detector_kernel
+from lightgrating.beamline import (
+    MAX_FFT_LENGTH,
+    MAX_SOURCE_LAGS,
+    BeamlineGeometry,
+    _fft_length,
+    _half_support,
+    _internal_grid,
+    _scan_grid,
+    ensemble_patterns,
+    grating_window,
+)
+from lightgrating.distributions import (
+    MAX_DETECTOR_POINTS,
+    MAX_QUADRATURE_NODES,
+    DetectorModel,
+    VelocityDistribution,
+    VerticalProfile,
+    detector_kernel,
+    source_quadrature,
+    velocity_quadrature,
+    vertical_phi_scales,
+)
+from lightgrating.grating import MAX_WINDOW_SAMPLES, ComplexPhase, GridSpec
+from lightgrating.orders import mixed_order_spectra, samples_per_laser_period
 from lightgrating.config import (
     ConfigError,
     SimulationConfig,
@@ -402,67 +424,68 @@ ONE_KEY_DIGESTS = {
         "2da352e9c3758d6ab2e75512986c9fd865a3e161ef64f0517e0b3f1c353eef39",
 }
 
-# The ConfigError text of one bad value, recorded likewise.  The bad key
-# sits on line 5, after a valid section (see ``bad_value_text``).
+# The ConfigError text of one bad value: its parser's, or that of the
+# dataclass that holds its field.  The bad key sits on line 5, after a
+# valid section (see ``bad_value_text``).
 ONE_KEY_ERRORS = [
     ("beam", "wavelength_nm", "abc", "not a number: 'abc'"),
-    ("beam", "wavelength_nm", "0", "beam.wavelength_nm must be > 0"),
-    ("beam", "wavelength_nm", "-514", "beam.wavelength_nm must be > 0"),
+    ("beam", "wavelength_nm", "0", "wavelength must be positive"),
+    ("beam", "wavelength_nm", "-514", "wavelength must be positive"),
     ("beam", "wavelength_nm", "inf", "not finite: 'inf'"),
     ("beam", "power_w", "abc", "not a number: 'abc'"),
-    ("beam", "power_w", "-1", "beam.power_w must be >= 0"),
+    ("beam", "power_w", "-1", "power must be >= 0"),
     ("beam", "power_w", "nan", "not finite: 'nan'"),
     ("beam", "waist_y_mm", "x", "not a number: 'x'"),
-    ("beam", "waist_y_mm", "0", "beam.waist_y_mm must be > 0"),
+    ("beam", "waist_y_mm", "0", "waist_y must be positive"),
     ("beam", "waist_z_um", "x", "not a number: 'x'"),
-    ("beam", "waist_z_um", "-3", "beam.waist_z_um must be > 0"),
+    ("beam", "waist_z_um", "-3", "waist_z must be positive"),
     ("geometry", "slit1_um", "x", "not a number: 'x'"),
-    ("geometry", "slit1_um", "0", "geometry.slit1_um must be > 0"),
+    ("geometry", "slit1_um", "0", "slit1 must be positive"),
     ("geometry", "slit2_um", "x", "not a number: 'x'"),
-    ("geometry", "slit2_um", "0", "geometry.slit2_um must be > 0"),
+    ("geometry", "slit2_um", "0", "slit2 must be positive"),
     ("geometry", "l12_m", "twelve", "not a number: 'twelve'"),
-    ("geometry", "l12_m", "0", "geometry.l12_m must be > 0"),
+    ("geometry", "l12_m", "0", "L12 must be positive"),
     ("geometry", "l2d_m", "x", "not a number: 'x'"),
-    ("geometry", "l2d_m", "-1", "geometry.l2d_m must be > 0"),
+    ("geometry", "l2d_m", "-1", "L2D must be positive"),
     ("geometry", "detector_span_um", "x", "not a number: 'x'"),
-    ("geometry", "detector_span_um", "0", "geometry.detector_span_um must be > 0"),
+    ("geometry", "detector_span_um", "0", "detector_span must be positive"),
     ("velocity", "v_peak", "x", "not a number: 'x'"),
-    ("velocity", "v_peak", "0", "velocity.v_peak must be > 0"),
+    ("velocity", "v_peak", "0", "v_peak must be positive"),
     ("velocity", "fwhm_ratio", "x", "not a number: 'x'"),
-    ("velocity", "fwhm_ratio", "0", "velocity.fwhm_ratio must be in (0, 1)"),
-    ("velocity", "fwhm_ratio", "1", "velocity.fwhm_ratio must be in (0, 1)"),
-    ("velocity", "fwhm_ratio", "1.5", "velocity.fwhm_ratio must be in (0, 1)"),
+    ("velocity", "fwhm_ratio", "0", "fwhm_ratio must be in (0, 1)"),
+    ("velocity", "fwhm_ratio", "1", "fwhm_ratio must be in (0, 1)"),
+    ("velocity", "fwhm_ratio", "1.5", "fwhm_ratio must be in (0, 1)"),
     ("vertical", "beam_fwhm_um", "x", "not a number: 'x'"),
-    ("vertical", "beam_fwhm_um", "0", "vertical.beam_fwhm_um must be > 0"),
+    ("vertical", "beam_fwhm_um", "0", "beam_fwhm must be positive"),
     ("detector", "width_um", "x", "not a number: 'x'"),
-    ("detector", "width_um", "-1", "detector.width_um must be >= 0"),
+    ("detector", "width_um", "-1", "width must be >= 0"),
     ("detector", "step_um", "x", "not a number: 'x'"),
-    ("detector", "step_um", "0", "detector.step_um must be > 0"),
-    ("detector", "kernel", "lorentzian", "detector.kernel must be one of gaussian, tophat"),
+    ("detector", "step_um", "0", "step must be positive"),
+    ("detector", "kernel", "lorentzian", "unknown kernel shape 'lorentzian'"),
     ("quadrature", "velocity_nodes", "x", "not an integer: 'x'"),
-    ("quadrature", "velocity_nodes", "0", "quadrature.velocity_nodes must be > 0"),
+    ("quadrature", "velocity_nodes", "0", "velocity_nodes must be >= 1"),
     ("quadrature", "velocity_nodes", "1.5", "not an integer: '1.5'"),
     ("quadrature", "vertical_nodes", "x", "not an integer: 'x'"),
-    ("quadrature", "vertical_nodes", "-1", "quadrature.vertical_nodes must be > 0"),
+    ("quadrature", "vertical_nodes", "-1", "vertical_nodes must be >= 1"),
     ("quadrature", "source_nodes", "x", "not an integer: 'x'"),
-    ("quadrature", "source_nodes", "0", "quadrature.source_nodes must be > 0"),
+    ("quadrature", "source_nodes", "0", "source_nodes must be >= 1"),
     ("numerics", "samples_per_period", "x", "not an integer: 'x'"),
-    ("numerics", "samples_per_period", "0", "numerics.samples_per_period must be > 0"),
-    ("numerics", "samples_per_period", "30", "numerics.samples_per_period must be a multiple of 4"),
-    ("numerics", "samples_per_period", "-4", "numerics.samples_per_period must be > 0"),
+    ("numerics", "samples_per_period", "0", "samples_per_period must be a positive multiple of 4"),
+    ("numerics", "samples_per_period", "30", "samples_per_period must be a positive multiple of 4"),
+    ("numerics", "samples_per_period", "-4", "samples_per_period must be a positive multiple of 4"),
     ("numerics", "pad_factor", "x", "not an integer: 'x'"),
-    ("numerics", "pad_factor", "0", "numerics.pad_factor must be > 0"),
+    ("numerics", "pad_factor", "0", "pad_factor must be >= 1"),
     ("numerics", "tail_eps", "x", "not a number: 'x'"),
-    ("numerics", "tail_eps", "0", "numerics.tail_eps must be in (0, 1)"),
-    ("numerics", "tail_eps", "2", "numerics.tail_eps must be in (0, 1)"),
+    ("numerics", "tail_eps", "0", "tail_eps must be in (0, 1)"),
+    ("numerics", "tail_eps", "2", "tail_eps must be in (0, 1)"),
     ("numerics", "m_max", "x", "not an integer: 'x'"),
-    ("numerics", "m_max", "0", "numerics.m_max must be > 0"),
+    ("numerics", "m_max", "0", "m_max must be >= 1"),
     ("numerics", "internal_step_um", "x", "not a number: 'x'"),
-    ("numerics", "internal_step_um", "0", "numerics.internal_step_um must be > 0"),
-    ("run", "mode", "raytrace", "run.mode must be one of wave, orders"),
-    ("run", "normalization", "max", "run.normalization must be one of sum, peak"),
+    ("numerics", "internal_step_um", "0", "internal_step must be positive"),
+    ("run", "mode", "raytrace", "mode must be one of wave, orders, not 'raytrace'"),
+    ("run", "normalization", "max", "normalization must be one of sum, peak, not 'max'"),
     ("run", "workers", "x", "not an integer: 'x'"),
-    ("run", "workers", "0", "run.workers must be > 0"),
+    ("run", "workers", "0", "workers must be >= 1"),
     ("run", "convergence_check", "maybe", "not a boolean: 'maybe'"),
 ]
 
@@ -629,13 +652,13 @@ class TestPinnedErrors:
             ),
             (
                 "[species]\nname = x\nmass_amu = -5\nalpha_re_a3 = 50\nalpha_im_a3 = 1\n",
-                "species.mass_amu must be > 0",
+                "mass must be positive",
                 "species.mass_amu",
                 3,
             ),
             (
                 "[species]\nname = x\nmass_amu = 100\nalpha_re_a3 = 50\nalpha_im_a3 = -1\n",
-                "species.alpha_im_a3 must be >= 0",
+                "imaginary polarizability must be >= 0",
                 "species.alpha_im_a3",
                 5,
             ),
@@ -737,6 +760,92 @@ class TestPinnedErrors:
         assert err.value.key == key
 
 
+def refused_at_its_key_before_allocating(text, key, match):
+    """``parse_config(text)`` raises a ConfigError matching ``match`` at ``key``'s line.
+
+    The refusal comes before any large array is allocated: tracemalloc's
+    peak stays under 1 MB.
+    """
+    name = key.split(".")[1]
+    line = 1 + next(n for n, raw in enumerate(text.splitlines()) if raw.startswith(name))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=match) as err:
+            parse_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.key, err.value.line) == (key, line)
+    assert peak < 1 << 20
+
+
+def refused_values(row):
+    """The values of ``row`` in ONE_KEY_ERRORS that its parser reads and its dataclass refuses.
+
+    For ``out_dir`` and ``prefix``, a continuation line that puts a line break into the value.
+    """
+    values = [
+        value
+        for section, key, value, message in ONE_KEY_ERRORS
+        if (section, key) == (row.section, row.key) and not message.startswith("not ")
+    ]
+    return values + ["a\n  b"] if row.key in ("out_dir", "prefix") else values
+
+
+class TestOneRulePerField:
+    """Each field's rule lives in the dataclass that holds it, which the file parser calls."""
+
+    @pytest.mark.parametrize("row", config._KEYS, ids=lambda row: f"{row.section}.{row.key}")
+    def test_the_dataclass_refuses_what_the_file_parser_refuses(self, row):
+        values = refused_values(row)
+        # every boolean is a convergence_check; a histogram file is refused as it loads
+        assert bool(values) != (row.key in ("convergence_check", "histogram_file"))
+        for value in values:
+            text = bad_value_text(row.section, row.key, value)
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            group, attr = row.path.split(".")
+            parsed = row.codec[0](config._read_ini(text)[0][row.section, row.key])
+            with pytest.raises(ValueError) as direct:
+                replace(getattr(SimulationConfig(), group), **{attr: parsed})
+            assert str(err.value) == f"{row.section}.{row.key} (line 5): {direct.value}"
+            assert (err.value.key, err.value.line) == (f"{row.section}.{row.key}", 5)
+
+    @pytest.mark.parametrize(
+        "group, name, value",
+        [
+            ("run", "mode", "order"),
+            ("run", "normalization", "Peak"),
+            ("run", "workers", 0),
+            ("numerics", "tail_eps", 2.0),
+            ("numerics", "m_max", 0),
+            ("numerics", "pad_factor", 0),
+            ("numerics", "samples_per_period", 30),
+            ("numerics", "internal_step", 0.0),
+            ("quadrature", "vertical_nodes", 0),
+            ("beam", "power", math.nan),
+        ],
+    )
+    def test_a_bad_value_set_from_python_names_its_field(self, group, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            replace(getattr(SimulationConfig(), group), **{name: value})
+
+    def test_the_laser_has_one_waist(self):
+        cfg = SimulationConfig()
+        message = r"^vertical\.laser_waist 0\.0013 != beam\.waist_y 0\.0005$"
+        with pytest.raises(ValueError, match=message):
+            replace(cfg, beam=replace(cfg.beam, waist_y=0.5e-3))
+        beam = replace(cfg.beam, waist_y=0.5e-3)
+        vertical = replace(cfg.vertical, laser_waist=0.5e-3)
+        from_file = parse_config("[beam]\nwaist_y_mm = 0.5\n")
+        assert from_file == replace(cfg, beam=beam, vertical=vertical)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_ensemble_patterns_refuses_a_power_that_is_not_finite(self, power):
+        with pytest.raises(ValueError, match="^power must be finite$"):
+            ensemble_patterns(SimulationConfig(), [5.0, power])
+
+
 class TestDetectorArrayBound:
     """No detector-plane array may hold more than MAX_DETECTOR_POINTS points."""
 
@@ -756,18 +865,7 @@ class TestDetectorArrayBound:
         ],
     )
     def test_refused_at_its_key_before_allocating(self, text, key, what):
-        line = 1 + text.splitlines().index(
-            next(raw for raw in text.splitlines() if raw.startswith(key.split(".")[1]))
-        )
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match=f"{what}.* more than the") as err:
-                parse_config(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (err.value.key, err.value.line) == (key, line)
-        assert peak < 1 << 20
+        refused_at_its_key_before_allocating(text, key, f"{what}.* more than the")
 
     @pytest.mark.parametrize("shape", ["gaussian", "tophat"])
     def test_library_callers_get_a_value_error(self, shape):
@@ -802,6 +900,132 @@ class TestDetectorArrayBound:
         assert _scan_grid(geom, geom.detector_span / (2 * half)).size == MAX_DETECTOR_POINTS - 1
         with pytest.raises(ValueError, match="scan grid"):
             _scan_grid(geom, geom.detector_span / (2 * half + 2))
+
+
+class TestRunArrayBounds:
+    """The arrays that the numerics and quadrature keys size are bounded too.
+
+    Each bound is checked where its size is computed: the window in
+    ``GridSpec``, the output transform and the source-lag table with the
+    slit layout, the node counts in the quadrature rules and the order
+    table with ``m_max`` (``samples_per_laser_period``).
+    """
+
+    PHI_0 = ComplexPhase(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "text, key, what",
+        [
+            ("[numerics]\npad_factor = 1000000\n", "numerics.pad_factor", "the output transform"),
+            (
+                "[numerics]\nsamples_per_period = 4000000\n",
+                "numerics.samples_per_period",
+                "the grating window",
+            ),
+            ("[geometry]\nslit2_um = 1000000\n", "geometry.slit2_um", "the grating window"),
+            (
+                "[quadrature]\nsource_nodes = 100000000\n",
+                "quadrature.source_nodes",
+                "the source rule",
+            ),
+            (
+                "[quadrature]\nvelocity_nodes = 100000000\n",
+                "quadrature.velocity_nodes",
+                "the velocity rule",
+            ),
+            (
+                "[quadrature]\nvertical_nodes = 100000000\n",
+                "quadrature.vertical_nodes",
+                "the vertical rule",
+            ),
+            ("[numerics]\nm_max = 100000\n", "numerics.m_max", "the order table"),
+            (
+                "[numerics]\nm_max = 100000\n[run]\nmode = orders\n",
+                "numerics.m_max",
+                "the order table",
+            ),
+            # 1024 nodes of 2 x 2488 lags at 128 samples per period
+            (
+                "[quadrature]\nsource_nodes = 1024\n[numerics]\nsamples_per_period = 128\n",
+                "quadrature.source_nodes",
+                "the source-lag table",
+            ),
+            # the file sets both: the more direct key is blamed
+            (
+                "[numerics]\nsamples_per_period = 128\npad_factor = 2000\n",
+                "numerics.pad_factor",
+                "the output transform",
+            ),
+            # a convergence check doubles each rule
+            (
+                "[quadrature]\nvelocity_nodes = 600\n[run]\nconvergence_check = true\n",
+                "quadrature.velocity_nodes",
+                "the velocity rule",
+            ),
+            (
+                "[run]\nconvergence_check = true\n[quadrature]\nsource_nodes = 1000\n",
+                "quadrature.source_nodes",
+                "the source rule",
+            ),
+        ],
+    )
+    def test_refused_at_its_key_before_allocating(self, text, key, what):
+        refused_at_its_key_before_allocating(text, key, f"^{key} \\(line \\d\\): {what} would hold")
+
+    def test_a_velocity_histogram_is_a_rule_too(self, tmp_path):
+        rows = "".join(f"{100 + 0.01 * n} 1\n" for n in range(MAX_QUADRATURE_NODES + 1))
+        (tmp_path / "v.txt").write_text(rows, encoding="utf-8")
+        with pytest.raises(ConfigError, match="the velocity histogram would hold 1025 rows") as err:
+            parse_config("[velocity]\nhistogram_file = v.txt\n", base_dir=tmp_path)
+        assert (err.value.key, err.value.line) == ("velocity.histogram_file", 2)
+
+    def test_orders_mode_sizes_no_wave_arrays(self):
+        cfg = parse_config("[numerics]\npad_factor = 1000000\n[run]\nmode = orders\n")
+        assert cfg.numerics.pad_factor == 1000000
+
+    def test_library_callers_get_a_value_error_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the grating window would hold"):
+                GridSpec(periods=2, samples_per_period=MAX_WINDOW_SAMPLES)
+            largest = GridSpec(periods=2, samples_per_period=MAX_WINDOW_SAMPLES // 2)
+            with pytest.raises(ValueError, match="the output transform would hold"):
+                _fft_length(largest, 4)
+            with pytest.raises(ValueError, match="the order table would hold"):
+                samples_per_laser_period(self.PHI_0, 100000)
+            # a phase no grid of the bound resolves, before any kernel is built
+            with pytest.raises(ValueError, match="the order table would hold"):
+                mixed_order_spectra([ComplexPhase(1e6, 1.0)], 20)
+            for what, rule in (
+                ("velocity", lambda n: velocity_quadrature(VelocityDistribution(), n)),
+                ("vertical", lambda n: vertical_phi_scales(VerticalProfile(), n)),
+                ("source", lambda n: source_quadrature(BeamlineGeometry(), n)),
+            ):
+                message = f"^the {what} rule would hold 1e\\+08 nodes, more than the 1024 allowed$"
+                with pytest.raises(ValueError, match=message):
+                    rule(10**8)
+                assert rule(MAX_QUADRATURE_NODES)[0].size == MAX_QUADRATURE_NODES
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_default_run_sits_inside_every_bound_by_its_stated_margin(self):
+        cfg = SimulationConfig()
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        assert (grid.size, MAX_WINDOW_SAMPLES // grid.size) == (1792, 585)
+        n_fft = _fft_length(grid, cfg.numerics.pad_factor)
+        assert (n_fft, MAX_FFT_LENGTH // n_fft) == (8192, 256)
+        n_sources = cfg.quadrature.source_nodes
+        lags = n_sources * 2 * _half_support(grid, mask, n_sources)
+        assert (lags, MAX_SOURCE_LAGS // lags) == (16 * 1244, 105)
+        assert MAX_QUADRATURE_NODES // cfg.quadrature.velocity_nodes == 64
+        n = samples_per_laser_period(self.PHI_0, cfg.numerics.m_max)
+        assert n // 4 * (cfg.numerics.m_max + 1) == 168
+        # the largest m_max that parses
+        assert samples_per_laser_period(self.PHI_0, 4089)
+        with pytest.raises(ValueError, match="the order table"):
+            samples_per_laser_period(self.PHI_0, 4090)
 
 
 class TestScanGrid:
@@ -904,14 +1128,25 @@ _TEXT = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12
 ).filter(lambda s: s == s.strip() and " #" not in f" {s}" and " ;" not in f" {s}")
 _CHOICES = {"kernel": ("tophat",), "mode": ("orders",), "normalization": ("peak",)}
-# The keys that size the detector grids, in m, drawn where the default
-# config's grids stay within MAX_DETECTOR_POINTS and the scan grid holds a
-# point either side of its centre (span 300 um, step 2 um).
-_GRID_RANGES = {
+# The keys that size arrays, drawn where the default config's arrays stay
+# within their bounds (checked by ``parse_config``) and the scan grid holds a
+# point either side of its centre (span 300 um, step 2 um): floats in m,
+# integers as (lowest, highest, step).  Keys with rule (0, 1) are drawn there.
+_FLOAT_RANGES = {
+    "wavelength_nm": (1e-7, 1e-3),
+    "slit2_um": (1e-8, 1e-4),
     "detector_span_um": (4e-6, 0.1),
     "step_um": (1e-9, 150e-6),
     "width_um": (0.0, 0.01),
     "internal_step_um": (1e-9, 1e-3),
+    "fwhm_ratio": (0.0, 1.0),
+    "tail_eps": (0.0, 1.0),
+}
+_INT_RANGES = {
+    "samples_per_period": (4, 6000, 4),
+    "pad_factor": (1, 1000, 1),
+    "m_max": (1, 4000, 1),
+    **dict.fromkeys(("velocity_nodes", "vertical_nodes", "source_nodes"), (1, 1024, 1)),
 }
 
 
@@ -927,42 +1162,39 @@ def _values(row):
             lambda s: s == s.strip() and s not in (".", "..")
         )
     if row.codec is config._INT:
-        if row.check is config._multiple_of_4:
-            return st.integers(1, 10**5).map(lambda n: 4 * n)
-        return st.integers(1, 10**6)
-    if row.check is config._open_unit:
-        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    if row.key in _GRID_RANGES:
-        return st.floats(*_GRID_RANGES[row.key])
-    positive = row.check is not config._nonnegative
-    return st.floats(min_value=0.0, exclude_min=positive, allow_infinity=False)
+        lo, hi, step = _INT_RANGES.get(row.key, (1, 10**6, 1))
+        return st.integers(lo // step, hi // step).map(lambda n: step * n)
+    return st.floats(*_FLOAT_RANGES.get(row.key, (0.0, None)), allow_infinity=False)
+
+
+def _with_value(row, value):
+    """The default config with ``row``'s field set to ``value`` by ``replace``.
+
+    ``waist_y_mm`` sets the laser's one waist: ``beam.waist_y`` and
+    ``vertical.laser_waist`` together.
+    """
+    group, attr = row.path.split(".")
+    cfg = SimulationConfig()
+    fields = {group: replace(getattr(cfg, group), **{attr: value})}
+    if row.path == "beam.waist_y":
+        fields["vertical"] = replace(cfg.vertical, laser_waist=value)
+    return replace(cfg, **fields)
 
 
 def _valid(row, value):
-    try:
-        row.check(f"{row.section}.{row.key}", value)
-    except ValueError:
-        return False
-    return value != attrgetter(row.path)(SimulationConfig()) and _detector_arrays_fit(row, value)
-
-
-def _detector_arrays_fit(row, value):
-    """Whether the detector-plane arrays of the default config with ``value`` set are valid.
-
-    The scan grid needs a point either side of its centre (span 300 um,
-    step 2 um), and no array may exceed ``MAX_DETECTOR_POINTS``.
-    """
-    if row.section not in ("geometry", "detector", "numerics"):
+    """Whether ``value`` is not ``row``'s default, its dataclass accepts it, and the arrays fit."""
+    if "." not in row.path:  # the histogram file: any name
         return True
-    group, attr = row.path.split(".")
-    cfg = SimulationConfig()
     try:
-        cfg = replace(cfg, **{group: replace(getattr(cfg, group), **{attr: value})})
-        _scan_grid(cfg.geometry, cfg.detector.step)
-        _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
-    except ValueError:
+        text = serialize_config(_with_value(row, value))
+    except ValueError:  # the dataclass refuses it
         return False
-    return True
+    try:
+        parse_config(text)
+    except ConfigError as err:  # only an array's bound refuses what the dataclass accepts
+        assert " would hold " in str(err), err
+        return False
+    return value != attrgetter(row.path)(SimulationConfig())
 
 
 @pytest.mark.parametrize("row", config._KEYS, ids=lambda row: f"{row.section}.{row.key}")
@@ -977,10 +1209,7 @@ def test_every_key_round_trips(row, data):
             assert cfg.velocity_histogram_file == value
             assert parse_config(serialize_config(cfg), base_dir=base_dir) == cfg
         return
-    group, attr = row.path.split(".")
-    cfg = SimulationConfig()
-    cfg = replace(cfg, **{group: replace(getattr(cfg, group), **{attr: value})})
-    cfg = replace(cfg, vertical=replace(cfg.vertical, laser_waist=cfg.beam.waist_y))
+    cfg = _with_value(row, value)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert serialize_config(again) == serialize_config(cfg)

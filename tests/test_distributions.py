@@ -36,12 +36,19 @@ class TestVelocityDistribution:
             VelocityDistribution(fwhm_ratio=0.0)
         with pytest.raises(ValueError):
             VelocityDistribution(fwhm_ratio=1.0)
-        with pytest.raises(ValueError):
-            VelocityDistribution(shape="lorentzian")
 
     def test_histogram_shape_requires_data(self):
-        with pytest.raises(ValueError):
+        # the shape is read off the histogram, never given
+        with pytest.raises(TypeError):
             VelocityDistribution(shape="histogram")
+        assert VelocityDistribution().shape == "gaussian"
+
+    def test_a_histogram_given_is_the_rule(self):
+        rows = ((100.0, 130.0), (1.0, 3.0))
+        dist = VelocityDistribution(v_peak=100.0, histogram=rows)
+        assert dist.shape == "histogram"
+        nodes, weights = velocity_quadrature(dist, 16)
+        assert (nodes.tolist(), weights.tolist()) == ([100.0, 130.0], [0.25, 0.75])
 
     @pytest.mark.parametrize(
         "histogram, message",
@@ -58,10 +65,9 @@ class TestVelocityDistribution:
             (((100.0, 120.0), (1.0,)), "columns must have equal lengths"),
         ],
     )
-    @pytest.mark.parametrize("shape", ["histogram", "gaussian"])
-    def test_histogram_rows_checked_when_built_directly(self, histogram, message, shape):
+    def test_histogram_rows_checked_when_built_directly(self, histogram, message):
         with pytest.raises(ValueError, match=f"^histogram {message}$"):
-            VelocityDistribution(shape=shape, histogram=histogram)
+            VelocityDistribution(histogram=histogram)
 
 
 class TestVelocityQuadrature:
@@ -129,14 +135,14 @@ class TestVelocityQuadrature:
 
     def test_histogram_passthrough(self):
         rows = ((100.0, 130.0, 160.0), (1.0, 2.0, 1.0))
-        dist = VelocityDistribution(shape="histogram", histogram=rows)
+        dist = VelocityDistribution(histogram=rows)
         nodes, weights = velocity_quadrature(dist, 99)  # node count ignored
         assert nodes.tolist() == [100.0, 130.0, 160.0]
         assert weights.tolist() == [0.25, 0.5, 0.25]
 
     def test_histogram_rows_of_zero_weight_cost_no_node(self):
         rows = ((0.5, 100.0, 130.0, 145.0, 160.0), (0.0, 1.0, 2.0, 0.0, 1.0))
-        dist = VelocityDistribution(shape="histogram", histogram=rows)
+        dist = VelocityDistribution(histogram=rows)
         nodes, weights = velocity_quadrature(dist, 1)
         assert nodes.tolist() == [100.0, 130.0, 160.0]
         assert weights.tolist() == [0.25, 0.5, 0.25]

@@ -353,6 +353,10 @@ class TestSamplesPerLaserPeriod:
         with pytest.raises(ValueError):
             samples_per_laser_period(SLOW_C60, 20, 0.0)
 
+    def test_the_smallest_tail_is_sized(self):
+        # tail_eps / 2 underflows to 0 at the smallest double
+        assert samples_per_laser_period(ComplexPhase(0.0, 0.0), 20, 5e-324) == 208
+
 
 class TestMixedOrderIntensities:
     @pytest.mark.parametrize(
