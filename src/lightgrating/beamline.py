@@ -13,10 +13,10 @@ per row gives the power spectrum of the whole field (a DCT-II by
 Makhoul's method), and one inverse transform its autocorrelation.  A
 source point only adds a linear phase ramp, which multiplies each lag of
 that autocorrelation by a phase; so the incoherent average over the
-source nodes is one kernel on the lags, exact for the midpoint source
-rule.  This equals the channel-by-channel, source-by-source Fresnel
-quadrature (a test oracle, in ``tests/oracles.py``) up to the
-probability the rows drop (at most ``tail_eps`` per grating point).
+source slit's midpoint rule is one real kernel on the lags, in closed
+form (``_source_kernel``).  This equals the channel-by-channel,
+source-by-source Fresnel quadrature (a test oracle, in ``tests/oracles.py``)
+up to the probability the rows drop (at most ``tail_eps`` per grating point).
 ``numerics.pad_factor`` sets only the output bins of the output
 transform, one row per power in batches of at most ``MAX_OUTPUT_SAMPLES``.
 The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
@@ -74,10 +74,10 @@ from . import backend
 from .distributions import (
     _internal_grid,
     _scan_grid,
+    check_nodes,
     check_size,
     detector_kernel,
     fold_vertical_rule,
-    source_quadrature,
     velocity_quadrature,
     vertical_phi_scales,
 )
@@ -98,10 +98,8 @@ MAX_BATCH_STATES = 64
 # batches of at most this many output samples (powers x FFT length), so that
 # a scan with few velocity nodes holds a bounded number of output rows.
 MAX_OUTPUT_SAMPLES = 65536
-# The longest output transform (``n_fft``, 32 MB per complex row) and the
-# most source-lag values: 256 and 105 times those of the default run.
+# The longest output transform (``n_fft``, 32 MB per complex row), 256 times the default's.
 MAX_FFT_LENGTH = 1 << 21
-MAX_SOURCE_LAGS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -264,28 +262,30 @@ def aperture_mask(x: np.ndarray, spacing: float, width: float) -> np.ndarray:
     return np.clip((hi - lo) / spacing, 0.0, 1.0)
 
 
-def grating_window(
-    beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: int
-) -> tuple[GridSpec, np.ndarray]:
+def window_grid(beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: int) -> GridSpec:
     """Sampling grid over the illuminated part of the grating plane.
 
     The window covers slit2 plus a 4-wavelength margin, rounded up to an
-    even number of grating periods (grid convention), and the slit2
-    aperture is a fractional-overlap mask on that grid (ValueError if it
-    covers no sample).
+    even number of grating periods (grid convention).  ValueError unless
+    the slit2 aperture covers the first sample right of the centre, which
+    it misses only where the rounding of the positions exceeds its half
+    width (wavelengths from 7e9 m at the default slit2).
     """
-    window = geom.slit2 + 4.0 * beam.wavelength
-    periods = int(math.ceil(window / beam.period))
-    if periods % 2 == 1:
-        periods += 1
-    periods = max(periods, 2)
-    grid = GridSpec(
-        periods=periods, samples_per_period=samples_per_period, wavelength=beam.wavelength
-    )
-    mask = aperture_mask(grid.positions(), grid.spacing, geom.slit2)
-    if not mask.any():
-        raise ValueError("the slit2 aperture covers no sample of the grating window")
-    return grid, mask
+    periods = max(2, 2 * math.ceil((geom.slit2 + 4.0 * beam.wavelength) / beam.period / 2))
+    grid = GridSpec(periods, samples_per_period, beam.wavelength)
+    # the first sample right of the centre, as ``GridSpec.positions`` computes it
+    centre = (np.array([grid.size // 2]) + 0.5) * grid.spacing - 0.5 * grid.window
+    if not aperture_mask(centre, grid.spacing, geom.slit2).any():
+        raise ValueError("the slit2 aperture misses the centre of the grating window")
+    return grid
+
+
+def grating_window(
+    beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: int
+) -> tuple[GridSpec, np.ndarray]:
+    """``window_grid`` and the slit2 aperture on it, a fractional-overlap mask."""
+    grid = window_grid(beam, geom, samples_per_period)
+    return grid, aperture_mask(grid.positions(), grid.spacing, geom.slit2)
 
 
 def next_pow2(n: int) -> int:
@@ -312,17 +312,27 @@ def _fft_length(grid: GridSpec, pad_factor: int) -> int:
     return n_fft
 
 
-def _half_support(grid: GridSpec, mask: np.ndarray, n_sources: int) -> int:
-    """L of ``_SlitLayout``, the nonzero mask samples right of the window centre.
-
-    ValueError if the mask is not mirror-symmetric, or if the source-lag
-    table of ``n_sources`` nodes would exceed ``MAX_SOURCE_LAGS`` values.
-    """
+def _half_support(grid: GridSpec, mask: np.ndarray) -> int:
+    """L of ``_SlitLayout``, the nonzero samples right of the centre of a symmetric mask."""
     if np.max(np.abs(mask - mask[::-1])) > 1e-10:
         raise ValueError("the slit mask is not mirror-symmetric about the window centre")
-    support = int(np.flatnonzero(mask[grid.size // 2 :])[-1]) + 1
-    check_size("the source-lag table", n_sources * 2 * support, MAX_SOURCE_LAGS, "values")
-    return support
+    return int(np.flatnonzero(mask[grid.size // 2 :])[-1]) + 1
+
+
+def _source_kernel(phase: float, n: int, n_lags: int) -> np.ndarray:
+    """The source kernel c[d] of ``_wave_velocity_slice`` at the lags d < ``n_lags``.
+
+    Source point s multiplies lag d by exp(-i phase d s / slit1).  The
+    midpoint rule of n cells across slit1 averages that to the Dirichlet
+    kernel c[d] = sin(n t)/(n sin t), t = phase d/(2n).  At t = m pi + u,
+    |u| <= pi/2, it is (-1)^(m (n - 1)) sin(n u)/(n sin u): both sines share
+    the rounding of u near their zeros, and u = 0 (d = 0) takes the limit.
+    """
+    t = phase / (2 * n) * np.arange(n_lags)
+    turns = np.round(t / np.pi)
+    u = t - np.pi * turns
+    ratio = np.divide(np.sin(n * u), n * np.sin(u), out=np.ones(n_lags), where=u != 0.0)
+    return (1.0 - 2.0 * (turns * (n - 1) % 2)) * ratio
 
 
 class _SlitLayout:
@@ -335,14 +345,17 @@ class _SlitLayout:
     than 2e-13 of the peak at 48 and 64 samples per period; a mask that is
     not mirror-symmetric raises ``ValueError``.  So only the half field
     g(m) = f(N/2 + m), m < L, is transformed, where L counts its nonzero
-    samples (``_half_support``), at the 5-smooth length M = ``m_len`` >= 2L.
-    A source-lag table or output transform above its bound raises
-    ``ValueError`` before it is built.
+    samples (``_half_support``), at the 5-smooth length M = ``m_len`` >= 2L,
+    with lags |d| < ``n_lags`` = 2L; the source rule lays out nothing.  An
+    output transform or source rule above its bound raises ``ValueError``.
     """
 
-    def __init__(self, cfg: "SimulationConfig", grid: GridSpec, mask, src_nodes, src_weights):
-        support = _half_support(grid, mask, src_nodes.size)
+    def __init__(self, cfg: "SimulationConfig", grid: GridSpec, mask: np.ndarray):
+        self.n_sources = cfg.quadrature.source_nodes
+        check_nodes("the source rule", self.n_sources)
+        support = _half_support(grid, mask)
         spp, centre, self.spacing = grid.samples_per_period, grid.size // 2, grid.spacing
+        self.n_lags = 2 * support
         self.m_len = m_len = 2 * next_smooth(support)
         self.n_fft = _fft_length(grid, cfg.numerics.pad_factor)
         # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
@@ -351,8 +364,6 @@ class _SlitLayout:
         bins = np.arange(m_len // 2 + 1)
         self.mirror = -bins % m_len  # M - k, with V(M) = V(0)
         self.twist = np.exp(-1j * np.pi * bins / m_len)  # w^2
-        self.source_lags = np.multiply.outer(src_nodes, np.arange(2 * support))  # s d
-        self.source_weights = src_weights
         # Makhoul's order, v = [g(0), g(2), ..., 0, ..., g(3), g(1)], in two
         # runs: the even samples ascending, then the odd ones descending, each
         # held as its slice of v and, at its samples, the |c| index into
@@ -408,7 +419,7 @@ def _wave_velocity_slice(
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     k = 2.0 * math.pi / wavelength
-    spacing, n_fft, m_len = layout.spacing, layout.n_fft, layout.m_len
+    spacing, n_fft, m_len, n_lags = layout.spacing, layout.n_fft, layout.m_len, layout.n_lags
     half, mirror, twist = m_len // 2, layout.mirror, layout.twist
 
     # Quadratic phases of the incoming cylindrical wave (L12) and of the
@@ -422,15 +433,12 @@ def _wave_velocity_slice(
     out_scale = spacing**2 / (wavelength * geom.L2D)
 
     # Source point s adds the ramp exp(-i (k/L12) s x), which multiplies lag
-    # d of the field autocorrelation by exp(-i (k/L12) s spacing d).  The
-    # incoherent source average is therefore one kernel c[d] on the lags of
-    # the single-source intensity.  The averaged lags B(d) = A(d) c[d] are
-    # Hermitian, since A is real and even and the weights are real, so they
-    # fold onto the output grid at d mod n_fft and one n_fft transform gives
-    # the output: sum_d B(d) exp(-2 pi i f d / n_fft) at any n_fft.
-    ramp = -1j * (k / geom.L12) * spacing
-    kernel = np.einsum("s,sd->d", layout.source_weights, np.exp(ramp * layout.source_lags))
-    n_lags = kernel.size
+    # d of the field autocorrelation by exp(-i (k/L12) s spacing d); their
+    # average is the real, even kernel c[d] of ``_source_kernel``.  So the
+    # averaged lags B(d) = A(d) c[d] are real and even, fold onto the output
+    # grid at d mod n_fft, and one n_fft transform gives the output:
+    # sum_d B(d) exp(-2 pi i f d / n_fft) at any n_fft.
+    kernel = _source_kernel((k / geom.L12) * spacing * geom.slit1, layout.n_sources, n_lags)
     out_spacing = wavelength * geom.L2D / (n_fft * spacing)
     x_native = (np.arange(n_fft) - n_fft // 2) * out_spacing
     in_span = np.abs(x_native) <= 0.5 * geom.detector_span
@@ -464,9 +472,10 @@ def _wave_velocity_slice(
         lags = lags[:, :n_lags] * kernel
         # lag -d lands on bin n_fft - d, which overlaps the positive lags
         # only when n_fft < 4L - 1
+        # complex though B is real: np.fft.fft took 3x as long on 6 real rows
         folded = np.zeros((lags.shape[0], n_fft), dtype=np.complex128)
         folded[:, :n_lags] = lags
-        folded[:, n_fft - n_lags + 1 :] += lags[:, :0:-1].conj()
+        folded[:, n_fft - n_lags + 1 :] += lags[:, :0:-1]
         del lags
         transformed = np.fft.fft(folded, axis=-1)
         del folded
@@ -671,8 +680,7 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
                 stacklevel=4,
             )
     grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
-    sources = source_quadrature(cfg.geometry, cfg.quadrature.source_nodes)
-    layout = _SlitLayout(cfg, grid, mask, *sources)
+    layout = _SlitLayout(cfg, grid, mask)
     grid_metadata.update(grating_samples=grid.size, fft_length=layout.n_fft)
 
     def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):

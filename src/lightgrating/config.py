@@ -27,7 +27,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .beamline import BeamlineGeometry, _fft_length, _half_support, grating_window
+from .beamline import BeamlineGeometry, _fft_length, window_grid
 from .distributions import DetectorModel, VelocityDistribution, VerticalProfile, _internal_grid
 from .distributions import _scan_grid, check_nodes, load_velocity_histogram
 from .grating import ComplexPhase, GratingBeam
@@ -364,11 +364,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
     window = ("numerics", "samples_per_period"), ("geometry", "slit2_um"), ("beam", "wavelength_nm")
     if cfg.run.mode == "wave":  # the arrays of wave mode alone
         with blame(*window):
-            grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+            grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         with blame(("numerics", "pad_factor"), *window):
             _fft_length(grid, cfg.numerics.pad_factor)
-        with blame(("quadrature", "source_nodes"), *window, check):
-            _half_support(grid, mask, doubled * cfg.quadrature.source_nodes)
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Velocity spread, vertical beam overlap, source slit, detector resolution.
+"""Velocity spread, vertical beam overlap, detector resolution.
 
 Everything here produces deterministic quadrature nodes and weights — no
 Monte Carlo — so downstream ensemble averages are bit-reproducible.
@@ -159,14 +159,6 @@ def velocity_quadrature(
     return nodes, weights / weights.sum()
 
 
-def source_quadrature(geom: "BeamlineGeometry", n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes across slit1 with uniform weights (incoherent source)."""
-    check_nodes("the source rule", n_nodes)
-    width = geom.slit1 / n_nodes
-    nodes = -0.5 * geom.slit1 + (np.arange(n_nodes) + 0.5) * width
-    return nodes, np.full(n_nodes, 1.0 / n_nodes)
-
-
 def vertical_phi_scales(
     profile: VerticalProfile, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +257,8 @@ def load_velocity_histogram(path: str | Path) -> VelocityDistribution:
     The rows are sorted by velocity, and ``v_peak`` is the velocity of the
     largest weight; ``VelocityDistribution`` checks the rows.
     """
-    data = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    text = Path(path).read_text(encoding="utf-8")  # np.loadtxt decompresses a path by suffix
+    data = np.loadtxt(text.split("\n"), dtype=np.float64, ndmin=2)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("histogram file must have exactly two columns")
     v, w = data[:, 0], data[:, 1]

@@ -10,7 +10,8 @@ forms of what ``lightgrating`` computes fast:
   stored |c| values instead;
 - the channel-by-channel, source-by-source Fresnel pipeline that wave mode
   replaces with one FFT batch per velocity, with a direct quadrature as
-  the cross-check of the spectral propagator;
+  the cross-check of the spectral propagator, and the midpoint rule over
+  the source slit whose average wave mode takes in closed form;
 - the analytic Bessel orders of the lossless phase grating, the far-field
   peak ladder and a sub-grid peak finder.
 
@@ -267,6 +268,13 @@ def propagate_direct(
         d = xo - x_in
         out[i] = np.sum(wf * np.exp(1j * (kfac * d * d)))
     return np.exp(-0.25j * math.pi) / math.sqrt(wavelength * distance) * out
+
+
+def source_quadrature(geom: BeamlineGeometry, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes across slit1 with uniform weights (incoherent source)."""
+    width = geom.slit1 / n_nodes
+    nodes = -0.5 * geom.slit1 + (np.arange(n_nodes) + 0.5) * width
+    return nodes, np.full(n_nodes, 1.0 / n_nodes)
 
 
 def point_source_pattern(

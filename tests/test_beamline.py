@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
@@ -20,6 +21,7 @@ from lightgrating.beamline import (
     _finalize,
     _internal_grid,
     _place_orders,
+    _source_kernel,
     _trapezoid,
     _wave_velocity_slice,
     _SlitLayout,
@@ -34,7 +36,6 @@ from lightgrating.beamline import (
     next_pow2,
     order_slot_spacing,
     pattern_metrics,
-    source_quadrature,
 )
 from lightgrating.config import QuadratureSpec, SimulationConfig
 from lightgrating.distributions import (
@@ -58,6 +59,7 @@ from oracles import (
     farfield_peak_positions,
     peak_positions,
     point_source_pattern,
+    source_quadrature,
     window_fields,
 )
 
@@ -383,7 +385,9 @@ def velocity_slice(species, power, spp, slit2, source_nodes, pad_factor=4):
         geometry=BeamlineGeometry(slit2=slit2),
     )
     cfg = replace(
-        cfg, numerics=replace(cfg.numerics, samples_per_period=spp, pad_factor=pad_factor)
+        cfg,
+        quadrature=replace(cfg.quadrature, source_nodes=source_nodes),
+        numerics=replace(cfg.numerics, samples_per_period=spp, pad_factor=pad_factor),
     )
     velocity = float(velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0][0])
     scales, scale_weights = vertical_phi_scales(cfg.vertical, cfg.quadrature.vertical_nodes)
@@ -404,7 +408,7 @@ def velocity_slice(species, power, spp, slit2, source_nodes, pad_factor=4):
         rows=rows,
         src_nodes=src_nodes,
         src_weights=src_weights,
-        layout=_SlitLayout(cfg, grid, mask, src_nodes, src_weights),
+        layout=_SlitLayout(cfg, grid, mask),
     )
 
 
@@ -462,14 +466,14 @@ class CountingNumpy:
 
 
 class TestWaveVelocitySlice:
-    # asymmetric nodes and weights: a sign error in the source ramp shows
-    SOURCES = np.array([-3.1e-6, -0.4e-6, 2.2e-6])
-    SOURCE_WEIGHTS = np.array([0.5, 0.2, 0.3])
     # pad 1 leaves n_fft below the 2 N - 1 lags of the field autocorrelation,
     # pad 2 makes it the lag length, pad 8 puts it above
     PAD_FACTORS = (1, 2, 4, 8)
 
     def check_against_oracle(self, cfg, velocity, vertical_nodes):
+        # three source nodes, the centre among them, at the cost of the oracle
+        cfg = replace(cfg, quadrature=replace(cfg.quadrature, source_nodes=3))
+        sources = source_quadrature(cfg.geometry, 3)
         scales, scale_weights = vertical_phi_scales(cfg.vertical, vertical_nodes)
         grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         for pad_factor in self.PAD_FACTORS:
@@ -478,18 +482,14 @@ class TestWaveVelocitySlice:
             (rows,), (dropped,) = effective_channels(
                 [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
             )
-            layout = _SlitLayout(cfg, grid, mask, self.SOURCES, self.SOURCE_WEIGHTS)
+            layout = _SlitLayout(cfg, grid, mask)
             x, (intensity,), _, _ = _wave_velocity_slice(cfg, velocity, layout, [rows])
             x_ref, reference = channel_by_channel_slice(
-                cfg, velocity, scales, scale_weights, self.SOURCES, self.SOURCE_WEIGHTS
+                cfg, velocity, scales, scale_weights, *sources
             )
             assert x.size == next_pow2(grid.size * pad_factor)
             assert np.array_equal(x, x_ref)
             assert np.max(np.abs(intensity - reference)) <= 1e-9 * reference.max()
-            mirrored = channel_by_channel_slice(
-                cfg, velocity, scales, scale_weights, -self.SOURCES, self.SOURCE_WEIGHTS
-            )[1]
-            assert np.max(np.abs(intensity - mirrored)) > 1e-3 * reference.max()
             assert layout.power_in == pytest.approx(
                 grid.spacing * float(np.sum(mask**2)), rel=1e-12, abs=0
             )
@@ -588,7 +588,7 @@ class TestWaveVelocitySlice:
         # period's c is then the window's times -1)
         beam, spp = GratingBeam(), 64
         grid, mask = grating_window(beam, BeamlineGeometry(slit2=slit2), spp)
-        layout = _SlitLayout(SimulationConfig(), grid, mask, self.SOURCES, self.SOURCE_WEIGHTS)
+        layout = _SlitLayout(SimulationConfig(), grid, mask)
         flip = 1.0 if (grid.periods // 2) % 2 else -1.0
         a = np.cos(parity_angles(spp))
         samples = 0
@@ -604,7 +604,7 @@ class TestWaveVelocitySlice:
     def test_rejects_an_asymmetric_slit_mask(self):
         s = velocity_slice(*self.SLICES["c60-default"])
         with pytest.raises(ValueError, match="mirror-symmetric"):
-            _SlitLayout(s.cfg, s.grid, np.roll(s.mask, 1), s.src_nodes, s.src_weights)
+            _SlitLayout(s.cfg, s.grid, np.roll(s.mask, 1))
 
     def test_fft_calls_per_velocity_independent_of_source_nodes(self, monkeypatch):
         calls_per_velocity = {}
@@ -666,6 +666,56 @@ class TestWaveVelocitySlice:
         assert len(channels) == 4 and all(isinstance(n, int) for n in channels)
         # slower molecules see a stronger grating and need more rows
         assert channels == sorted(channels, reverse=True)
+
+
+# the configs of a default run and of the benchmark's C70 power scan
+SOURCE_KERNEL_CONFIGS = {
+    "default": SimulationConfig(),
+    "scan-c70": replace(SimulationConfig(), species=C70, quadrature=QuadratureSpec(8, 16, 4)),
+}
+
+
+class TestSourceKernel:
+    """The closed-form source average against the midpoint rule summed term by term."""
+
+    @pytest.mark.parametrize("config", list(SOURCE_KERNEL_CONFIGS))
+    @pytest.mark.parametrize("n_sources", [1, 2, 3, 4, 16, 1024])
+    def test_matches_the_direct_sum_at_every_lag(self, config, n_sources):
+        cfg = SOURCE_KERNEL_CONFIGS[config]
+        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        cfg = replace(cfg, quadrature=replace(cfg.quadrature, source_nodes=n_sources))
+        layout = _SlitLayout(cfg, grid, mask)
+        lags = np.arange(layout.n_lags)
+        nodes, weights = source_quadrature(cfg.geometry, n_sources)
+        velocities = velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0]
+        for velocity in (velocities[0], velocities[-1]):  # the slowest node, then the fastest
+            k = 2.0 * math.pi / de_broglie_wavelength(cfg.species, velocity)
+            ramp = (k / cfg.geometry.L12) * grid.spacing
+            direct = weights @ np.exp(-1j * ramp * np.multiply.outer(nodes, lags))
+            kernel = _source_kernel(ramp * cfg.geometry.slit1, n_sources, layout.n_lags)
+            assert kernel[0] == 1.0
+            assert np.max(np.abs(kernel - direct)) <= 1e-13
+        # even at the fastest node the half angle t = phase d/(2N) passes pi,
+        # where both sines vanish, for N up to 4
+        t_max = ramp * cfg.geometry.slit1 * (layout.n_lags - 1) / (2 * n_sources)
+        assert (t_max > math.pi) == (n_sources <= 4)
+
+    def test_layout_and_slice_allocate_alike_at_any_source_count(self):
+        s = velocity_slice(C60, 9.5, 64, 5e-6, 16)
+        peaks = {}
+        for n_sources in (16, 1024, 16):  # the first run fills the FFT plan cache
+            cfg = replace(s.cfg, quadrature=replace(s.cfg.quadrature, source_nodes=n_sources))
+            tracemalloc.start()
+            try:
+                layout = _SlitLayout(cfg, s.grid, s.mask)
+                _wave_velocity_slice(cfg, s.velocity, layout, [s.rows])
+                peaks[n_sources] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del layout
+        # up to the Python ints above 256 (16 bytes here); the source-lag table
+        # of 1024 nodes would have held 40 MB
+        assert peaks[1024] <= peaks[16] + 1024
 
 
 def per_channel_slot_weights(cfg):
@@ -746,8 +796,8 @@ class TestEnsemblePatterns:
     def test_slit_laid_out_once_per_ensemble(
         self, monkeypatch, nodes, powers, workers, convergence
     ):
-        # the smooth length, the |c| index maps, mirror, twist and the
-        # source-lag table are built once per ensemble, never per node or power
+        # the smooth length, the |c| index maps, mirror and twist are built
+        # once per ensemble, never per node or power
         smooth_calls = []
         smooth = lightgrating.beamline.next_smooth
 

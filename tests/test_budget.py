@@ -1,0 +1,54 @@
+"""The numerical error budget of the default configs, as tests.
+
+Each row of the budget is one approximation.  Its test computes the
+pattern's largest deviation, as a fraction of the peak, from a reference
+that is converged in that one approximation, with every other setting
+unchanged, and asserts that it stays at or below the row's bound.  The
+reference is checked too: another reference, one step less refined, must
+agree with it to within a tenth of the bound, or the test fails and says
+that the reference is not converged.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from lightgrating.beamline import ensemble_pattern
+from lightgrating.config import SimulationConfig
+from lightgrating.grating import GratingBeam
+from lightgrating.species import C70
+
+CONFIGS = {
+    "c60-9.5W": replace(SimulationConfig(), beam=GratingBeam(power=9.5)),
+    "c70-50W": replace(SimulationConfig(), species=C70, beam=GratingBeam(power=50.0)),
+}
+
+
+def deviation(pattern: np.ndarray, reference: np.ndarray) -> float:
+    """The largest deviation of ``pattern`` from ``reference``, over its peak."""
+    return float(np.max(np.abs(pattern - reference)) / np.max(reference))
+
+
+def with_nodes(cfg: SimulationConfig, axis: str, nodes: int) -> np.ndarray:
+    """The intensity of ``cfg`` with ``nodes`` nodes on the quadrature ``axis``."""
+    quadrature = replace(cfg.quadrature, **{axis: nodes})
+    return ensemble_pattern(replace(cfg, quadrature=quadrature)).intensity
+
+
+def check_row(cfg: SimulationConfig, axis: str, nodes: int, references: tuple, bound: float):
+    """Assert the budget row of ``axis`` at ``nodes``, against the finest of ``references``."""
+    coarser, finest = (with_nodes(cfg, axis, n) for n in references)
+    error = deviation(coarser, finest)
+    assert error <= 0.1 * bound, (
+        f"the reference is not converged: {axis} = {references[0]} and {references[1]} "
+        f"differ by {error:.2g} of the peak, above a tenth of the bound {bound:g}"
+    )
+    assert deviation(with_nodes(cfg, axis, nodes), finest) <= bound
+
+
+@pytest.mark.parametrize("config, bound", [("c60-9.5W", 4e-4), ("c70-50W", 2e-4)])
+def test_source_midpoint_rule_at_16_nodes(config, bound):
+    # measured 3.1e-4 and 1.9e-4; the reference agrees with 512 nodes to
+    # 2.3e-7 and 1.4e-7
+    check_row(CONFIGS[config], "source_nodes", 16, (512, 1024), bound)

@@ -1,6 +1,8 @@
 """End-to-end command-line runs on small configurations."""
 
+import gzip
 import json
+import lzma
 import math
 import os
 import re
@@ -223,6 +225,23 @@ class TestSimulate:
         cfg = write_config(tmp_path, "[beam]\npower_watts = 1\n")
         assert main(["simulate", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["hist.xz", "hist.gz"])
+    def test_histogram_read_as_text_whatever_its_name(self, tmp_path, name):
+        (tmp_path / name).write_text("100 0.2\n120 0.3\n140 0.5\n", encoding="utf-8")
+        cfg = write_config(tmp_path, TINY + f"\n[velocity]\nhistogram_file = {name}\n")
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run_summary.json").read_text())["v_peak"] == 140.0
+
+    @pytest.mark.parametrize(
+        "name, compress", [("hist.xz", lzma.compress), ("hist.gz", gzip.compress)], ids=["xz", "gz"]
+    )
+    def test_compressed_histogram_is_a_config_error(self, tmp_path, capsys, name, compress):
+        (tmp_path / name).write_bytes(compress(b"100 0.2\n120 0.3\n140 0.5\n"))
+        cfg = write_config(tmp_path, TINY + f"\n[velocity]\nhistogram_file = {name}\n")
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: velocity.histogram_file (line 13): 'utf-8' codec")
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 1

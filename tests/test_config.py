@@ -17,14 +17,11 @@ from hypothesis import strategies as st
 from lightgrating import config
 from lightgrating.beamline import (
     MAX_FFT_LENGTH,
-    MAX_SOURCE_LAGS,
-    BeamlineGeometry,
     _fft_length,
-    _half_support,
     _internal_grid,
     _scan_grid,
     ensemble_patterns,
-    grating_window,
+    window_grid,
 )
 from lightgrating.distributions import (
     MAX_DETECTOR_POINTS,
@@ -33,7 +30,6 @@ from lightgrating.distributions import (
     VelocityDistribution,
     VerticalProfile,
     detector_kernel,
-    source_quadrature,
     velocity_quadrature,
     vertical_phi_scales,
 )
@@ -734,7 +730,7 @@ class TestPinnedErrors:
         "name, message",
         [
             ("bad.txt", "histogram file must have exactly two columns"),
-            ("nope.txt", "{base_dir}/nope.txt not found."),
+            ("nope.txt", "[Errno 2] No such file or directory: '{base_dir}/nope.txt'"),
         ],
     )
     def test_bad_histogram_file(self, tmp_path, name, message):
@@ -906,9 +902,9 @@ class TestRunArrayBounds:
     """The arrays that the numerics and quadrature keys size are bounded too.
 
     Each bound is checked where its size is computed: the window in
-    ``GridSpec``, the output transform and the source-lag table with the
-    slit layout, the node counts in the quadrature rules and the order
-    table with ``m_max`` (``samples_per_laser_period``).
+    ``GridSpec``, the output transform with the slit layout, the node
+    counts in the quadrature rules (the source rule's with the slit layout)
+    and the order table with ``m_max`` (``samples_per_laser_period``).
     """
 
     PHI_0 = ComplexPhase(0.0, 0.0)
@@ -944,12 +940,6 @@ class TestRunArrayBounds:
                 "numerics.m_max",
                 "the order table",
             ),
-            # 1024 nodes of 2 x 2488 lags at 128 samples per period
-            (
-                "[quadrature]\nsource_nodes = 1024\n[numerics]\nsamples_per_period = 128\n",
-                "quadrature.source_nodes",
-                "the source-lag table",
-            ),
             # the file sets both: the more direct key is blamed
             (
                 "[numerics]\nsamples_per_period = 128\npad_factor = 2000\n",
@@ -979,6 +969,43 @@ class TestRunArrayBounds:
             parse_config("[velocity]\nhistogram_file = v.txt\n", base_dir=tmp_path)
         assert (err.value.key, err.value.line) == ("velocity.histogram_file", 2)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[beam]\nwavelength_nm = 1e290\n", "beam.wavelength_nm"),
+            # the aperture covers only the sample left of the centre; the
+            # window's most direct key is blamed
+            (
+                "[beam]\nwavelength_nm = 1.1343933995811807e+260\n"
+                "[numerics]\nsamples_per_period = 4\n",
+                "numerics.samples_per_period",
+            ),
+        ],
+    )
+    def test_an_aperture_that_misses_the_window_centre_is_refused(self, text, key):
+        match = "the slit2 aperture misses the centre of the grating window"
+        refused_at_its_key_before_allocating(text, key, match)
+
+    def test_the_wave_window_is_sized_without_building_it(self):
+        # 28 periods of 24000 samples and an output transform of 2^21 points:
+        # the window's positions and aperture would hold 5.4 MB each
+        text = "[numerics]\nsamples_per_period = 24000\npad_factor = 2\n"
+        tracemalloc.start()
+        try:
+            cfg = parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        assert grid.size == 672000
+        assert peak < 1 << 20
+
+    def test_the_source_rule_sizes_no_array(self):
+        # 1024 nodes at 128 samples per period: 2 x 2488 lags each, which a
+        # table of the source ramps per node and lag could not hold
+        text = "[quadrature]\nsource_nodes = 1024\n[numerics]\nsamples_per_period = 128\n"
+        assert parse_config(text).quadrature.source_nodes == 1024
+
     def test_orders_mode_sizes_no_wave_arrays(self):
         cfg = parse_config("[numerics]\npad_factor = 1000000\n[run]\nmode = orders\n")
         assert cfg.numerics.pad_factor == 1000000
@@ -999,12 +1026,17 @@ class TestRunArrayBounds:
             for what, rule in (
                 ("velocity", lambda n: velocity_quadrature(VelocityDistribution(), n)),
                 ("vertical", lambda n: vertical_phi_scales(VerticalProfile(), n)),
-                ("source", lambda n: source_quadrature(BeamlineGeometry(), n)),
             ):
                 message = f"^the {what} rule would hold 1e\\+08 nodes, more than the 1024 allowed$"
                 with pytest.raises(ValueError, match=message):
                     rule(10**8)
                 assert rule(MAX_QUADRATURE_NODES)[0].size == MAX_QUADRATURE_NODES
+            # the source rule sizes no array; a run checks it with the slit layout
+            cfg = SimulationConfig()
+            cfg = replace(cfg, quadrature=replace(cfg.quadrature, source_nodes=10**8))
+            message = "^the source rule would hold 1e\\+08 nodes, more than the 1024 allowed$"
+            with pytest.raises(ValueError, match=message):
+                ensemble_patterns(cfg, [0.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1012,13 +1044,10 @@ class TestRunArrayBounds:
 
     def test_the_default_run_sits_inside_every_bound_by_its_stated_margin(self):
         cfg = SimulationConfig()
-        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         assert (grid.size, MAX_WINDOW_SAMPLES // grid.size) == (1792, 585)
         n_fft = _fft_length(grid, cfg.numerics.pad_factor)
         assert (n_fft, MAX_FFT_LENGTH // n_fft) == (8192, 256)
-        n_sources = cfg.quadrature.source_nodes
-        lags = n_sources * 2 * _half_support(grid, mask, n_sources)
-        assert (lags, MAX_SOURCE_LAGS // lags) == (16 * 1244, 105)
         assert MAX_QUADRATURE_NODES // cfg.quadrature.velocity_nodes == 64
         n = samples_per_laser_period(self.PHI_0, cfg.numerics.m_max)
         assert n // 4 * (cfg.numerics.m_max + 1) == 168
@@ -1183,8 +1212,6 @@ def _with_value(row, value):
 
 def _valid(row, value):
     """Whether ``value`` is not ``row``'s default, its dataclass accepts it, and the arrays fit."""
-    if "." not in row.path:  # the histogram file: any name
-        return True
     try:
         text = serialize_config(_with_value(row, value))
     except ValueError:  # the dataclass refuses it
@@ -1197,22 +1224,34 @@ def _valid(row, value):
     return value != attrgetter(row.path)(SimulationConfig())
 
 
-@pytest.mark.parametrize("row", config._KEYS, ids=lambda row: f"{row.section}.{row.key}")
+_HISTOGRAM_ROW = next(row for row in config._KEYS if row.key == "histogram_file")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [row for row in config._KEYS if row is not _HISTOGRAM_ROW],
+    ids=lambda row: f"{row.section}.{row.key}",
+)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_key_round_trips(row, data):
     value = data.draw(_values(row).filter(lambda v: _valid(row, v)))
-    if row.key == "histogram_file":
-        with tempfile.TemporaryDirectory() as base_dir:
-            (Path(base_dir) / value).write_text(HISTOGRAM, encoding="utf-8")
-            cfg = parse_config(f"[velocity]\nhistogram_file = {value}\n", base_dir=base_dir)
-            assert cfg.velocity_histogram_file == value
-            assert parse_config(serialize_config(cfg), base_dir=base_dir) == cfg
-        return
     cfg = _with_value(row, value)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert serialize_config(again) == serialize_config(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=_values(_HISTOGRAM_ROW))
+@example(name="0.xz")  # a plain-text file under a compressed suffix
+@example(name="a.gz")
+def test_every_histogram_file_name_round_trips(name):
+    with tempfile.TemporaryDirectory() as base_dir:
+        (Path(base_dir) / name).write_text(HISTOGRAM, encoding="utf-8")
+        cfg = parse_config(f"[velocity]\nhistogram_file = {name}\n", base_dir=base_dir)
+        assert cfg.velocity_histogram_file == name
+        assert parse_config(serialize_config(cfg), base_dir=base_dir) == cfg
 
 
 @pytest.mark.parametrize("key", ["prefix", "out_dir"])
