@@ -116,6 +116,8 @@ class BeamlineGeometry:
         for name in ("slit1", "slit2", "L12", "L2D", "detector_span"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -280,14 +282,6 @@ def window_grid(beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: i
     return grid
 
 
-def grating_window(
-    beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: int
-) -> tuple[GridSpec, np.ndarray]:
-    """``window_grid`` and the slit2 aperture on it, a fractional-overlap mask."""
-    grid = window_grid(beam, geom, samples_per_period)
-    return grid, aperture_mask(grid.positions(), grid.spacing, geom.slit2)
-
-
 def next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
@@ -312,13 +306,6 @@ def _fft_length(grid: GridSpec, pad_factor: int) -> int:
     return n_fft
 
 
-def _half_support(grid: GridSpec, mask: np.ndarray) -> int:
-    """L of ``_SlitLayout``, the nonzero samples right of the centre of a symmetric mask."""
-    if np.max(np.abs(mask - mask[::-1])) > 1e-10:
-        raise ValueError("the slit mask is not mirror-symmetric about the window centre")
-    return int(np.flatnonzero(mask[grid.size // 2 :])[-1]) + 1
-
-
 def _source_kernel(phase: float, n: int, n_lags: int) -> np.ndarray:
     """The source kernel c[d] of ``_wave_velocity_slice`` at the lags d < ``n_lags``.
 
@@ -339,28 +326,32 @@ class _SlitLayout:
     """The slit as ``_wave_velocity_slice`` transforms it, the same at every velocity.
 
     Every field is even about the window centre, f(N - 1 - n) = f(n): the
-    grid is centred on an antinode, the slit mask is symmetric, the chirp
-    depends on x^2 and the rows depend on x only through c = cos(k x).
-    Only the rounding of the mask's edge cells breaks the symmetry, by less
-    than 2e-13 of the peak at 48 and 64 samples per period; a mask that is
-    not mirror-symmetric raises ``ValueError``.  So only the half field
-    g(m) = f(N/2 + m), m < L, is transformed, where L counts its nonzero
-    samples (``_half_support``), at the 5-smooth length M = ``m_len`` >= 2L,
-    with lags |d| < ``n_lags`` = 2L; the source rule lays out nothing.  An
-    output transform or source rule above its bound raises ``ValueError``.
+    grid is centred on an antinode, the slit is centred, the chirp depends
+    on x^2 and the rows depend on x only through c = cos(k x).  So the
+    slit2 aperture is built on the samples right of the centre alone, and
+    only the half field g(m) = f(N/2 + m), m < L, is transformed, where L
+    is the index of its last nonzero sample plus one, at the 5-smooth
+    length M = ``m_len`` >= 2L, with lags |d| < ``n_lags`` = 2L; the
+    source rule lays out nothing.  An output transform or source rule
+    above its bound raises ``ValueError``.
     """
 
-    def __init__(self, cfg: "SimulationConfig", grid: GridSpec, mask: np.ndarray):
+    def __init__(self, cfg: "SimulationConfig", grid: GridSpec):
         self.n_sources = cfg.quadrature.source_nodes
         check_nodes("the source rule", self.n_sources)
-        support = _half_support(grid, mask)
         spp, centre, self.spacing = grid.samples_per_period, grid.size // 2, grid.spacing
+        # the samples right of the centre; ``window_grid`` refuses a window
+        # whose first one is dark
+        x = grid.positions()[centre:]
+        mask = aperture_mask(x, grid.spacing, cfg.geometry.slit2)
+        support = int(np.flatnonzero(mask)[-1]) + 1
         self.n_lags = 2 * support
         self.m_len = m_len = 2 * next_smooth(support)
         self.n_fft = _fft_length(grid, cfg.numerics.pad_factor)
         # Every photon channel summed, sum_n |t_n|^2 = 1, so the input norm is
-        # that of the slit alone; what the effective rows drop shows as a loss.
-        self.power_in = grid.spacing * float(np.sum(mask**2))
+        # that of the slit alone, twice its half's; what the effective rows
+        # drop shows as a loss.
+        self.power_in = 2.0 * grid.spacing * float(np.sum(mask**2))
         bins = np.arange(m_len // 2 + 1)
         self.mirror = -bins % m_len  # M - k, with V(M) = V(0)
         self.twist = np.exp(-1j * np.pi * bins / m_len)  # w^2
@@ -375,13 +366,13 @@ class _SlitLayout:
         # and leaves every intensity unchanged.  Column i has k x = pi (i +
         # 1/2)/spp - pi: |c| is at min(i mod spp, spp - 1 - i mod spp), and
         # c < 0 where |k x| > pi/2.
-        x = grid.positions()
         self.runs = []
         even, odd = centre + np.arange(0, support, 2), centre + np.arange(1, support, 2)[::-1]
         for into, n in ((slice(0, even.size), even), (slice(m_len - odd.size, None), odd)):
             index = np.minimum(n % spp, spp - 1 - n % spp)
             sign = np.where(np.abs(n % (2 * spp) + 0.5 - spp) > 0.5 * spp, -1.0, 1.0)
-            self.runs.append((into, index, np.stack([mask[n], sign * mask[n]]), x[n] ** 2))
+            m = n - centre  # into the half arrays
+            self.runs.append((into, index, np.stack([mask[m], sign * mask[m]]), x[m] ** 2))
 
 
 def _wave_velocity_slice(
@@ -679,8 +670,8 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
                 "may alias into the pattern, raise numerics.samples_per_period",
                 stacklevel=4,
             )
-    grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
-    layout = _SlitLayout(cfg, grid, mask)
+    grid = window_grid(cfg.beam, cfg.geometry, spp)
+    layout = _SlitLayout(cfg, grid)
     grid_metadata.update(grating_samples=grid.size, fft_length=layout.n_fft)
 
     def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):

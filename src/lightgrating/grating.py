@@ -64,15 +64,15 @@ class GratingBeam:
     waist_z: float = 50e-6
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0.0:
-            raise ValueError("wavelength must be positive")
         if not math.isfinite(self.power):
             raise ValueError("power must be finite")
         if self.power < 0.0:
             raise ValueError("power must be >= 0")
-        for name in ("waist_y", "waist_z"):
+        for name in ("wavelength", "waist_y", "waist_z"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def k_laser(self) -> float:

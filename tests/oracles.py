@@ -7,7 +7,8 @@ forms of what ``lightgrating`` computes fast:
   factorizes, and the photon-number channels it sums;
 - the effective rows spread over the canonical laser period, and tiled
   across the grating window, which the run path reads straight off the
-  stored |c| values instead;
+  stored |c| values instead, and the slit mask over the whole window,
+  of which the run path builds the half right of the centre;
 - the channel-by-channel, source-by-source Fresnel pipeline that wave mode
   replaces with one FFT batch per velocity, with a direct quadrature as
   the cross-check of the spectral propagator, and the midpoint rule over
@@ -33,6 +34,7 @@ from lightgrating.beamline import (
     next_pow2,
     order_slot_spacing,
     pattern_metrics,
+    window_grid,
 )
 from lightgrating.distributions import FWHM_TO_SIGMA, VerticalProfile
 from lightgrating.grating import (
@@ -125,6 +127,18 @@ def period(rows: ParityRows) -> np.ndarray:
     """
     fold, sign = period_layout(2 * rows.values.shape[1])
     return rows.values[:, fold] * np.where(rows.odd[:, None], sign, 1.0)
+
+
+def grating_window(
+    beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: int
+) -> tuple[GridSpec, np.ndarray]:
+    """``window_grid`` and the slit2 aperture over the whole window, a fractional-overlap mask.
+
+    The run path builds the aperture on the samples right of the centre
+    only (``beamline._SlitLayout``).
+    """
+    grid = window_grid(beam, geom, samples_per_period)
+    return grid, aperture_mask(grid.positions(), grid.spacing, geom.slit2)
 
 
 def window_fields(cfg, velocity, grid, mask, rows):

@@ -32,10 +32,10 @@ from lightgrating.beamline import (
     ensemble_pattern,
     ensemble_patterns,
     geometric_envelope,
-    grating_window,
     next_pow2,
     order_slot_spacing,
     pattern_metrics,
+    window_grid,
 )
 from lightgrating.config import QuadratureSpec, SimulationConfig
 from lightgrating.distributions import (
@@ -57,6 +57,7 @@ from lightgrating.species import C60, C70, de_broglie_wavelength
 from oracles import (
     channel_set,
     farfield_peak_positions,
+    grating_window,
     peak_positions,
     point_source_pattern,
     source_quadrature,
@@ -341,7 +342,7 @@ class TestEnsembleWaveMode:
 
 def channel_by_channel_slice(cfg, velocity, scales, scale_weights, src_nodes, src_weights):
     """Independent oracle: sum of ``point_source_pattern`` over scales, sources and channels."""
-    grid, _ = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+    grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
     wavelength = de_broglie_wavelength(cfg.species, velocity)
     phi = compute_phi(cfg.species, cfg.beam, velocity)
     total = 0.0
@@ -408,7 +409,7 @@ def velocity_slice(species, power, spp, slit2, source_nodes, pad_factor=4):
         rows=rows,
         src_nodes=src_nodes,
         src_weights=src_weights,
-        layout=_SlitLayout(cfg, grid, mask),
+        layout=_SlitLayout(cfg, grid),
     )
 
 
@@ -482,7 +483,7 @@ class TestWaveVelocitySlice:
             (rows,), (dropped,) = effective_channels(
                 [phi], grid.samples_per_period, scales, scale_weights, cfg.numerics.tail_eps
             )
-            layout = _SlitLayout(cfg, grid, mask)
+            layout = _SlitLayout(cfg, grid)
             x, (intensity,), _, _ = _wave_velocity_slice(cfg, velocity, layout, [rows])
             x_ref, reference = channel_by_channel_slice(
                 cfg, velocity, scales, scale_weights, *sources
@@ -586,9 +587,10 @@ class TestWaveVelocitySlice:
         # against cos(k x) at the samples themselves: |c| at the stored index,
         # and the sign of c, negated when periods/2 is even (the tiled
         # period's c is then the window's times -1)
-        beam, spp = GratingBeam(), 64
-        grid, mask = grating_window(beam, BeamlineGeometry(slit2=slit2), spp)
-        layout = _SlitLayout(SimulationConfig(), grid, mask)
+        cfg = replace(SimulationConfig(), geometry=BeamlineGeometry(slit2=slit2))
+        beam, spp = cfg.beam, cfg.numerics.samples_per_period
+        grid, mask = grating_window(beam, cfg.geometry, spp)
+        layout = _SlitLayout(cfg, grid)
         flip = 1.0 if (grid.periods // 2) % 2 else -1.0
         a = np.cos(parity_angles(spp))
         samples = 0
@@ -601,10 +603,20 @@ class TestWaveVelocitySlice:
             samples += index.size
         assert samples == half_support(grid, mask)
 
-    def test_rejects_an_asymmetric_slit_mask(self):
-        s = velocity_slice(*self.SLICES["c60-default"])
-        with pytest.raises(ValueError, match="mirror-symmetric"):
-            _SlitLayout(s.cfg, s.grid, np.roll(s.mask, 1))
+    @pytest.mark.parametrize("spp", [25404, 37448])
+    def test_lays_out_windows_whose_whole_mask_rounds_asymmetric(self, spp):
+        # windows of 711 312 and 1 048 544 samples: the rounding of their
+        # positions leaves the whole-window mask asymmetric by more than
+        # 1e-10, which a mirror check of it refused; the layout builds the
+        # half right of the centre only, and finds the oracle's L and norm
+        cfg = SimulationConfig()
+        cfg = replace(cfg, numerics=replace(cfg.numerics, samples_per_period=spp, pad_factor=2))
+        grid, mask = grating_window(cfg.beam, cfg.geometry, spp)
+        assert np.max(np.abs(mask - mask[::-1])) > 1e-10
+        layout = _SlitLayout(cfg, grid)
+        assert layout.n_lags == 2 * half_support(grid, mask)
+        reference = grid.spacing * float(np.sum(mask**2))
+        assert layout.power_in == pytest.approx(reference, rel=1e-14, abs=0)
 
     def test_fft_calls_per_velocity_independent_of_source_nodes(self, monkeypatch):
         calls_per_velocity = {}
@@ -682,9 +694,9 @@ class TestSourceKernel:
     @pytest.mark.parametrize("n_sources", [1, 2, 3, 4, 16, 1024])
     def test_matches_the_direct_sum_at_every_lag(self, config, n_sources):
         cfg = SOURCE_KERNEL_CONFIGS[config]
-        grid, mask = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         cfg = replace(cfg, quadrature=replace(cfg.quadrature, source_nodes=n_sources))
-        layout = _SlitLayout(cfg, grid, mask)
+        layout = _SlitLayout(cfg, grid)
         lags = np.arange(layout.n_lags)
         nodes, weights = source_quadrature(cfg.geometry, n_sources)
         velocities = velocity_quadrature(cfg.velocity, cfg.quadrature.velocity_nodes)[0]
@@ -707,7 +719,7 @@ class TestSourceKernel:
             cfg = replace(s.cfg, quadrature=replace(s.cfg.quadrature, source_nodes=n_sources))
             tracemalloc.start()
             try:
-                layout = _SlitLayout(cfg, s.grid, s.mask)
+                layout = _SlitLayout(cfg, s.grid)
                 _wave_velocity_slice(cfg, s.velocity, layout, [s.rows])
                 peaks[n_sources] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -860,7 +872,7 @@ class TestEnsemblePatterns:
         # a budget of `budget` output rows: at least one power per batch
         cfg = fast_config()
         cfg = replace(cfg, run=replace(cfg.run, workers=workers))
-        grid, _ = grating_window(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
+        grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
         counting = CountingNumpy()
         monkeypatch.setattr(lightgrating.beamline, "MAX_OUTPUT_SAMPLES", int(budget * n_fft))

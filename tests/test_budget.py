@@ -52,3 +52,18 @@ def test_source_midpoint_rule_at_16_nodes(config, bound):
     # measured 3.1e-4 and 1.9e-4; the reference agrees with 512 nodes to
     # 2.3e-7 and 1.4e-7
     check_row(CONFIGS[config], "source_nodes", 16, (512, 1024), bound)
+
+
+def test_velocity_midpoint_rule_at_16_nodes():
+    # measured 3.81e-3; the reference agrees with 64 nodes to 1.2e-5.  C60's
+    # row (6e-6) is no test: its references at 64, 128 and 256 nodes differ
+    # by about 4e-6, more than its 16-node deviation of 3.3e-6
+    check_row(CONFIGS["c70-50W"], "velocity_nodes", 16, (64, 128), 4e-3)
+
+
+@pytest.mark.parametrize(
+    "config, references, bound", [("c60-9.5W", (128, 256), 6e-9), ("c70-50W", (64, 128), 3e-4)]
+)
+def test_vertical_midpoint_rule_at_16_nodes(config, references, bound):
+    # measured 5.06e-9 and 2.32e-4; the references agree to 1.3e-10 and 2.7e-9
+    check_row(CONFIGS[config], "vertical_nodes", 16, references, bound)

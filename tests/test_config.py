@@ -826,6 +826,19 @@ class TestOneRulePerField:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             replace(getattr(SimulationConfig(), group), **{name: value})
 
+    @pytest.mark.parametrize(
+        "group, name",
+        [("geometry", name) for name in ("slit1", "slit2", "L12", "L2D", "detector_span")]
+        + [("beam", name) for name in ("wavelength", "waist_y", "waist_z")],
+    )
+    def test_a_length_set_from_python_must_be_finite(self, group, name):
+        # an infinite length passed the positivity check: a wave run then gave
+        # a NaN pattern at slit1 = inf and an all-zero one at L2D = inf
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(getattr(SimulationConfig(), group), **{name: math.inf})
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            replace(getattr(SimulationConfig(), group), **{name: -math.inf})
+
     def test_the_laser_has_one_waist(self):
         cfg = SimulationConfig()
         message = r"^vertical\.laser_waist 0\.0013 != beam\.waist_y 0\.0005$"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightgrating import backend
-from lightgrating.beamline import BeamlineGeometry, grating_window
+from lightgrating.beamline import BeamlineGeometry, window_grid
 from lightgrating.distributions import VerticalProfile, fold_vertical_rule, vertical_phi_scales
 from lightgrating.grating import (
     ComplexPhase,
@@ -670,7 +670,7 @@ class TestEffectiveChannels:
         # laser period of a beamline window; with periods/2 even its c is the
         # canonical c times -1, with periods/2 odd it is the canonical c
         beam = GratingBeam()
-        grid, _ = grating_window(beam, BeamlineGeometry(slit2=slit2), SPP)
+        grid = window_grid(beam, BeamlineGeometry(slit2=slit2), SPP)
         assert (grid.periods // 2) % 2 == (0 if flipped else 1)
         x = grid.positions()[: 2 * SPP]
         c = np.cos(beam.k_laser * x)
