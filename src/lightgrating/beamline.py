@@ -28,16 +28,15 @@ aliasing bound at the slowest node; nothing factorized, no photon cap; a
 cosine sum over the values of |cos kx|, no FFT) and places each order's
 weight on the geometric shadow envelope instead of propagating; it is
 faster and serves as the cross-check of the wave pipeline's
-factorization and propagation.  The order
-weights are even in m and the detector grid is mirror-symmetric, so one
-call per power places the orders m >= 0 of every velocity node and the
-mirror image adds the rest (``_place_orders``).  That call is one
-vectorized pass: one ``geometric_envelope`` evaluation over the spans of
-every (node, order) shadow that meets the grid and one ``bincount`` into
-a row per node, the rows then added in node order (``_envelope_sum``).
-The in-span share of each order is the closed-form mass of its shadow
-(``_envelope_mass``).  Orders mode runs on the calling thread; worker
-threads serve wave mode only.
+factorization and propagation.  The order weights are even in m and the
+detector grid is mirror-symmetric, so one call per power places the
+orders m >= 0 of every velocity node and the mirror image adds the rest
+(``_place_orders``).  That call is one vectorized pass: one
+``geometric_envelope`` evaluation over the spans of every (node, order)
+shadow that meets the grid, added onto one row of the grid, exactly up
+to about one rounding per point.  The in-span share of each order is the
+closed-form mass of its shadow (``_envelope_mass``).  Orders mode runs
+on the calling thread; worker threads serve wave mode only.
 The vertical midpoint rule is mirror-symmetric and the grating scale
 depends on y^2 only, so both modes sum the states over its
 ceil(n/2) distinct scales, each mirror pair with its summed weight
@@ -74,6 +73,7 @@ from . import backend
 from .distributions import (
     _internal_grid,
     _scan_grid,
+    aperture_mask,
     check_nodes,
     check_size,
     detector_kernel,
@@ -195,22 +195,26 @@ def _envelope_mass(geom: BeamlineGeometry, y: np.ndarray) -> np.ndarray:
     return np.where(y > 0.0, 1.0 - lower, lower)
 
 
-def _envelope_sum(
-    geom: BeamlineGeometry, x: np.ndarray, centers: np.ndarray, weights: np.ndarray
+def _place_orders(
+    geom: BeamlineGeometry, x: np.ndarray, slots: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """sum_i weights[i] * geometric_envelope(geom, x - centers[i]) on the uniform grid x.
+    """The shadows of the orders m = -m_max .. m_max of every node on the grid x.
 
-    Each trapezoid is evaluated only on the grid points it covers, plus one
-    on either side, on ``x`` padded by the trapezoid's width: a trapezoid
-    that meets the grid lies wholly on the padded one, so no index is
-    clipped, and one that misses the grid is skipped.  2-D ``centers`` and
-    ``weights`` (node x order) are evaluated in one pass: one
-    ``geometric_envelope`` call over the spans of every trapezoid that
-    meets the grid, and one ``bincount`` into a (node x padded grid) array.
-    Within a row the terms add in the order of ``centers``, and the rows
-    then add in node order, so the sum is bit for bit that of one call per
-    row added in turn.
+    Node j puts ``weights[j, m + m_max]`` on ``geometric_envelope`` centred
+    at m * ``slots[j]``.  The weights must be nonnegative and even in m bit
+    for bit, as ``mixed_order_spectra`` returns them, and x mirror-symmetric,
+    as ``_internal_grid`` builds it, so only m = 0 .. m_max are placed, the
+    centre at half weight, and the mirror image adds the rest.  Each shadow
+    that meets the grid is evaluated on the points it covers, plus one on
+    either side, of x padded by its width, in one ``geometric_envelope``
+    call.  Two ``bincount`` passes add them up: their multiples of a power
+    of two, exactly, then the remainders, so a point is off by about one
+    rounding however many terms it sums.
     """
+    m_max = weights.shape[1] // 2
+    half_weights = weights[:, m_max:].copy()
+    half_weights[:, 0] *= 0.5
+    centers = np.multiply.outer(slots, np.arange(m_max + 1))
     wide, narrow = _trapezoid(geom)
     half = 0.5 * (wide + narrow)  # ``geometric_envelope`` is zero beyond it
     step = x[1] - x[0]
@@ -218,50 +222,23 @@ def _envelope_sum(
     margin = np.arange(1, span.size) * step
     # the middle of the padded grid is x itself
     padded = np.concatenate([x[0] - margin[::-1], x, x[-1] + margin])
-    centers = np.atleast_2d(centers)
     first = np.searchsorted(padded, centers - half) - 1
-    # the trapezoids whose points [first, first + span.size) meet x, row by row
-    rows, columns = np.nonzero((first >= 0) & (first < margin.size + x.size))
-    index = first[rows, columns][:, None] + span
-    values = geometric_envelope(geom, padded[index] - centers[rows, columns][:, None])
-    values *= np.atleast_2d(weights)[rows, columns][:, None]
-    index += (rows * padded.size)[:, None]
-    per_row = np.bincount(
-        index.ravel(), weights=values.ravel(), minlength=centers.shape[0] * padded.size
-    ).reshape(centers.shape[0], padded.size)
-    total = np.zeros(padded.size)
-    for row in per_row:
-        total += row
-    return total[margin.size : margin.size + x.size]
-
-
-def _place_orders(
-    geom: BeamlineGeometry, x: np.ndarray, slots: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """The shadows of the orders m = -m_max .. m_max of every node on the grid x.
-
-    Node j puts ``weights[j, m + m_max]`` on ``geometric_envelope`` centred
-    at m * ``slots[j]``.  The weights must be even in m bit for bit, as
-    ``mixed_order_spectra`` returns them, and x mirror-symmetric, as
-    ``_internal_grid`` builds it.  Then the orders m < 0 are the mirror
-    image of the orders m > 0, so only m = 0 .. m_max are placed, the
-    centre at half weight, in one ``_envelope_sum`` pass over every node,
-    and the image is added.
-    """
-    m_max = weights.shape[1] // 2
-    half = weights[:, m_max:].copy()
-    half[:, 0] *= 0.5
-    placed = _envelope_sum(geom, x, np.multiply.outer(slots, np.arange(m_max + 1)), half)
+    # the shadows whose points [first, first + span.size) meet x
+    meets = (first >= 0) & (first < margin.size + x.size)
+    index = first[meets][:, None] + span
+    values = geometric_envelope(geom, padded[index] - centers[meets][:, None])
+    values *= half_weights[meets][:, None]
+    # no partial sum reaches the total, below 2^52 q: multiples of q add exactly
+    q = math.ldexp(1.0, math.frexp(float(values.sum()))[1] - 52)
+    coarse = values * (1.0 / q)
+    np.rint(coarse, out=coarse)
+    coarse *= q
+    values -= coarse
+    total = np.bincount(index.ravel(), weights=coarse.ravel(), minlength=padded.size)
+    total += np.bincount(index.ravel(), weights=values.ravel(), minlength=padded.size)
+    placed = total[margin.size : margin.size + x.size]
     placed += placed[::-1]
     return placed
-
-
-def aperture_mask(x: np.ndarray, spacing: float, width: float) -> np.ndarray:
-    """Fractional overlap of each grid cell with a centred slit."""
-    half = 0.5 * width
-    lo = np.maximum(x - 0.5 * spacing, -half)
-    hi = np.minimum(x + 0.5 * spacing, half)
-    return np.clip((hi - lo) / spacing, 0.0, 1.0)
 
 
 def window_grid(beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: int) -> GridSpec:
@@ -314,9 +291,13 @@ def _source_kernel(phase: float, n: int, n_lags: int) -> np.ndarray:
     kernel c[d] = sin(n t)/(n sin t), t = phase d/(2n).  At t = m pi + u,
     |u| <= pi/2, it is (-1)^(m (n - 1)) sin(n u)/(n sin u): both sines share
     the rounding of u near their zeros, and u = 0 (d = 0) takes the limit.
+    ValueError when |m| (n - 1) at the last lag reaches 2^53, past which the
+    sign's parity is not exact, or is NaN: so also when t is not finite.
     """
     t = phase / (2 * n) * np.arange(n_lags)
     turns = np.round(t / np.pi)
+    if not abs(turns[-1]) * (n - 1) < 2.0**53:
+        raise ValueError(f"the source kernel cannot be resolved: its half angle is {t[-1]:.3g} rad")
     u = t - np.pi * turns
     ratio = np.divide(np.sin(n * u), n * np.sin(u), out=np.ones(n_lags), where=u != 0.0)
     return (1.0 - 2.0 * (turns * (n - 1) % 2)) * ratio
@@ -576,7 +557,6 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
     weights = v_weights.tolist()
     configs = [replace(cfg, beam=replace(cfg.beam, power=power)) for power in powers]
     phis = [[compute_phi(c.species, c.beam, velocity) for velocity in velocities] for c in configs]
-    grid_metadata: dict = {}  # wave mode: the grating samples and the FFT length
     patterns: list[DiffractionPattern] = []
 
     def finish(p: int, sums: tuple, n_channels: list[int] | None, dropped: float) -> None:
@@ -590,7 +570,6 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
             "v_peak": c.velocity.v_peak,
             "phi_re": phi_peak.re,
             "phi_im": phi_peak.im,
-            **grid_metadata,
             "phi_per_velocity": [[v, phi.re, phi.im] for v, phi in zip(velocities, phis[p])],
             "channels_per_velocity": n_channels,
             "dropped_probability": dropped,
@@ -658,21 +637,19 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
     # The grid holds 2 spp samples per laser period, so orders |m| >= spp
     # fold back into the pattern; the slowest node at the largest
     # vertical scale carries the strongest grating.
-    slowest = float(v_nodes.min())
-    for c in configs:
-        strongest = compute_phi(c.species, c.beam, slowest).scaled(float(scales.max()))
-        bound = tail_order(strongest, 0.01)
+    slowest = int(np.argmin(v_nodes))
+    for c, node_phis in zip(configs, phis):
+        bound = tail_order(node_phis[slowest].scaled(float(scales.max())), 0.01)
         if bound >= spp:
             warnings.warn(
                 f"the wave grid resolves orders |m| < numerics.samples_per_period = "
-                f"{spp}, but at {c.beam.power} W and {slowest:.1f} m/s the grating "
+                f"{spp}, but at {c.beam.power} W and {velocities[slowest]:.1f} m/s the grating "
                 f"state is bounded below 1% only beyond |m| = {bound}; more than 1% "
                 "may alias into the pattern, raise numerics.samples_per_period",
                 stacklevel=4,
             )
     grid = window_grid(cfg.beam, cfg.geometry, spp)
     layout = _SlitLayout(cfg, grid)
-    grid_metadata.update(grating_samples=grid.size, fft_length=layout.n_fft)
 
     def propagate(velocity: float, v_weight: float, rows: list[ParityRows]):
         x_native, intensities, sums, coverages = _wave_velocity_slice(cfg, velocity, layout, rows)

@@ -227,6 +227,14 @@ def _internal_grid(
     return np.arange(-n_half, n_half + 1) * internal_step
 
 
+def aperture_mask(x: np.ndarray, spacing: float, width: float) -> np.ndarray:
+    """Fractional overlap of each grid cell with a centred slit."""
+    half = 0.5 * width
+    lo = np.maximum(x - 0.5 * spacing, -half)
+    hi = np.minimum(x + 0.5 * spacing, half)
+    return np.clip((hi - lo) / spacing, 0.0, 1.0)
+
+
 def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
     """Odd-length unit-sum convolution kernel for the detector resolution.
 
@@ -241,13 +249,10 @@ def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
         half = grid_half("the detector kernel", np.ceil(3.0 * sigma / grid_step))
         offsets = np.arange(-half, half + 1) * grid_step
         taps = np.exp(-0.5 * (offsets / sigma) ** 2)
-    else:  # tophat: fractional overlap of each grid cell with the slit
-        half_width = 0.5 * model.width
-        half = grid_half("the detector kernel", np.ceil((half_width + 0.5 * grid_step) / grid_step))
-        offsets = np.arange(-half, half + 1) * grid_step
-        lo = np.maximum(offsets - 0.5 * grid_step, -half_width)
-        hi = np.minimum(offsets + 0.5 * grid_step, half_width)
-        taps = np.maximum(hi - lo, 0.0)
+    else:  # tophat: the cells that meet the slit, each weighted by its overlap
+        reach = 0.5 * model.width + 0.5 * grid_step
+        half = grid_half("the detector kernel", np.ceil(reach / grid_step))
+        taps = aperture_mask(np.arange(-half, half + 1) * grid_step, grid_step, model.width)
     return taps / taps.sum()
 
 

@@ -17,7 +17,6 @@ import lightgrating.orders
 from lightgrating import backend
 from lightgrating.beamline import (
     _envelope_mass,
-    _envelope_sum,
     _finalize,
     _internal_grid,
     _place_orders,
@@ -712,6 +711,26 @@ class TestSourceKernel:
         t_max = ramp * cfg.geometry.slit1 * (layout.n_lags - 1) / (2 * n_sources)
         assert (t_max > math.pi) == (n_sources <= 4)
 
+    @pytest.mark.parametrize("slit1_um, resolved", [(1.7e308, False), (1e300, False), (1e14, True)])
+    def test_unresolvable_kernel_is_an_error(self, slit1_um, resolved):
+        # unchecked, 1.7e308 um gave a NaN pattern at 16 source nodes and 1e300
+        # um kernel phases past 1e299 rad; at 1e14 um the sign parity is exact
+        cfg = fast_config()
+        cfg = replace(cfg, geometry=replace(cfg.geometry, slit1=slit1_um * 1e-6))
+        if resolved:
+            assert np.all(np.isfinite(ensemble_pattern(cfg).intensity))
+        else:
+            with pytest.raises(ValueError, match="source kernel cannot be resolved"):
+                ensemble_pattern(cfg)
+
+    def test_sign_parity_bound(self):
+        # t = pi 2^52 at the last lag: m (n - 1) = 2^53 at n = 3
+        with pytest.raises(ValueError, match="source kernel"):
+            _source_kernel(6.0 * math.pi * 2.0**52, 3, 2)
+        assert np.all(np.isfinite(_source_kernel(6.0 * math.pi * 2.0**50, 3, 2)))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="source kernel"):
+            _source_kernel(math.inf, 1, 2)  # inf * 0 is NaN at lag 0 and in the check
+
     def test_layout_and_slice_allocate_alike_at_any_source_count(self):
         s = velocity_slice(C60, 9.5, 64, 5e-6, 16)
         peaks = {}
@@ -754,7 +773,7 @@ def per_channel_slot_weights(cfg):
 
 
 def full_grid_envelopes(geom, x, centers, weights):
-    """Reference for ``_envelope_sum``: every trapezoid on every grid point."""
+    """Reference for ``_place_orders``: every trapezoid on every grid point."""
     total = np.zeros_like(x)
     for center, weight in zip(centers, weights):
         total += weight * geometric_envelope(geom, x - center)
@@ -900,22 +919,21 @@ class TestEnsembleOrdersMode:
         cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
         calls = []
 
-        def spy(geom, x, centers, weights):
+        def spy(geom, x, slots, weights):
             calls.append((x, weights))
-            return _envelope_sum(geom, x, centers, weights)
+            return _place_orders(geom, x, slots, weights)
 
-        monkeypatch.setattr(lightgrating.beamline, "_envelope_sum", spy)
+        monkeypatch.setattr(lightgrating.beamline, "_place_orders", spy)
         # at 50 W the orders reach past m_max = 20 and orders mode says so
         lost_orders = pytest.warns(UserWarning, match="m_max") if power == 50.0 else nullcontext()
         with lost_orders:
             pattern = ensemble_pattern(cfg)
         v_nodes, v_weights = velocity_quadrature(cfg.velocity, 4)
         reference = per_channel_slot_weights(cfg)
-        # one placement of the orders m >= 0 of every node, m = 0 at half weight
+        # one placement of the orders of every node
         ((x, placed_weights),) = calls
         slot_weights = placed_weights / v_weights[:, None]
-        slot_weights[:, 0] *= 2.0
-        assert np.max(np.abs(slot_weights - reference[:, cfg.numerics.m_max :])) <= 1e-10
+        assert np.max(np.abs(slot_weights - reference)) <= 1e-10
         # and the pattern is the per-channel one placed on the full grid
         orders = np.arange(-cfg.numerics.m_max, cfg.numerics.m_max + 1)
         accumulated = sum(
@@ -1014,23 +1032,16 @@ class TestEnsembleOrdersMode:
             ]
         )
         weights = rng.uniform(0.0, 1.0, centers.size)
-        reference = full_grid_envelopes(geom, x, centers, weights)
-        result = _envelope_sum(geom, x, centers, weights)
+        # each centre is the order m = 1 of its own node, m = 0 at weight 0;
+        # its mirror image is the order m = -1
+        reference = full_grid_envelopes(
+            geom, x, np.concatenate([centers, -centers]), np.concatenate([weights, weights])
+        )
+        zero = np.zeros_like(weights)
+        result = _place_orders(geom, x, centers, np.stack([weights, zero, weights], axis=1))
         assert np.max(np.abs(result - reference)) <= 1e-15 * reference.max()
         # each trapezoid touches only about 2 * half / step of the grid points
         assert 2 * half / (x[1] - x[0]) < 0.1 * x.size
-
-    def test_rows_add_like_separate_calls(self):
-        cfg = SimulationConfig()
-        x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
-        rng = np.random.default_rng(17)
-        edge = float(x[-1])
-        centers = rng.uniform(-1.2 * edge, 1.2 * edge, (9, 21))
-        weights = rng.uniform(0.0, 1.0, centers.shape)
-        expected = 0.0
-        for row_centers, row_weights in zip(centers, weights):
-            expected = expected + _envelope_sum(cfg.geometry, x, row_centers, row_weights)
-        assert np.array_equal(_envelope_sum(cfg.geometry, x, centers, weights), expected)
 
     @pytest.mark.parametrize("m_max", [0, 20, 120])
     def test_mirrored_placement_matches_full_grid(self, m_max):
@@ -1074,22 +1085,12 @@ class TestEnsembleOrdersMode:
             full_grid_envelopes(geom, x, row_centers, row_weights)
             for row_centers, row_weights in zip(centers, weights)
         )
-        result = _envelope_sum(geom, x, centers, weights)
-        assert np.max(np.abs(result - reference)) <= 1e-15 * reference.max()
         placed = _place_orders(geom, x, slots, weights)
         assert np.max(np.abs(placed - reference)) <= 1e-15 * reference.max()
 
-    def test_many_node_rows_add_like_separate_calls(self):
-        geom, x, slots, weights = self.many_node_orders()
-        centers = np.multiply.outer(slots, np.arange(-120, 121))
-        expected = 0.0
-        for row_centers, row_weights in zip(centers, weights):
-            expected = expected + _envelope_sum(geom, x, row_centers, row_weights)
-        assert np.array_equal(_envelope_sum(geom, x, centers, weights), expected)
-
     @pytest.mark.parametrize("powers", [[9.5], [0.0, 9.5, 30.0]])
     def test_one_envelope_pass_per_power(self, monkeypatch, powers):
-        calls = {"_envelope_sum": 0, "geometric_envelope": 0}
+        calls = {"_place_orders": 0, "geometric_envelope": 0}
         for name in calls:
 
             def counted(*args, _name=name, _original=getattr(lightgrating.beamline, name)):
@@ -1099,7 +1100,7 @@ class TestEnsembleOrdersMode:
             monkeypatch.setattr(lightgrating.beamline, name, counted)
         cfg = SimulationConfig()  # 16 velocity nodes
         ensemble_patterns(replace(cfg, run=replace(cfg.run, mode="orders")), powers)
-        assert calls == {"_envelope_sum": len(powers), "geometric_envelope": len(powers)}
+        assert calls == {"_place_orders": len(powers), "geometric_envelope": len(powers)}
 
     def test_orders_mode_starts_no_worker_threads(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -243,6 +243,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: velocity.histogram_file (line 13): 'utf-8' codec")
 
+    @pytest.mark.parametrize("slit1_um", ["1.7e308", "1e300"])
+    def test_unresolvable_source_kernel_is_an_error(self, tmp_path, capsys, slit1_um):
+        text = TINY.replace("[geometry]\n", f"[geometry]\nslit1_um = {slit1_um}\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: the source kernel cannot be resolved")
+        assert not (tmp_path / "run_pattern.csv").exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err
