@@ -51,9 +51,12 @@ velocity) pair, up to ``MAX_BATCH_STATES`` of them, and one worker task
 per velocity node builds that node's chirp and source kernel once and
 propagates its rows at every power of the batch: one row transform per
 power, then the lag and output transforms of all its powers together, in
-batches bounded by ``MAX_OUTPUT_SAMPLES``.  Each power's pattern is
-bit-identical to a run at that power alone.  Orders mode sizes its grid
-by each power's strongest phase, so it builds one kernel per power.
+batches bounded by ``MAX_OUTPUT_SAMPLES``.  The row and output transforms
+write over their inputs (``out=``, NumPy >= 2.0): a fresh result array
+for each, faulted in again at every node, took 9% of a six-power C70
+scan's CPU time on a 2-vCPU VM.  Each power's pattern is bit-identical
+to a run at that power alone.  Orders mode sizes its grid by each
+power's strongest phase, so it builds one kernel per power.
 
 The worker pool (``run.workers``) pays off only when the velocity nodes
 carry several powers each; README's Power scans section has the timings.
@@ -291,13 +294,18 @@ def _source_kernel(phase: float, n: int, n_lags: int) -> np.ndarray:
     kernel c[d] = sin(n t)/(n sin t), t = phase d/(2n).  At t = m pi + u,
     |u| <= pi/2, it is (-1)^(m (n - 1)) sin(n u)/(n sin u): both sines share
     the rounding of u near their zeros, and u = 0 (d = 0) takes the limit.
-    ValueError when |m| (n - 1) at the last lag reaches 2^53, past which the
-    sign's parity is not exact, or is NaN: so also when t is not finite.
+    One node sits at the slit centre and adds no ramp, so its kernel is 1
+    at every lag, whatever the phase.  ValueError, before any array is
+    built, when t at the last lag is not finite or |m| (n - 1) there
+    reaches 2^53, past which the sign's parity is not exact.
     """
+    if n == 1:
+        return np.ones(n_lags)
+    t_last = phase / (2 * n) * (n_lags - 1)
+    if not (math.isfinite(t_last) and abs(np.round(t_last / np.pi)) * (n - 1) < 2.0**53):
+        raise ValueError(f"the source kernel cannot be resolved: its half angle is {t_last:.3g} rad")
     t = phase / (2 * n) * np.arange(n_lags)
     turns = np.round(t / np.pi)
-    if not abs(turns[-1]) * (n - 1) < 2.0**53:
-        raise ValueError(f"the source kernel cannot be resolved: its half angle is {t[-1]:.3g} rad")
     u = t - np.pi * turns
     ratio = np.divide(np.sin(n * u), n * np.sin(u), out=np.ones(n_lags), where=u != 0.0)
     return (1.0 - 2.0 * (turns * (n - 1) % 2)) * ratio
@@ -387,6 +395,12 @@ def _wave_velocity_slice(
     and at least one power, so a scan with few nodes and many powers holds
     a bounded output.  A transform treats its rows independently, so each
     power's intensity is bit for bit that of a batch of one.
+
+    The row transform overwrites the gathered rows with V, and the output
+    transform the folded lags with its spectrum, with the same bits as a
+    transform into a new array: each new array was a large temporary that
+    the allocator handed back to the system and the next node faulted in
+    again.
     """
     geom = cfg.geometry
     wavelength = de_broglie_wavelength(cfg.species, velocity)
@@ -421,15 +435,14 @@ def _wave_velocity_slice(
         v = np.zeros((block.rank, m_len), dtype=np.complex128)
         for into, at, bases in runs:
             np.multiply(block.values[:, at], bases[block.odd.astype(np.intp)], out=v[:, into])
-        spectrum = np.fft.fft(v, axis=-1)
-        del v  # before the next power's rows are gathered
+        np.fft.fft(v, axis=-1, out=v)  # V, in place of the rows it transforms
         power = np.zeros(m_len)  # P(k) = sum_r |V_r(k)|^2
-        backend.accumulate_weighted_abs2(spectrum, 1.0, power)
+        backend.accumulate_weighted_abs2(v, 1.0, power)
         # Q(k) = sum_r V_r(k) V_r(M - k)^*, conjugated in place to hold one
         # copy of the mirrored spectrum less
-        mirrored = spectrum[:, mirror]
-        cross = np.einsum("rk,rk->k", spectrum[:, : half + 1], np.conj(mirrored, out=mirrored))
-        del mirrored, spectrum
+        mirrored = v[:, mirror]
+        cross = np.einsum("rk,rk->k", v[:, : half + 1], np.conj(mirrored, out=mirrored))
+        del mirrored, v  # before the next power's rows are gathered
         paired = power[: half + 1] + power[mirror]
         twisted = 2.0 * (twist * cross).real
         spectrum_2m[: half + 1] = paired + twisted
@@ -449,15 +462,14 @@ def _wave_velocity_slice(
         folded[:, :n_lags] = lags
         folded[:, n_fft - n_lags + 1 :] += lags[:, :0:-1]
         del lags
-        transformed = np.fft.fft(folded, axis=-1)
-        del folded
+        np.fft.fft(folded, axis=-1, out=folded)
         # fftshift, written straight into the one real output array, which
         # holds one (powers, n_fft) array less than np.fft.fftshift
         shift = n_fft // 2
-        batch = np.empty(transformed.shape)
-        np.multiply(transformed.real[:, n_fft - shift :], out_scale, out=batch[:, :shift])
-        np.multiply(transformed.real[:, : n_fft - shift], out_scale, out=batch[:, shift:])
-        del transformed
+        batch = np.empty(folded.shape)
+        np.multiply(folded.real[:, n_fft - shift :], out_scale, out=batch[:, :shift])
+        np.multiply(folded.real[:, : n_fft - shift], out_scale, out=batch[:, shift:])
+        del folded
         for intensity in batch:
             intensity_sum = intensity.sum()
             total = float(intensity_sum * out_spacing)

@@ -41,6 +41,7 @@ from lightgrating.distributions import (
     DetectorModel,
     VelocityDistribution,
     detector_kernel,
+    fold_vertical_rule,
     velocity_quadrature,
     vertical_phi_scales,
 )
@@ -435,7 +436,8 @@ class CountingNumpy:
 
     ``transforms`` lists (name, length) of every one-dimensional transform
     in call order: the ``n`` it was asked for, else the length of its axis;
-    ``inputs`` holds the array each of them was given.
+    ``inputs`` holds a copy of the array each of them was given, taken
+    before the call, since a transform with ``out=`` its input overwrites it.
     """
 
     TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
@@ -456,7 +458,7 @@ class CountingNumpy:
                 if length is None:
                     length = np.shape(args[0])[kwargs.get("axis", -1)]
                 self.transforms.append((name, length))
-                self.inputs.append(args[0])
+                self.inputs.append(np.array(args[0]))
             return func(*args, **kwargs)
 
         return counted
@@ -645,6 +647,27 @@ class TestWaveVelocitySlice:
         assert m_len == 1250
         assert counting.transforms == per_velocity * cfg.quadrature.velocity_nodes
 
+    def test_transforms_stay_within_the_budget(self):
+        # the slowest node of the benchmark's C70 scan at six powers: the row
+        # and output transforms write over their inputs, and the slice peaked
+        # at 1.77 MB when each returned a new array (1.40 MB in place)
+        cfg = replace(SimulationConfig(), species=C70, quadrature=QuadratureSpec(8, 16, 4))
+        velocity = float(velocity_quadrature(cfg.velocity, 8)[0][0])
+        scales, scale_weights = fold_vertical_rule(*vertical_phi_scales(cfg.vertical, 16))
+        spp = cfg.numerics.samples_per_period
+        phis = [compute_phi(C70, GratingBeam(power=p), velocity) for p in range(0, 51, 10)]
+        rows, _ = effective_channels(phis, spp, scales, scale_weights, cfg.numerics.tail_eps)
+        layout = _SlitLayout(cfg, window_grid(cfg.beam, cfg.geometry, spp))
+        assert len(rows) == 6 and layout.n_fft == 8192
+        _wave_velocity_slice(cfg, velocity, layout, rows)  # fills the FFT plan cache
+        tracemalloc.start()
+        try:
+            _wave_velocity_slice(cfg, velocity, layout, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
     def test_wave_mode_uses_no_photon_channel(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("wave mode sampled photon channels")
@@ -711,25 +734,44 @@ class TestSourceKernel:
         t_max = ramp * cfg.geometry.slit1 * (layout.n_lags - 1) / (2 * n_sources)
         assert (t_max > math.pi) == (n_sources <= 4)
 
+    @pytest.mark.parametrize("n_sources", [2, 4])
     @pytest.mark.parametrize("slit1_um, resolved", [(1.7e308, False), (1e300, False), (1e14, True)])
-    def test_unresolvable_kernel_is_an_error(self, slit1_um, resolved):
+    def test_unresolvable_kernel_is_an_error(self, slit1_um, resolved, n_sources):
         # unchecked, 1.7e308 um gave a NaN pattern at 16 source nodes and 1e300
-        # um kernel phases past 1e299 rad; at 1e14 um the sign parity is exact
-        cfg = fast_config()
+        # um kernel phases past 1e299 rad; at 1e14 um the sign parity is exact.
+        # The refusal comes before any NumPy warning.
+        cfg = fast_config(quadrature=QuadratureSpec(4, 2, n_sources))
         cfg = replace(cfg, geometry=replace(cfg.geometry, slit1=slit1_um * 1e-6))
-        if resolved:
-            assert np.all(np.isfinite(ensemble_pattern(cfg).intensity))
-        else:
-            with pytest.raises(ValueError, match="source kernel cannot be resolved"):
-                ensemble_pattern(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if resolved:
+                assert np.all(np.isfinite(ensemble_pattern(cfg).intensity))
+            else:
+                with pytest.raises(ValueError, match="source kernel cannot be resolved"):
+                    ensemble_pattern(cfg)
 
     def test_sign_parity_bound(self):
         # t = pi 2^52 at the last lag: m (n - 1) = 2^53 at n = 3
         with pytest.raises(ValueError, match="source kernel"):
             _source_kernel(6.0 * math.pi * 2.0**52, 3, 2)
         assert np.all(np.isfinite(_source_kernel(6.0 * math.pi * 2.0**50, 3, 2)))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="source kernel"):
-            _source_kernel(math.inf, 1, 2)  # inf * 0 is NaN at lag 0 and in the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any array arithmetic
+            for phase in (math.inf, math.nan, 1e308):
+                with pytest.raises(ValueError, match="source kernel"):
+                    _source_kernel(phase, 2, 1000)
+
+    def test_one_node_is_one_at_every_lag(self):
+        # the single node sits at the slit centre: no ramp, whatever the phase,
+        # so a slit1 whose half angles overflow gives the 7 um slit's pattern
+        cfg = fast_config(quadrature=QuadratureSpec(4, 2, 1))
+        wide = replace(cfg, geometry=replace(cfg.geometry, slit1=1.7e302))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phase in (0.0, 3.0, 1e300, math.inf, math.nan):
+                assert np.array_equal(_source_kernel(phase, 1, 5), np.ones(5))
+            pattern = ensemble_pattern(wide)
+        assert np.array_equal(pattern.intensity, ensemble_pattern(cfg).intensity)
 
     def test_layout_and_slice_allocate_alike_at_any_source_count(self):
         s = velocity_slice(C60, 9.5, 64, 5e-6, 16)

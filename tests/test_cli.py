@@ -247,7 +247,10 @@ class TestSimulate:
     def test_unresolvable_source_kernel_is_an_error(self, tmp_path, capsys, slit1_um):
         text = TINY.replace("[geometry]\n", f"[geometry]\nslit1_um = {slit1_um}\n")
         cfg = write_config(tmp_path, text)
-        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        # refused before any NumPy warning, which would end the run first here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: the source kernel cannot be resolved")
         assert not (tmp_path / "run_pattern.csv").exists()
 
