@@ -74,6 +74,7 @@ import numpy as np
 
 from . import backend
 from .distributions import (
+    MAX_DETECTOR_POINTS,
     _internal_grid,
     _scan_grid,
     aperture_mask,
@@ -198,6 +199,20 @@ def _envelope_mass(geom: BeamlineGeometry, y: np.ndarray) -> np.ndarray:
     return np.where(y > 0.0, 1.0 - lower, lower)
 
 
+def _shadow_span(geom: BeamlineGeometry, step: float, points: int) -> int:
+    """The points of a shadow on a grid of ``step``, plus one on either side.
+
+    ``_place_orders`` pads a grid of ``points`` by this span on either
+    side; ValueError if the padded grid would exceed ``MAX_DETECTOR_POINTS``
+    (checked before any width is rounded, so an infinite one is refused).
+    """
+    wide, narrow = _trapezoid(geom)
+    span = np.ceil((wide + narrow) / float(step)) + 3.0
+    what = "the padded detector grid of orders mode"
+    check_size(what, points + 2.0 * span, MAX_DETECTOR_POINTS)
+    return int(span)
+
+
 def _place_orders(
     geom: BeamlineGeometry, x: np.ndarray, slots: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -221,7 +236,7 @@ def _place_orders(
     wide, narrow = _trapezoid(geom)
     half = 0.5 * (wide + narrow)  # ``geometric_envelope`` is zero beyond it
     step = x[1] - x[0]
-    span = np.arange(int(math.ceil(2.0 * half / step)) + 3)
+    span = np.arange(_shadow_span(geom, step, x.size))
     margin = np.arange(1, span.size) * step
     # the middle of the padded grid is x itself
     padded = np.concatenate([x[0] - margin[::-1], x, x[-1] + margin])
@@ -251,9 +266,19 @@ def window_grid(beam: GratingBeam, geom: BeamlineGeometry, samples_per_period: i
     even number of grating periods (grid convention).  ValueError unless
     the slit2 aperture covers the first sample right of the centre, which
     it misses only where the rounding of the positions exceeds its half
-    width (wavelengths from 7e9 m at the default slit2).
+    width (wavelengths from 7e9 m at the default slit2), and unless the
+    periods can be counted: a wavelength whose half underflows to 0, or
+    whose window holds more periods than a float can, is refused.
     """
-    periods = max(2, 2 * math.ceil((geom.slit2 + 4.0 * beam.wavelength) / beam.period / 2))
+    pairs = math.inf  # half the periods
+    if beam.period > 0.0:
+        pairs = (geom.slit2 + 4.0 * beam.wavelength) / beam.period / 2
+    if not math.isfinite(pairs):
+        raise ValueError(
+            "the periods of the grating window cannot be counted at a wavelength of "
+            f"{beam.wavelength:.4g} m"
+        )
+    periods = max(2, 2 * math.ceil(pairs))
     grid = GridSpec(periods, samples_per_period, beam.wavelength)
     # the first sample right of the centre, as ``GridSpec.positions`` computes it
     centre = (np.array([grid.size // 2]) + 0.5) * grid.spacing - 0.5 * grid.window
@@ -595,6 +620,8 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
         slots = np.array(
             [order_slot_spacing(cfg.species, v, cfg.beam, cfg.geometry) for v in velocities]
         )
+        # the padded grid of _place_orders is sized before any shadow's mass
+        _shadow_span(cfg.geometry, common_x[1] - common_x[0], common_x.size)
         # the share of each order's shadow inside the detector span
         centers = np.multiply.outer(slots, np.arange(-m_max, m_max + 1))
         half_span = 0.5 * cfg.geometry.detector_span

@@ -27,7 +27,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .beamline import BeamlineGeometry, _fft_length, window_grid
+from .beamline import BeamlineGeometry, _fft_length, _shadow_span, window_grid
 from .distributions import DetectorModel, VelocityDistribution, VerticalProfile, _internal_grid
 from .distributions import _scan_grid, check_nodes, load_velocity_histogram
 from .grating import ComplexPhase, GratingBeam
@@ -352,8 +352,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
     span, width = ("geometry", "detector_span_um"), ("detector", "width_um")
     with blame(("detector", "step_um"), span):
         _scan_grid(cfg.geometry, cfg.detector.step)
-    with blame(("numerics", "internal_step_um"), width, span):
-        _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+    step = ("numerics", "internal_step_um")
+    with blame(step, width, span):
+        common_x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
     doubled, check = 2 if cfg.run.convergence_check else 1, ("run", "convergence_check")
     for key in ("velocity_nodes", "vertical_nodes", "source_nodes"):
         with blame(("quadrature", key), check):
@@ -361,6 +362,10 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
     if ("numerics", "m_max") in raw:  # at Phi = 0, the least; the default fits any tail_eps
         with blame(("numerics", "m_max")):
             samples_per_laser_period(ComplexPhase(0, 0), cfg.numerics.m_max, cfg.numerics.tail_eps)
+    if cfg.run.mode == "orders":  # the common grid padded by a shadow's span
+        shadow = [("geometry", key) for key in ("slit1_um", "slit2_um", "l2d_m", "l12_m")]
+        with blame(*shadow, step):
+            _shadow_span(cfg.geometry, common_x[1] - common_x[0], common_x.size)
     window = ("numerics", "samples_per_period"), ("geometry", "slit2_um"), ("beam", "wavelength_nm")
     if cfg.run.mode == "wave":  # the arrays of wave mode alone
         with blame(*window):

@@ -204,7 +204,9 @@ def poisson_weight(nbar, n: int):
 
 def _log_poisson(nbar, n):
     """log(exp(-nbar) nbar^n / n!) for nbar >= 0; n an integer or integer array."""
-    return n * np.log(nbar) - nbar - np.vectorize(math.lgamma, otypes=[float])(np.add(n, 1))
+    k = np.add(n, 1)
+    log_factorial = np.reshape([math.lgamma(v) for v in np.ravel(k).tolist()], np.shape(k))
+    return n * np.log(nbar) - nbar - log_factorial
 
 
 def truncation_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:

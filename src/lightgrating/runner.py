@@ -1,7 +1,10 @@
 """Simulation orchestration and file output.
 
-Writes are atomic (temp file + rename) and deterministic: fixed-decimal
-CSV and sorted JSON keys.  The pattern CSV holds only
+Writes are atomic and deterministic: fixed-decimal CSV and sorted JSON
+keys.  Each file is written whole to a temporary file beside it,
+``.<name>.<pid>.<thread id>.tmp``, opened exclusively (never following a
+symlink) at mode 0600, and renamed onto the target; a failed write
+removes its temporary file.  The pattern CSV holds only
 ``position_um,intensity``; the config digest, which traces a pattern back
 to the exact configuration that produced it, is in the summary JSON and
 in ``pattern.metadata``.
@@ -11,8 +14,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import threading
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ from .beamline import (
 from .config import SimulationConfig, config_digest
 from .distributions import vertical_phi_scales
 from .grating import compute_phi, raman_nath_diagnostic, truncation_order
-from .orders import absorbed_fractions, incoherent_order_intensities
+from .orders import OrderSpectrum, absorbed_fractions, incoherent_order_intensities
 
 PATTERN_HEADER = "position_um,intensity"
 
@@ -37,16 +41,43 @@ class ConvergenceError(RuntimeError):
     """Quadrature convergence check failed (doubling moved the pattern > 1%)."""
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+# O_NOFOLLOW where the platform has it: a symlink planted at the name fails the open
+_TEMPORARY = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+
+
+def _open_temporary(tmp: Path) -> int:
+    """A new file at ``tmp``, mode 0600; its directory is made if missing.
+
+    A file or symlink already there is left by a killed process whose pid
+    this one reuses: it is unlinked, never followed or truncated, and the
+    open retried once.
+    """
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        return os.open(tmp, _TEMPORARY, 0o600)
+    except FileNotFoundError:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        os.unlink(tmp)
+    return os.open(tmp, _TEMPORARY, 0o600)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    data = text.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    fd = _open_temporary(tmp)
+    try:
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        try:
             os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 
@@ -198,14 +229,7 @@ def run_orders(cfg: SimulationConfig, out_dir: str | Path | None = None) -> dict
     out = _resolve_out_dir(cfg, out_dir)
     phi = compute_phi(cfg.species, cfg.beam, cfg.velocity.v_peak)
     spectrum = incoherent_order_intensities(phi, cfg.numerics.m_max, cfg.numerics.tail_eps)
-    assert spectrum.per_channel is not None
-    photon_numbers = sorted(spectrum.per_channel)
-    header = "m,intensity," + ",".join(f"n{n}" for n in photon_numbers)
-    columns = [spectrum.per_channel[n].tolist() for n in photon_numbers]
-    row = "%d" + ",%.20f" * (1 + len(columns))
-    rows = zip(spectrum.orders.tolist(), spectrum.intensities.tolist(), *columns)
-    lines = [header, *(row % values for values in rows)]
-    _atomic_write(out / f"{cfg.run.prefix}_orders.csv", "\n".join(lines) + "\n")
+    _atomic_write(out / f"{cfg.run.prefix}_orders.csv", _orders_table(spectrum))
     return {
         "config_digest": config_digest(cfg),
         "phi_re": phi.re,
@@ -215,6 +239,19 @@ def run_orders(cfg: SimulationConfig, out_dir: str | Path | None = None) -> dict
         "odd_total": spectrum.parity_total(1),
         "zero_order": spectrum.intensity(0),
     }
+
+
+def _orders_table(spectrum: OrderSpectrum) -> str:
+    """The text of ``run_orders``' CSV: per order, its intensity and each photon number's."""
+    assert spectrum.per_channel is not None
+    photon_numbers = sorted(spectrum.per_channel)
+    header = "m,intensity," + ",".join(f"n{n}" for n in photon_numbers)
+    orders = spectrum.orders.tolist()
+    columns = [spectrum.per_channel[n].tolist() for n in photon_numbers]
+    rows = zip(orders, spectrum.intensities.tolist(), *columns)
+    # one format over every row
+    template = "\n".join(["%d" + ",%.20f" * (1 + len(columns))] * len(orders))
+    return f"{header}\n{template % tuple(chain.from_iterable(rows))}\n"
 
 
 def run_power_scan(

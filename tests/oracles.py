@@ -14,7 +14,9 @@ forms of what ``lightgrating`` computes fast:
   the cross-check of the spectral propagator, and the midpoint rule over
   the source slit whose average wave mode takes in closed form;
 - the analytic Bessel orders of the lossless phase grating, the far-field
-  peak ladder and a sub-grid peak finder.
+  peak ladder and a sub-grid peak finder;
+- the log-Poisson weight with ``np.vectorize``'d log-factorials, and the
+  orders table rendered one row at a time.
 
 pytest does not collect this module; tests import it as ``oracles``.
 """
@@ -166,6 +168,30 @@ def pure_phase_orders(phi_re: float, m_max: int = DEFAULT_M_MAX) -> OrderSpectru
     intensities = np.zeros(2 * m_max + 1)
     intensities[2 * j + m_max] = scipy.special.jv(np.abs(j), phi_re) ** 2
     return OrderSpectrum(m_max=m_max, intensities=intensities)
+
+
+def log_poisson(nbar, n):
+    """log(exp(-nbar) nbar^n / n!) with log n! from ``math.lgamma`` through ``np.vectorize``.
+
+    The form ``grating._log_poisson`` had before it called ``math.lgamma``
+    over a list; the two must agree bit for bit.
+    """
+    return n * np.log(nbar) - nbar - np.vectorize(math.lgamma, otypes=[float])(np.add(n, 1))
+
+
+def orders_table_by_rows(spectrum: OrderSpectrum) -> str:
+    """The text of ``run_orders``' CSV, each row formatted on its own.
+
+    The renderer ``runner._orders_table`` replaced with one format over all
+    rows; the two texts must be equal.
+    """
+    photon_numbers = sorted(spectrum.per_channel)
+    header = "m,intensity," + ",".join(f"n{n}" for n in photon_numbers)
+    columns = [spectrum.per_channel[n].tolist() for n in photon_numbers]
+    row = "%d" + ",%.20f" * (1 + len(columns))
+    rows = zip(spectrum.orders.tolist(), spectrum.intensities.tolist(), *columns)
+    lines = [header, *(row % values for values in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def mean_vertical_scale(profile: VerticalProfile) -> float:

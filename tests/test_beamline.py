@@ -20,6 +20,7 @@ from lightgrating.beamline import (
     _finalize,
     _internal_grid,
     _place_orders,
+    _shadow_span,
     _source_kernel,
     _trapezoid,
     _wave_velocity_slice,
@@ -38,6 +39,7 @@ from lightgrating.beamline import (
 )
 from lightgrating.config import QuadratureSpec, SimulationConfig
 from lightgrating.distributions import (
+    MAX_DETECTOR_POINTS,
     DetectorModel,
     VelocityDistribution,
     detector_kernel,
@@ -203,6 +205,16 @@ class TestApertures:
         x = grid.positions()
         assert float(mask.sum() * grid.spacing) == pytest.approx(5e-6, rel=1e-9)
         assert np.all(mask[np.abs(x) > 2.6e-6] == 0.0)
+
+    @pytest.mark.parametrize("wavelength", [5e307, 1e-315, 5e-324])
+    def test_window_periods_that_cannot_be_counted_are_refused(self, wavelength):
+        # 4 wavelengths overflow, the period count overflows, or half the
+        # wavelength underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = "^the periods of the grating window cannot be counted"
+            with pytest.raises(ValueError, match=match):
+                window_grid(GratingBeam(wavelength=wavelength), GEOM, 64)
 
     def test_source_quadrature(self):
         nodes, weights = source_quadrature(GEOM, 8)
@@ -949,6 +961,24 @@ class TestEnsemblePatterns:
 
 
 class TestEnsembleOrdersMode:
+    @pytest.mark.parametrize("slit1", [1.7e302, 1e294, 1.0])
+    def test_a_shadow_span_past_the_grid_bound_is_refused(self, slit1):
+        # at 1.7e302 m the shadow's widths overflow, at 1e294 m its span
+        # does not fit an array, and at 1 m it holds 8.5e6 points
+        cfg = fast_config(geometry=replace(GEOM, slit1=slit1))
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = "^the padded detector grid of orders mode would hold"
+            with pytest.raises(ValueError, match=match):
+                ensemble_pattern(cfg)
+
+    def test_the_default_shadow_span_fits_the_bound_by_far(self):
+        cfg = SimulationConfig()
+        x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+        span = _shadow_span(cfg.geometry, x[1] - x[0], x.size)
+        assert (x.size + 2 * span, MAX_DETECTOR_POINTS // (x.size + 2 * span)) == (1509, 694)
+
     @pytest.mark.parametrize("species, power", [(C60, 9.5), (C70, 50.0)])
     def test_slot_weights_match_per_channel_oracle(self, monkeypatch, species, power):
         # the oracle needs ~40 photon channels at C70 50 W

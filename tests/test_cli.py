@@ -254,6 +254,18 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: the source kernel cannot be resolved")
         assert not (tmp_path / "run_pattern.csv").exists()
 
+    @pytest.mark.parametrize("slit1_um", ["1.7e308", "1e300"])
+    def test_orders_mode_refuses_a_shadow_span_it_cannot_hold(self, tmp_path, capsys, slit1_um):
+        text = TINY.replace("[geometry]\n", f"[geometry]\nslit1_um = {slit1_um}\n")
+        cfg = write_config(tmp_path, text + "\n[run]\nmode = orders\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: geometry.slit1_um (line 2): the padded detector grid")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run_pattern.csv").exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

@@ -911,6 +911,10 @@ class TestDetectorArrayBound:
             _scan_grid(geom, geom.detector_span / (2 * half + 2))
 
 
+PADDED = "the padded detector grid of orders mode"
+ORDERS = "[run]\nmode = orders\n"
+
+
 class TestRunArrayBounds:
     """The arrays that the numerics and quadrature keys size are bounded too.
 
@@ -948,6 +952,19 @@ class TestRunArrayBounds:
                 "the vertical rule",
             ),
             ("[numerics]\nm_max = 100000\n", "numerics.m_max", "the order table"),
+            # orders mode pads the common grid by a shadow's span either side
+            (f"[geometry]\nslit1_um = 1.7e308\n{ORDERS}", "geometry.slit1_um", PADDED),
+            (f"[geometry]\nslit1_um = 1e300\n{ORDERS}", "geometry.slit1_um", PADDED),
+            (f"[geometry]\nslit2_um = 1e6\n{ORDERS}", "geometry.slit2_um", PADDED),
+            (f"[geometry]\nl2d_m = 1e6\n{ORDERS}", "geometry.l2d_m", PADDED),
+            (f"[geometry]\nl12_m = 1e-300\n{ORDERS}", "geometry.l12_m", PADDED),
+            # the file sets several: the first of slit1, slit2, L2D, L12 is blamed
+            (
+                "[geometry]\nl12_m = 1e-300\nl2d_m = 1.2\n[numerics]\ninternal_step_um = 0.1\n"
+                "[run]\nmode = orders\n",
+                "geometry.l2d_m",
+                PADDED,
+            ),
             (
                 "[numerics]\nm_max = 100000\n[run]\nmode = orders\n",
                 "numerics.m_max",
@@ -1018,6 +1035,26 @@ class TestRunArrayBounds:
         # table of the source ramps per node and lag could not hold
         text = "[quadrature]\nsource_nodes = 1024\n[numerics]\nsamples_per_period = 128\n"
         assert parse_config(text).quadrature.source_nodes == 1024
+
+    @pytest.mark.parametrize("text", ["5e316", "1e-306", "5e-315"])
+    def test_window_periods_that_cannot_be_counted_are_refused(self, text):
+        key = "beam.wavelength_nm"
+        match = f"^{key} \\(line 2\\): the periods of the grating window cannot be counted"
+        refused_at_its_key_before_allocating(f"[beam]\nwavelength_nm = {text}\n", key, match)
+
+    def test_a_fine_internal_step_pads_past_the_bound(self):
+        # a common grid of 1000001 points, which fits, padded by 52 190
+        # points either side, which does not
+        text = "[numerics]\ninternal_step_um = 0.00034\n[run]\nmode = orders\n"
+        match = f"^numerics.internal_step_um \\(line 2\\): {PADDED}"
+        with pytest.raises(ConfigError, match=match) as err:
+            parse_config(text)
+        assert err.value.key == "numerics.internal_step_um"
+        assert parse_config(text.replace("orders", "wave")).numerics.internal_step == 3.4e-10
+
+    def test_wave_mode_pads_no_shadow(self):
+        # wave mode refuses such a slit1 when it builds the source kernel
+        assert parse_config("[geometry]\nslit1_um = 1.7e308\n").geometry.slit1 == 1.7e302
 
     def test_orders_mode_sizes_no_wave_arrays(self):
         cfg = parse_config("[numerics]\npad_factor = 1000000\n[run]\nmode = orders\n")

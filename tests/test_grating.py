@@ -17,6 +17,7 @@ from lightgrating.grating import (
     GratingBeam,
     GridSpec,
     ParityRows,
+    _log_poisson,
     channel_amplitudes,
     compute_phi,
     effective_channels,
@@ -27,7 +28,7 @@ from lightgrating.grating import (
     truncation_order,
 )
 from lightgrating.species import C60, C70, HBAR, C_LIGHT, EPS0, polarizability_si
-from oracles import channel_set, grating_coherence, mean_photon_number, period
+from oracles import channel_set, grating_coherence, log_poisson, mean_photon_number, period
 
 HALF_PERIOD_GRID = GridSpec(periods=2, samples_per_period=64)
 
@@ -157,6 +158,24 @@ class TestPoissonWeight:
     def test_normalization(self):
         total = sum(poisson_weight(1.3, n) for n in range(0, 40))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-300, 1e-3, 0.618, 1.0, 7.5, 200.0, 1e4, 1e300])
+    def test_log_poisson_is_the_vectorized_form_bit_for_bit(self, nbar):
+        n = np.arange(2001)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(_log_poisson(nbar, n), log_poisson(nbar, n), equal_nan=True)
+            for k in (0, 1, 2, 170, 171, 2000):
+                value, expected = _log_poisson(nbar, k), log_poisson(nbar, k)
+                assert type(value) is type(expected)
+                assert np.array_equal(value, expected, equal_nan=True)
+
+    def test_log_poisson_over_an_array_of_means(self):
+        nbar = np.array([0.0, 1e-3, 0.618, 7.5, 200.0, 1e4])
+        for n in (0, 1, 13, 2000):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.array_equal(
+                    _log_poisson(nbar, n), log_poisson(nbar, n), equal_nan=True
+                )
 
 
 class TestMeanPhotonNumber:
