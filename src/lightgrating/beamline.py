@@ -18,7 +18,7 @@ form (``_source_kernel``).  This equals the channel-by-channel,
 source-by-source Fresnel quadrature (a test oracle, in ``tests/oracles.py``)
 up to the probability the rows drop (at most ``tail_eps`` per grating point).
 ``numerics.pad_factor`` sets only the output bins of the output
-transform, one row per power in batches of at most ``MAX_OUTPUT_SAMPLES``.
+transform, one row per power.
 The grid resolves the orders |m| < ``numerics.samples_per_period``, and a
 run warns when the grating state may put more than 1% beyond them.
 Orders mode reads the order intensities straight off the same closed-form
@@ -46,17 +46,16 @@ rule.
 A power scan (``ensemble_patterns``) changes only the grating strength,
 so its powers share the velocity, vertical and source quadratures, the
 grating window, the detector grid and, in wave mode, one pool of worker
-threads.  In wave mode one batch factorizes the states of every (power,
-velocity) pair, up to ``MAX_BATCH_STATES`` of them, and one worker task
-per velocity node builds that node's chirp and source kernel once and
-propagates its rows at every power of the batch: one row transform per
-power, then the lag and output transforms of all its powers together, in
-batches bounded by ``MAX_OUTPUT_SAMPLES``.  The row and output transforms
-write over their inputs (``out=``, NumPy >= 2.0): a fresh result array
-for each, faulted in again at every node, took 9% of a six-power C70
-scan's CPU time on a 2-vCPU VM.  Each power's pattern is bit-identical
-to a run at that power alone.  Orders mode sizes its grid by each
-power's strongest phase, so it builds one kernel per power.
+threads.  Wave mode takes the powers in groups of as many as hold at
+most ``MAX_BATCH_STATES`` (power, velocity) states and
+``MAX_OUTPUT_SAMPLES`` output samples per node, and at least one.  One
+batch factorizes a group's states; one worker task per velocity node
+builds its chirp and source kernel once, transforms each power's rows,
+then all the group's lags and outputs at once.  The row and output
+transforms write over their inputs (``out=``, NumPy >= 2.0), which saved
+9% of a six-power C70 scan's CPU time.  Each power's pattern is
+bit-identical to a run at that power alone.  Orders mode sizes its grid
+by each power's strongest phase, so it builds one kernel per power.
 
 The worker pool (``run.workers``) pays off only when the velocity nodes
 carry several powers each; README's Power scans section has the timings.
@@ -90,17 +89,16 @@ from .orders import mixed_order_spectra, tail_order
 from .species import HBAR, MoleculeSpecies, de_broglie_wavelength
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Sequence
 
     from .config import SimulationConfig
 
-# Wave mode factorizes the (power, velocity) states of a scan in groups of
-# powers holding at most this many states, so that the temporaries of one
-# batch stay bounded however many powers a scan has.
+# Wave mode takes the powers of a scan in groups holding at most this many
+# (power, velocity) states, so that the temporaries of one factorization
+# stay bounded however many powers a scan has,
 MAX_BATCH_STATES = 64
-# Wave mode runs the output transforms of a velocity node's powers in
-# batches of at most this many output samples (powers x FFT length), so that
-# a scan with few velocity nodes holds a bounded number of output rows.
+# and at most this many output samples (powers x FFT length) per velocity
+# node, so that a scan with few velocity nodes holds a bounded output.
 MAX_OUTPUT_SAMPLES = 65536
 # The longest output transform (``n_fft``, 32 MB per complex row), 256 times the default's.
 MAX_FFT_LENGTH = 1 << 21
@@ -108,7 +106,12 @@ MAX_FFT_LENGTH = 1 << 21
 
 @dataclass(frozen=True)
 class BeamlineGeometry:
-    """Slit widths and flight distances of the two-slit beamline."""
+    """Slit widths and flight distances of the two-slit beamline.
+
+    Each length is positive and finite, and the widths of the slits' shadow
+    (``_trapezoid``) multiply to a normal float, >= 2.2e-308 m^2, which
+    ``geometric_envelope`` divides by.
+    """
 
     slit1: float = 7e-6
     slit2: float = 5e-6
@@ -122,6 +125,12 @@ class BeamlineGeometry:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        wide, narrow = _trapezoid(self)
+        if not wide * narrow >= np.finfo(float).tiny:
+            raise ValueError(
+                f"the slits' shadow is too narrow: its widths, {wide:.3g} and {narrow:.3g} m, "
+                f"multiply to less than {np.finfo(float).tiny:.3g} m^2"
+            )
 
 
 @dataclass
@@ -391,7 +400,7 @@ class _SlitLayout:
 
 def _wave_velocity_slice(
     cfg: "SimulationConfig", velocity: float, layout: _SlitLayout, rows: Sequence[ParityRows]
-) -> tuple[np.ndarray, list[np.ndarray], list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
     """One velocity node of the wave-mode ensemble, at one or more laser powers.
 
     ``rows`` holds the node's effective grating rows at each power
@@ -415,11 +424,11 @@ def _wave_velocity_slice(
     Each power's rows are transformed on their own, since their count
     varies with the power; the spectra S of all powers are then stacked,
     and the lag transform, the source kernel, the fold and the output
-    transform run once per batch of powers, one row each.  A batch holds
-    at most ``MAX_OUTPUT_SAMPLES`` output samples (8 powers at n_fft = 8192)
-    and at least one power, so a scan with few nodes and many powers holds
-    a bounded output.  A transform treats its rows independently, so each
-    power's intensity is bit for bit that of a batch of one.
+    transform run once over them all, one row per power.  ``_ensembles``
+    passes one group of powers: as many as hold at most ``MAX_BATCH_STATES``
+    states and ``MAX_OUTPUT_SAMPLES`` output samples, and at least one.  A
+    transform treats its rows independently, so each power's intensity is
+    bit for bit that of a group of one.
 
     The row transform overwrites the gathered rows with V, and the output
     transform the folded lags with its spectrum, with the same bits as a
@@ -474,35 +483,30 @@ def _wave_velocity_slice(
         spectrum_2m[half:] = (paired - twisted)[::-1]  # S(M - k)
         spectrum_2m[m_len] = 0.0
 
-    # the output side, one row per power, at most MAX_OUTPUT_SAMPLES at a time
-    per_batch = max(1, MAX_OUTPUT_SAMPLES // n_fft)
-    intensities, sums, coverages = [], [], []
-    for first in range(0, len(rows), per_batch):
-        lags = np.fft.irfft(spectra[first : first + per_batch], 2 * m_len, axis=-1)
-        lags = lags[:, :n_lags] * kernel
-        # lag -d lands on bin n_fft - d, which overlaps the positive lags
-        # only when n_fft < 4L - 1
-        # complex though B is real: np.fft.fft took 3x as long on 6 real rows
-        folded = np.zeros((lags.shape[0], n_fft), dtype=np.complex128)
-        folded[:, :n_lags] = lags
-        folded[:, n_fft - n_lags + 1 :] += lags[:, :0:-1]
-        del lags
-        np.fft.fft(folded, axis=-1, out=folded)
-        # fftshift, written straight into the one real output array, which
-        # holds one (powers, n_fft) array less than np.fft.fftshift
-        shift = n_fft // 2
-        batch = np.empty(folded.shape)
-        np.multiply(folded.real[:, n_fft - shift :], out_scale, out=batch[:, :shift])
-        np.multiply(folded.real[:, : n_fft - shift], out_scale, out=batch[:, shift:])
-        del folded
-        for intensity in batch:
-            intensity_sum = intensity.sum()
-            total = float(intensity_sum * out_spacing)
-            intensities.append(intensity)
-            sums.append(intensity_sum)
-            coverages.append(
-                float(intensity[in_span].sum() * out_spacing) / total if total > 0 else 0.0
-            )
+    # the output side, one row per power
+    lags = np.fft.irfft(spectra, 2 * m_len, axis=-1)[:, :n_lags] * kernel
+    # lag -d lands on bin n_fft - d, which overlaps the positive lags only
+    # when n_fft < 4L - 1
+    # complex though B is real: np.fft.fft took 3x as long on 6 real rows
+    folded = np.zeros((len(rows), n_fft), dtype=np.complex128)
+    folded[:, :n_lags] = lags
+    folded[:, n_fft - n_lags + 1 :] += lags[:, :0:-1]
+    del lags
+    np.fft.fft(folded, axis=-1, out=folded)
+    # fftshift, written straight into the one real output array, which holds
+    # one (powers, n_fft) array less than np.fft.fftshift
+    shift = n_fft // 2
+    intensities = np.empty(folded.shape)
+    np.multiply(folded.real[:, n_fft - shift :], out_scale, out=intensities[:, :shift])
+    np.multiply(folded.real[:, : n_fft - shift], out_scale, out=intensities[:, shift:])
+    del folded
+    sums, coverages = [], []
+    for intensity in intensities:
+        intensity_sum = intensity.sum()
+        total = float(intensity_sum * out_spacing)
+        sums.append(intensity_sum)
+        in_span_sum = float(intensity[in_span].sum() * out_spacing)
+        coverages.append(in_span_sum / total if total > 0 else 0.0)
     return x_native, intensities, sums, coverages
 
 
@@ -655,23 +659,6 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
             finish(p, (placed, probability, coverage), None, 0.0)
         return patterns
 
-    def node_sums(per_node: Iterable[list[tuple]], count: int) -> list[tuple]:
-        """Sum, for each of ``count`` powers, the shares of every velocity node.
-
-        ``per_node`` yields, in node order, each node's share of the
-        common-grid intensity, of the probability and of the scan coverage
-        at each power; a node's shares are added as it arrives.
-        """
-        intensity = [np.zeros_like(common_x) for _ in range(count)]
-        probability = [0.0] * count
-        coverage = [0.0] * count
-        for shares in per_node:
-            for i, (placed, node_probability, in_span) in enumerate(shares):
-                intensity[i] += placed
-                probability[i] += node_probability
-                coverage[i] += in_span
-        return list(zip(intensity, probability, coverage))
-
     spp = cfg.numerics.samples_per_period
     # The grid holds 2 spp samples per laser period, so orders |m| >= spp
     # fold back into the pattern; the slowest node at the largest
@@ -704,9 +691,10 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
 
     # The (power, velocity) states of a group of powers are factorized in one
     # batch before its workers start; each worker task then propagates one
-    # velocity node at every power of the group.
+    # velocity node at every power of the group, and the nodes' shares are
+    # added in node order as they arrive.
     n_nodes = len(velocities)
-    per_group = max(1, MAX_BATCH_STATES // n_nodes)
+    per_group = max(1, min(MAX_BATCH_STATES // n_nodes, MAX_OUTPUT_SAMPLES // layout.n_fft))
     pool = ThreadPoolExecutor(max_workers=cfg.run.workers) if cfg.run.workers > 1 else None
     run = map if pool is None else pool.map
     try:
@@ -721,7 +709,10 @@ def _ensembles(cfg: "SimulationConfig", powers: Sequence[float]) -> list[Diffrac
             )
             # state i * n_nodes + j is power group[i] at velocity node j
             per_node = [rows[j::n_nodes] for j in range(n_nodes)]
-            sums = node_sums(run(propagate, velocities, weights, per_node), len(group))
+            # each power's (intensity, probability, coverage), from zeros
+            sums = [(np.zeros_like(common_x), 0.0, 0.0)] * len(group)
+            for shares in run(propagate, velocities, weights, per_node):
+                sums = [tuple(a + b for a, b in zip(*pair)) for pair in zip(sums, shares)]
             for i, p in enumerate(group):
                 states = slice(i * n_nodes, (i + 1) * n_nodes)
                 n_channels = [block.rank for block in rows[states]]

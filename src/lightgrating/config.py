@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .beamline import BeamlineGeometry, _fft_length, _shadow_span, window_grid
-from .distributions import DetectorModel, VelocityDistribution, VerticalProfile, _internal_grid
-from .distributions import _scan_grid, check_nodes, load_velocity_histogram
+from .distributions import DetectorModel, VelocityDistribution, VerticalProfile, _internal_half
+from .distributions import _scan_half, check_nodes, load_velocity_histogram
 from .grating import ComplexPhase, GratingBeam
 from .orders import samples_per_laser_period
 from .species import CATALOG, COMMENT, MoleculeSpecies, check_one_line
@@ -346,15 +346,15 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
         fields["velocity"] = replace(loaded, fwhm_ratio=fwhm_ratio)
     cfg = replace(_DEFAULT, species=species, **fields)
 
-    # --- each array a run allocates, its size checked first, blaming the keys
-    # that size it, most direct first (the common grid, 3 detector widths past
-    # the span, bounds the kernel's taps too; a convergence check doubles rules)
+    # --- each array a run allocates, sized without building it, blaming the
+    # keys that size it, most direct first (the common grid, 3 detector widths
+    # past the span, bounds the kernel's taps too; a convergence check doubles rules)
     span, width = ("geometry", "detector_span_um"), ("detector", "width_um")
     with blame(("detector", "step_um"), span):
-        _scan_grid(cfg.geometry, cfg.detector.step)
-    step = ("numerics", "internal_step_um")
+        _scan_half(cfg.geometry, cfg.detector.step)
+    step, internal_step = ("numerics", "internal_step_um"), cfg.numerics.internal_step
     with blame(step, width, span):
-        common_x = _internal_grid(cfg.geometry, cfg.detector.width, cfg.numerics.internal_step)
+        n_half = _internal_half(cfg.geometry, cfg.detector.width, internal_step)
     doubled, check = 2 if cfg.run.convergence_check else 1, ("run", "convergence_check")
     for key in ("velocity_nodes", "vertical_nodes", "source_nodes"):
         with blame(("quadrature", key), check):
@@ -364,8 +364,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> SimulationCon
             samples_per_laser_period(ComplexPhase(0, 0), cfg.numerics.m_max, cfg.numerics.tail_eps)
     if cfg.run.mode == "orders":  # the common grid padded by a shadow's span
         shadow = [("geometry", key) for key in ("slit1_um", "slit2_um", "l2d_m", "l12_m")]
+        dx = (1 - n_half) * internal_step + n_half * internal_step  # _internal_grid's x[1] - x[0]
         with blame(*shadow, step):
-            _shadow_span(cfg.geometry, common_x[1] - common_x[0], common_x.size)
+            _shadow_span(cfg.geometry, dx, 2 * n_half + 1)
     window = ("numerics", "samples_per_period"), ("geometry", "slit2_um"), ("beam", "wavelength_nm")
     if cfg.run.mode == "wave":  # the arrays of wave mode alone
         with blame(*window):

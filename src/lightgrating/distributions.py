@@ -208,23 +208,31 @@ def grid_half(what: str, half: float) -> int:
     return int(half)
 
 
-def _scan_grid(geom: "BeamlineGeometry", step: float) -> np.ndarray:
-    """The scan grid; ValueError before it is built if too coarse or too fine."""
+def _scan_half(geom: "BeamlineGeometry", step: float) -> int:
+    """The scan grid's ``grid_half``; ValueError if the grid is too coarse or too fine."""
     n_half = grid_half("the scan grid", np.floor(0.5 * geom.detector_span / step + 1e-9))
     if n_half < 1:
         raise ValueError(
             f"a detector step of {step * 1e6:g} um exceeds half the detector span of "
             f"{geom.detector_span * 1e6:g} um: the scan grid would hold one point"
         )
+    return n_half
+
+
+def _scan_grid(geom: "BeamlineGeometry", step: float) -> np.ndarray:
+    n_half = _scan_half(geom, step)
     return np.arange(-n_half, n_half + 1) * step
 
 
-def _internal_grid(
-    geom: "BeamlineGeometry", detector_width: float, internal_step: float
-) -> np.ndarray:
-    half_extent = 0.5 * geom.detector_span + 3.0 * max(detector_width, internal_step) + 2e-6
-    n_half = grid_half("the common detector grid", np.ceil(half_extent / internal_step))
-    return np.arange(-n_half, n_half + 1) * internal_step
+def _internal_half(geom: "BeamlineGeometry", width: float, step: float) -> int:
+    """The common grid's ``grid_half``: 3 detector widths past the span, and 2 um."""
+    half_extent = 0.5 * geom.detector_span + 3.0 * max(width, step) + 2e-6
+    return grid_half("the common detector grid", np.ceil(half_extent / step))
+
+
+def _internal_grid(geom: "BeamlineGeometry", width: float, step: float) -> np.ndarray:
+    n_half = _internal_half(geom, width, step)
+    return np.arange(-n_half, n_half + 1) * step
 
 
 def aperture_mask(x: np.ndarray, spacing: float, width: float) -> np.ndarray:

@@ -205,11 +205,10 @@ def _write_run(
     """
     summary = summarize(cfg, pattern)
     pattern.metadata["config_digest"] = summary["config_digest"]
+    # strict JSON: a NaN or an infinity is a ValueError before any file is written
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_pattern_rows(out / f"{cfg.run.prefix}_pattern.csv", rows)
-    _atomic_write(
-        out / f"{cfg.run.prefix}_summary.json",
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(out / f"{cfg.run.prefix}_summary.json", text)
     convergence = pattern.metadata.get("convergence")
     if convergence is not None and not convergence["converged"]:
         worst = max(convergence["rms_change"].values())

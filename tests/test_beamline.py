@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -86,6 +87,28 @@ class TestGeometry:
             BeamlineGeometry(L12=-1.0)
         with pytest.raises(ValueError):
             BeamlineGeometry(detector_span=0.0)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            {"slit1": 1e-166, "slit2": 1e-166},  # the widths multiply to 0
+            {"slit1": 1e-155, "slit2": 1e-155},  # to a subnormal float
+            {"L2D": 1e-300},
+            {"L2D": 5e-324},
+        ],
+    )
+    def test_a_shadow_whose_widths_underflow_is_refused(self, lengths):
+        with pytest.raises(ValueError, match="^the slits' shadow is too narrow"):
+            BeamlineGeometry(**lengths)
+
+    def test_a_narrow_shadow_whose_widths_multiply_to_a_normal_float_is_accepted(self):
+        # widths 4.1e-154 and 2.1e-154 m: their product is 8.7e-308 m^2
+        geom = BeamlineGeometry(slit1=2e-154, slit2=2e-154)
+        wide, narrow = _trapezoid(geom)
+        assert sys.float_info.min <= wide * narrow < 1e-307
+        x = np.array([-1e-154, 0.0, 1e-154])
+        assert np.isfinite(geometric_envelope(geom, x)).all()
+        assert np.isfinite(_envelope_mass(geom, x)).all()
 
     def test_order_slot_spacing(self):
         slot = order_slot_spacing(C60, 120.0, GratingBeam(), GEOM)
@@ -942,18 +965,29 @@ class TestEnsemblePatterns:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("budget, batches", [(3, [3, 1]), (1, [1] * 4), (0.5, [1] * 4)])
     def test_output_budget_splits_the_powers(self, monkeypatch, workers, budget, batches):
-        # a budget of `budget` output rows: at least one power per batch
+        # a budget of `budget` output rows: at least one power per group, and
+        # the group's factorization holds its states alone
         cfg = fast_config()
         cfg = replace(cfg, run=replace(cfg.run, workers=workers))
         grid = window_grid(cfg.beam, cfg.geometry, cfg.numerics.samples_per_period)
         n_fft = next_pow2(grid.size * cfg.numerics.pad_factor)
         counting = CountingNumpy()
+        states = []
+        factorize = lightgrating.beamline.effective_channels
+
+        def counted_factorize(phis, *args):
+            states.append(len(phis))
+            return factorize(phis, *args)
+
         monkeypatch.setattr(lightgrating.beamline, "MAX_OUTPUT_SAMPLES", int(budget * n_fft))
+        monkeypatch.setattr(lightgrating.beamline, "effective_channels", counted_factorize)
         monkeypatch.setattr(lightgrating.beamline, "np", counting)
         patterns = ensemble_patterns(cfg, self.POWERS)
         monkeypatch.undo()
+        n_nodes = cfg.quadrature.velocity_nodes
+        assert states == [n_nodes * powers for powers in batches]
         rows = [np.shape(a)[0] for a in counting.inputs if np.shape(a)[-1] == n_fft]
-        assert sorted(rows) == sorted(batches * cfg.quadrature.velocity_nodes)
+        assert sorted(rows) == sorted(batches * n_nodes)
         for power, pattern in zip(self.POWERS, patterns):
             alone = ensemble_pattern(replace(cfg, beam=replace(cfg.beam, power=power)))
             assert np.array_equal(pattern.intensity, alone.intensity)

@@ -266,6 +266,33 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "run_pattern.csv").exists()
 
+    def test_orders_mode_refuses_slits_whose_shadow_widths_underflow(self, tmp_path, capsys):
+        # 1e-160 um slits: the shadow's widths multiply to 2e-332 m^2, which
+        # is 0 in a float, and its in-span share was written as NaN
+        text = TINY.replace("[geometry]\n", "[geometry]\nslit1_um = 1e-160\nslit2_um = 1e-160\n")
+        cfg = write_config(tmp_path, text + "\n[run]\nmode = orders\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: geometry.slit2_um (line 3): the slits' shadow is too")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_a_summary_that_is_not_strict_json_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        summarize = lightgrating.runner.summarize
+
+        def nan_coverage(*args):
+            summary = summarize(*args)
+            summary["scan_coverage"] = math.nan
+            return summary
+
+        monkeypatch.setattr(lightgrating.runner, "summarize", nan_coverage)
+        cfg = write_config(tmp_path, TINY + "\n[run]\nmode = orders\n")
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: Out of range float values")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

@@ -1046,11 +1046,19 @@ class TestRunArrayBounds:
         # a common grid of 1000001 points, which fits, padded by 52 190
         # points either side, which does not
         text = "[numerics]\ninternal_step_um = 0.00034\n[run]\nmode = orders\n"
-        match = f"^numerics.internal_step_um \\(line 2\\): {PADDED}"
-        with pytest.raises(ConfigError, match=match) as err:
-            parse_config(text)
-        assert err.value.key == "numerics.internal_step_um"
-        assert parse_config(text.replace("orders", "wave")).numerics.internal_step == 3.4e-10
+        match = f"^numerics.internal_step_um \\(line 2\\): {PADDED} would hold 1.104e\\+06 points"
+        refused_at_its_key_before_allocating(text, "numerics.internal_step_um", match)
+
+    def test_the_common_grid_is_sized_without_building_it(self):
+        # wave mode accepts the 1000001-point grid (8 MB) of the step above
+        tracemalloc.start()
+        try:
+            cfg = parse_config("[numerics]\ninternal_step_um = 0.00034\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.numerics.internal_step == 3.4e-10
+        assert peak < 1 << 20
 
     def test_wave_mode_pads_no_shadow(self):
         # wave mode refuses such a slit1 when it builds the source kernel
