@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ from .distributions import DetectorModel, VelocityDistribution, VerticalProfile,
 from .distributions import _scan_half, check_nodes, load_velocity_histogram
 from .grating import ComplexPhase, GratingBeam
 from .orders import samples_per_laser_period
-from .species import CATALOG, COMMENT, MoleculeSpecies, check_one_line
+from .species import CATALOG, COMMENT, MoleculeSpecies, check_count, check_one_line, check_positive
 
 
 class ConfigError(ValueError):
@@ -47,11 +48,6 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def _require(holds: bool, message: str) -> None:
-    if not holds:
-        raise ValueError(message)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     velocity_nodes: int = 16
@@ -60,7 +56,7 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         for name in ("velocity_nodes", "vertical_nodes", "source_nodes"):
-            _require(getattr(self, name) >= 1, f"{name} must be >= 1")
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,13 @@ class NumericsSpec:
 
     def __post_init__(self) -> None:
         spp = self.samples_per_period
-        _require(spp > 0 and spp % 4 == 0, "samples_per_period must be a positive multiple of 4")
-        _require(self.pad_factor >= 1, "pad_factor must be >= 1")
-        _require(0.0 < self.tail_eps < 1.0, "tail_eps must be in (0, 1)")
-        _require(self.m_max >= 1, "m_max must be >= 1")
-        _require(self.internal_step > 0.0, "internal_step must be positive")
+        if not (spp > 0 and spp % 4 == 0):
+            raise ValueError("samples_per_period must be a positive multiple of 4")
+        for name in ("samples_per_period", "pad_factor", "m_max"):
+            check_count(name, getattr(self, name))
+        if not 0.0 < self.tail_eps < 1.0:
+            raise ValueError("tail_eps must be in (0, 1)")
+        check_positive("internal_step", self.internal_step)
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,11 @@ class RunSpec:
         for name, allowed in (("mode", ("wave", "orders")), ("normalization", ("sum", "peak"))):
             if (value := getattr(self, name)) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
-        _require(self.workers >= 1, "workers must be >= 1")
+        check_count("workers", self.workers)
         check_one_line("run.out_dir", self.out_dir)
         check_one_line("run.prefix", self.prefix)
+        if any(sep and sep in self.prefix for sep in (os.sep, os.altsep)):
+            raise ValueError(f"run.prefix {self.prefix!r} must be a file-name stem, not a path")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .species import check_count, check_nonnegative, check_positive
+
 if TYPE_CHECKING:
     from .beamline import BeamlineGeometry
 
@@ -40,8 +42,7 @@ def check_size(what: str, size: float, limit: int, unit: str = "points") -> None
 
 def check_nodes(what: str, n_nodes: int) -> None:
     """Raise ValueError unless the rule ``what`` has 1 to ``MAX_QUADRATURE_NODES`` nodes."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+    check_count("n_nodes", n_nodes)
     check_size(what, n_nodes, MAX_QUADRATURE_NODES, "nodes")
 
 
@@ -74,8 +75,7 @@ class VelocityDistribution:
                 raise ValueError("histogram velocities must be positive")
             if not (np.all(np.isfinite(weights) & (weights >= 0.0)) and weights.sum() > 0.0):
                 raise ValueError("histogram weights must be nonnegative with positive sum")
-        if not self.v_peak > 0.0:
-            raise ValueError("v_peak must be positive")
+        check_positive("v_peak", self.v_peak)
         if not 0.0 < self.fwhm_ratio < 1.0:
             raise ValueError("fwhm_ratio must be in (0, 1)")
 
@@ -94,8 +94,7 @@ class VerticalProfile:
 
     def __post_init__(self) -> None:
         for name in ("beam_fwhm", "laser_waist"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,8 @@ class DetectorModel:
     kernel_shape: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.width < 0.0:
-            raise ValueError("width must be >= 0")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        check_nonnegative("width", self.width)
+        check_positive("step", self.step)
         if self.kernel_shape not in ("gaussian", "tophat"):
             raise ValueError(f"unknown kernel shape {self.kernel_shape!r}")
 
@@ -248,8 +245,7 @@ def detector_kernel(model: DetectorModel, grid_step: float) -> np.ndarray:
 
     A resolution narrower than the grid step degenerates to a single tap.
     """
-    if not grid_step > 0.0:
-        raise ValueError("grid_step must be positive")
+    check_positive("grid_step", grid_step)
     if model.width < grid_step:
         return np.array([1.0])
     if model.kernel_shape == "gaussian":

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import backend
 from .distributions import check_size
-from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies
+from .species import C_LIGHT, EPS0, HBAR, MoleculeSpecies, check_count, check_nonnegative
+from .species import check_positive
 
 # The per-photon-number outputs (``orders.incoherent_order_intensities``,
 # the orders table, the run summary) keep every photon number up to the
@@ -64,15 +65,9 @@ class GratingBeam:
     waist_z: float = 50e-6
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.power):
-            raise ValueError("power must be finite")
-        if self.power < 0.0:
-            raise ValueError("power must be >= 0")
+        check_nonnegative("power", self.power)
         for name in ("wavelength", "waist_y", "waist_z"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            check_positive(name, getattr(self, name))
 
     @property
     def k_laser(self) -> float:
@@ -99,6 +94,7 @@ class ComplexPhase:
     def __post_init__(self) -> None:
         if self.im < 0.0:
             raise ValueError("Im(Phi) must be >= 0 for a passive grating")
+        check_nonnegative("Im(Phi)", self.im)
 
     @property
     def as_complex(self) -> complex:
@@ -134,8 +130,9 @@ class GridSpec:
             raise ValueError("periods must be an even integer >= 2")
         if self.samples_per_period < 4 or self.samples_per_period % 4 != 0:
             raise ValueError("samples_per_period must be a multiple of 4")
-        if not self.wavelength > 0.0:
-            raise ValueError("wavelength must be positive")
+        check_count("periods", self.periods)
+        check_count("samples_per_period", self.samples_per_period)
+        check_positive("wavelength", self.wavelength)
         check_size("the grating window", self.size, MAX_WINDOW_SAMPLES, "samples")
 
     @property
@@ -174,8 +171,7 @@ def compute_phi(species: MoleculeSpecies, beam: GratingBeam, velocity: float) ->
     velocity : float
         Forward molecular velocity in m/s, > 0.
     """
-    if not velocity > 0.0:
-        raise ValueError("velocity must be positive")
+    check_positive("velocity", velocity)
     alpha = species.polarizability.si
     scale = math.sqrt(2.0 / math.pi) * beam.power / (
         HBAR * C_LIGHT * EPS0 * beam.waist_y * velocity
@@ -216,8 +212,7 @@ def truncation_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> i
     The tail is summed from its far end in log space, so it resolves any
     ``tail_eps`` > 0; ``1 - sum p_n`` would floor at the rounding of the sum.
     """
-    if not tail_eps > 0.0:
-        raise ValueError("tail_eps must be positive")
+    check_positive("tail_eps", tail_eps)
     nbar = 4.0 * phi.im
     if nbar == 0.0:
         return 0
@@ -246,8 +241,7 @@ def channel_amplitudes(
     The sign factors merge with |cos|^n from the Poisson weight into a
     plain cos^n, so each channel is smooth and exactly periodic.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_count("n_max", n_max, 0)
     return backend.sample_channels(phi.re, phi.im, n_max, k_laser, np.asarray(x, dtype=np.float64))
 
 
@@ -337,8 +331,7 @@ def effective_channels(
     Returns (the rows of each phase, in the order of ``phis``, stored per
     |c|; the largest residual diagonal of each phase).
     """
-    if not tail_eps > 0.0:
-        raise ValueError("tail_eps must be positive")
+    check_positive("tail_eps", tail_eps)
     scales, weights = scale_weight_arrays(scales, weights)
     spp = GridSpec(samples_per_period=samples_per_period).samples_per_period  # validated
     n_points = spp // 2
@@ -424,8 +417,7 @@ def raman_nath_diagnostic(
     The grating is safely thin while delta is a small fraction of the
     grating period; the warning flag trips above ratio 0.1.
     """
-    if not velocity > 0.0:
-        raise ValueError("velocity must be positive")
+    check_positive("velocity", velocity)
     kick = 2.0 * HBAR * beam.k_laser * max(1.0, abs(phi.as_complex))
     transit = 2.0 * beam.waist_z / velocity
     displacement = kick * transit / (2.0 * species.mass_kg)

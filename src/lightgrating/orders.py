@@ -41,6 +41,7 @@ from .grating import (
     scale_weight_arrays,
     truncation_order,
 )
+from .species import check_count, check_positive
 
 DEFAULT_M_MAX = 20
 # The most values of an order table, n/4 stored values of |c| times the
@@ -119,8 +120,7 @@ def tail_order(phi: ComplexPhase, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     over sigma.  Pass the largest phase the state holds (vertical scales
     included).
     """
-    if not tail_eps > 0.0:
-        raise ValueError("tail_eps must be positive")
+    check_positive("tail_eps", tail_eps)
     log_tail = _log_order_bound(phi) + np.log(2.0 / -np.expm1(-2.0 * _STRIP)) - math.log(tail_eps)
     return math.ceil(float(np.min(log_tail / (2.0 * _STRIP))))
 
@@ -158,8 +158,7 @@ def samples_per_laser_period(
     order table on that grid, n/4 values of |c| by m_max + 1 orders, would
     hold more than ``MAX_ORDER_TABLE`` values.
     """
-    if not tail_eps > 0.0:
-        raise ValueError("tail_eps must be positive")
+    check_positive("tail_eps", tail_eps)
     log_alias = _log_order_bound(phi)
     # log(tail_eps/2), finite also where tail_eps/2 underflows to 0
     log_half_eps = math.log(tail_eps) - math.log(2.0)
@@ -372,8 +371,7 @@ def absorbed_fractions(phi: ComplexPhase, n_max: int, scales=(1.0,), weights=(1.
     is taken once, and the photons n >= 1 are evaluated in blocks of
     ``_FRACTION_BLOCK`` rows, one array per block.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_count("n_max", n_max, 0)
     scales, weights = scale_weight_arrays(scales, weights)
     weights = weights / weights.sum()
     antinode = 4.0 * phi.im * scales

@@ -1,4 +1,4 @@
-"""Physical constants, molecule data and the unit conversions built on them.
+"""Physical constants, molecule data, unit conversions and the shared range checks.
 
 All quantities are SI unless a name says otherwise.  Polarizabilities are
 carried around in the "volume" convention (cubic angstroms) customary for
@@ -8,6 +8,7 @@ molecular beams, and converted to SI (C m^2/V) only at the point of use.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -45,6 +46,30 @@ def check_one_line(name: str, value: str) -> None:
         )
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0 (-inf and NaN are not positive)."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and >= 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0")
+
+
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a float or a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class ComplexPolarizability:
     """Complex optical polarizability in the volume convention.
@@ -61,10 +86,9 @@ class ComplexPolarizability:
     imag_volume: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.real_volume) and math.isfinite(self.imag_volume)):
+        if not math.isfinite(self.real_volume):
             raise ValueError("polarizability must be finite")
-        if self.imag_volume < 0.0:
-            raise ValueError("imaginary polarizability must be >= 0")
+        check_nonnegative("imaginary polarizability", self.imag_volume)
 
     @property
     def si(self) -> complex:
@@ -83,8 +107,7 @@ class MoleculeSpecies:
     def __post_init__(self) -> None:
         # a config file stores the name as ``name = <name>``
         check_one_line("species.name", self.name)
-        if not self.mass_amu > 0.0:
-            raise ValueError("mass must be positive")
+        check_positive("mass", self.mass_amu)
 
     @property
     def mass_kg(self) -> float:
@@ -112,13 +135,11 @@ def absorption_cross_section(species: MoleculeSpecies, k_laser: float) -> float:
     k_laser : float
         Laser wavenumber 2*pi/lambda in 1/m, > 0.
     """
-    if not k_laser > 0.0:
-        raise ValueError("wavenumber must be positive")
+    check_positive("wavenumber", k_laser)
     return species.polarizability.si.imag * k_laser / EPS0
 
 
 def de_broglie_wavelength(species: MoleculeSpecies, velocity: float) -> float:
     """Matter-wave wavelength h / (M v) in metres for a forward velocity v > 0."""
-    if not velocity > 0.0:
-        raise ValueError("velocity must be positive")
+    check_positive("velocity", velocity)
     return H / (species.mass_kg * velocity)

@@ -1279,6 +1279,29 @@ class TestEnsembleOrdersMode:
             pattern = ensemble_pattern(strong)
         assert 1.0 - pattern.metadata["total_probability"] > 0.2
 
+    def test_warns_when_the_grid_cannot_hold_a_shadow(self):
+        cfg = SimulationConfig()
+        cfg = replace(cfg, run=replace(cfg.run, mode="orders"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ensemble_pattern(cfg)
+        # 0.1 um slits cast a shadow 0.31 um wide on the 0.25 um grid: its
+        # sampled mass was off from 1 by 0.29 without a word
+        thin = replace(cfg, geometry=replace(cfg.geometry, slit1=0.1e-6, slit2=0.1e-6))
+        message = (
+            r"^numerics\.internal_step_um = 0\.25 is too coarse for the slits' shadow: "
+            r"its sampled mass is off from 1 by 0\.288$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match=message):
+                ensemble_pattern(thin)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pattern = ensemble_pattern(thin)
+        assert [warning.filename for warning in caught] == [__file__]  # the caller's line
+        assert pattern.intensity.sum() == pytest.approx(1.0)
+
     def test_mode_recorded_and_total_probability(self):
         cfg = fast_config()
         cfg = replace(cfg, run=replace(cfg.run, mode="orders"))

@@ -266,6 +266,24 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "run_pattern.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "orders", "scan"])
+    def test_a_prefix_that_is_a_path_is_refused(self, tmp_path, capsys, command):
+        # '../escape' wrote escape_orders.csv into the parent of the output directory
+        cfg = write_config(tmp_path, TINY + "\n[run]\nprefix = ../escape\n")
+        out = tmp_path / "out"
+        powers = ["--powers", "0,5"] if command == "scan" else []
+        assert main([command, str(cfg), "--out-dir", str(out), *powers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.prefix (line 13): run.prefix '../escape' must")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_orders_mode_warns_of_a_shadow_narrower_than_its_grid(self, tmp_path):
+        text = TINY.replace("[geometry]\n", "[geometry]\nslit1_um = 0.1\nslit2_um = 0.1\n")
+        cfg = write_config(tmp_path, text + "\n[run]\nmode = orders\n")
+        with pytest.warns(UserWarning, match=r"numerics\.internal_step_um = 0\.25 is too coarse"):
+            assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "run_pattern.csv").exists()
+
     def test_orders_mode_refuses_slits_whose_shadow_widths_underflow(self, tmp_path, capsys):
         # 1e-160 um slits: the shadow's widths multiply to 2e-332 m^2, which
         # is 0 in a float, and its in-span share was written as NaN

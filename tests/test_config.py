@@ -6,7 +6,7 @@ import re
 import string
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from lightgrating.grating import MAX_WINDOW_SAMPLES, ComplexPhase, GridSpec
 from lightgrating.orders import mixed_order_spectra, samples_per_laser_period
 from lightgrating.config import (
     ConfigError,
+    RunSpec,
     SimulationConfig,
     config_digest,
     load_config_file,
@@ -775,6 +776,22 @@ def refused_at_its_key_before_allocating(text, key, match):
     assert peak < 1 << 20
 
 
+def config_dataclasses(holder):
+    """``holder`` and every dataclass it holds, depth first."""
+    yield holder
+    for field in fields(holder):
+        if is_dataclass(value := getattr(holder, field.name)):
+            yield from config_dataclasses(value)
+
+
+# fields whose messages name them in words, as the species errors pin them
+SPOKEN_NAMES = {
+    "mass_amu": "mass",
+    "real_volume": "polarizability",
+    "imag_volume": "imaginary polarizability",
+}
+
+
 def refused_values(row):
     """The values of ``row`` in ONE_KEY_ERRORS that its parser reads and its dataclass refuses.
 
@@ -820,6 +837,15 @@ class TestOneRulePerField:
             ("numerics", "internal_step", 0.0),
             ("quadrature", "vertical_nodes", 0),
             ("beam", "power", math.nan),
+            # a count that is no integer ran: 2.5 velocity nodes gave a three-node
+            # rule whose last node sat on the span's edge
+            ("quadrature", "velocity_nodes", 2.5),
+            ("quadrature", "source_nodes", 2.5),
+            ("run", "workers", 1.5),
+            ("numerics", "pad_factor", 4.0),
+            ("numerics", "m_max", 20.0),
+            ("numerics", "samples_per_period", 64.0),
+            ("detector", "width", math.inf),
         ],
     )
     def test_a_bad_value_set_from_python_names_its_field(self, group, name, value):
@@ -829,7 +855,9 @@ class TestOneRulePerField:
     @pytest.mark.parametrize(
         "group, name",
         [("geometry", name) for name in ("slit1", "slit2", "L12", "L2D", "detector_span")]
-        + [("beam", name) for name in ("wavelength", "waist_y", "waist_z")],
+        + [("beam", name) for name in ("wavelength", "waist_y", "waist_z")]
+        + [("vertical", name) for name in ("beam_fwhm", "laser_waist")]
+        + [("velocity", "v_peak"), ("detector", "step"), ("numerics", "internal_step")],
     )
     def test_a_length_set_from_python_must_be_finite(self, group, name):
         # an infinite length passed the positivity check: a wave run then gave
@@ -838,6 +866,48 @@ class TestOneRulePerField:
             replace(getattr(SimulationConfig(), group), **{name: math.inf})
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
             replace(getattr(SimulationConfig(), group), **{name: -math.inf})
+
+    def test_every_number_field_refuses_a_value_outside_its_kind(self):
+        """inf, -inf and NaN in a float field, 2.5 and a float of its value in an int field.
+
+        Each is refused by a ValueError that names the field.
+        """
+        missed, checked = [], set()
+        for holder in [*config_dataclasses(SimulationConfig()), GridSpec()]:
+            for field in fields(holder):
+                name = SPOKEN_NAMES.get(field.name, field.name)
+                if field.type == "float":
+                    values = (math.inf, -math.inf, math.nan)
+                elif field.type == "int":
+                    values = (2.5, float(getattr(holder, field.name)))
+                else:
+                    continue
+                for value in values:
+                    checked.add(type(holder).__name__)
+                    try:
+                        replace(holder, **{field.name: value})
+                    except ValueError as exc:
+                        if str(exc).startswith(f"{name} must be "):
+                            continue
+                    missed.append(f"{type(holder).__name__}.{field.name} = {value}")
+        assert missed == []
+        assert checked == {
+            "MoleculeSpecies", "ComplexPolarizability", "GratingBeam", "GridSpec",
+            "BeamlineGeometry", "VelocityDistribution", "VerticalProfile", "DetectorModel",
+            "QuadratureSpec", "NumericsSpec", "RunSpec",
+        }
+
+    @pytest.mark.parametrize("prefix", ["../escape", "a/b", "/abs/run", "run/"])
+    def test_the_prefix_is_a_file_name_stem(self, prefix):
+        # '../escape' wrote escape_orders.csv into the output directory's parent
+        message = f"run.prefix {prefix!r} must be a file-name stem, not a path"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunSpec(prefix=prefix)
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[beam]\npower_w = 3\n[run]\nprefix = {prefix}\n")
+        assert str(err.value) == f"run.prefix (line 4): {message}"
+        assert (err.value.key, err.value.line) == ("run.prefix", 4)
+        assert parse_config("[run]\nprefix = ..\n").run.prefix == ".."
 
     def test_the_laser_has_one_waist(self):
         cfg = SimulationConfig()
